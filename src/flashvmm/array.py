@@ -2,29 +2,36 @@
 
 Rows carry source, coupling-gate and word lines; columns carry bit and
 erase-gate lines. The two outer columns are peripheral (input) cells,
-one half of each supercell row pair. Bias-scheme builders return the
-full per-cell bias map for a selective program or erase pulse; pulse
-application updates every cell under its own bias so half-select residue
-accumulates and is tracked in a disturb log.
+one half of each supercell row pair. A selective program or erase pulse
+biases each cell by its role class (selected, row half-selected, column
+half-selected or unselected), so one 2x2 table of biases and select
+factors per pulse kind covers the whole array. Pulse application updates
+every cell under its class's bias so half-select residue accumulates and
+is tracked in a disturb log.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cell import (
     READOUT_BIAS,
+    SF_DRAW_MIN,
     BiasCondition,
     CellState,
     PulseKind,
     PulseSpec,
     drain_current,
+    pulse_law,
     pulse_shift,
     readout_noisy,
+    select_factor,
     vth_for_standard_current,
 )
-from .config import DEFAULT_CONFIG, ModelConfig, config_hash
+from .config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, config_hash
 
+# role classes in table order: index 2 * (row not selected) + (column not selected)
 ROLES = ("selected", "row_half", "col_half", "unselected")
 
 _MEASURE_STREAM_TAG = 0xA77A
@@ -54,6 +61,54 @@ class DisturbLog:
                 for c in range(cols):
                     counts = ",".join(str(int(self.counts[k][r, c])) for k in ROLES)
                     fh.write(f"{r},{c},{float(self.cumulative_dvth[r, c])!r},{counts}\n")
+
+
+def _class_bias(
+    kind: PulseKind, topology: str, inh: InhibitionParams, row_sel: bool, col_sel: bool
+) -> BiasCondition:
+    """Bias of a cell whose row / column is (not) the target's.
+
+    Program: the selected row's source line is raised to 4.5 V (others
+    0.5 V); the selected column is picked by a +4 V erase-gate-to-bit-line
+    voltage (bit line 0.5 V, erase gate 4.5 V) while unselected columns
+    keep that voltage negative with bit lines at 2.5 V.
+
+    Erase, modified routing: the selected column's erase-gate line gets
+    the 11.5 V pulse, the selected row's coupling-gate line is grounded
+    and unselected rows are held at +8 V to inhibit tunneling. With the
+    original row-routed erase gates the pulse necessarily hits the whole
+    target row and no coupling-gate gating exists.
+    """
+    if kind is PulseKind.PROGRAM:
+        return BiasCondition(
+            v_wl=1.0 if row_sel else 0.0,
+            v_cg=0.0,
+            v_d=inh.program_bl_full if col_sel else 2.5,
+            v_s=inh.program_sl_full if row_sel else inh.program_sl_off,
+            v_eg=4.5 if col_sel and topology == "modified" else 0.0,
+        )
+    if topology == "modified":
+        v_cg = inh.erase_cg_full if row_sel else inh.erase_cg_inhibit
+        eg_sel = col_sel
+    else:
+        v_cg = 0.0
+        eg_sel = row_sel
+    v_eg = inh.erase_eg_full if eg_sel else inh.erase_eg_off
+    return BiasCondition(v_wl=0.0, v_cg=v_cg, v_d=0.0, v_s=0.0, v_eg=v_eg)
+
+
+@functools.lru_cache(maxsize=None)
+def bias_table(kind: PulseKind, topology: str, inh: InhibitionParams) -> tuple:
+    """(bias, select factor) of each role class, in ``ROLES`` order."""
+    table = []
+    for row_sel, col_sel in ((True, True), (True, False), (False, True), (False, False)):
+        bias = _class_bias(kind, topology, inh, row_sel, col_sel)
+        table.append((bias, select_factor(kind, bias, inh)))
+    return tuple(table)
+
+
+def _role_index(row_sel: bool, col_sel: bool) -> int:
+    return 2 * (not row_sel) + (not col_sel)
 
 
 @dataclass
@@ -179,108 +234,91 @@ class ArrayState:
     # ------------------------------------------------------ bias schemes
 
     def role_of(self, row: int, col: int, target_row: int, target_col: int) -> str:
-        if row == target_row and col == target_col:
-            return "selected"
-        if row == target_row:
-            return "row_half"
-        if col == target_col:
-            return "col_half"
-        return "unselected"
+        return ROLES[_role_index(row == target_row, col == target_col)]
+
+    def _role_grid(self, row: int, col: int) -> np.ndarray:
+        """Role index into ``ROLES`` of every cell for a pulse on (row, col)."""
+        self._check_target(row, col)
+        roles = np.full((self.rows, self.cols), 3, dtype=np.int64)
+        roles[row] = 1
+        roles[:, col] = 2
+        roles[row, col] = 0
+        return roles
+
+    def _scheme(self, kind: PulseKind, row: int, col: int) -> dict:
+        self._check_target(row, col)
+        table = bias_table(kind, self.topology, self.cfg.inhibition)
+        return {
+            (r, c): table[_role_index(r == row, c == col)][0]
+            for r in range(self.rows)
+            for c in range(self.cols)
+        }
 
     def build_program_scheme(self, row: int, col: int) -> dict:
-        """Per-cell bias map for a selective hot-electron program pulse.
-
-        Selected row's source line is raised to 4.5 V (others 0.5 V); the
-        selected column is picked by a +4 V erase-gate-to-bit-line
-        voltage (bit line 0.5 V, erase gate 4.5 V) while unselected
-        columns keep that voltage negative with bit lines at 2.5 V.
-        """
-        self._check_target(row, col)
-        inh = self.cfg.inhibition
-        scheme = {}
-        for r in range(self.rows):
-            v_s = inh.program_sl_full if r == row else inh.program_sl_off
-            v_wl = 1.0 if r == row else 0.0
-            for c in range(self.cols):
-                if c == col:
-                    v_d = inh.program_bl_full
-                    v_eg = 4.5 if self.topology == "modified" else 0.0
-                else:
-                    v_d = 2.5
-                    v_eg = 0.0
-                scheme[(r, c)] = BiasCondition(
-                    v_wl=v_wl, v_cg=0.0, v_d=v_d, v_s=v_s, v_eg=v_eg
-                )
-        return scheme
+        """Per-cell bias map for a selective hot-electron program pulse."""
+        return self._scheme(PulseKind.PROGRAM, row, col)
 
     def build_erase_scheme(self, row: int, col: int) -> dict:
-        """Per-cell bias map for a selective tunneling-erase pulse.
-
-        Modified routing: the selected column's erase-gate line gets the
-        11.5 V pulse, the selected row's coupling-gate line is grounded
-        and unselected rows are held at +8 V to inhibit tunneling. With
-        the original row-routed erase gates the pulse necessarily hits
-        the whole target row and no coupling-gate gating exists.
-        """
-        self._check_target(row, col)
-        inh = self.cfg.inhibition
-        scheme = {}
-        for r in range(self.rows):
-            if self.topology == "modified":
-                v_cg = inh.erase_cg_full if r == row else inh.erase_cg_inhibit
-            else:
-                v_cg = 0.0
-            for c in range(self.cols):
-                if self.topology == "modified":
-                    v_eg = inh.erase_eg_full if c == col else inh.erase_eg_off
-                else:
-                    v_eg = inh.erase_eg_full if r == row else inh.erase_eg_off
-                scheme[(r, c)] = BiasCondition(
-                    v_wl=0.0, v_cg=v_cg, v_d=0.0, v_s=0.0, v_eg=v_eg
-                )
-        return scheme
+        """Per-cell bias map for a selective tunneling-erase pulse."""
+        return self._scheme(PulseKind.ERASE, row, col)
 
     # ------------------------------------------------------------ pulses
 
-    def pulse_cell(self, row: int, col: int, pulse: PulseSpec) -> DisturbDelta:
-        """Apply one pulse to the target; every cell sees its own bias."""
-        if pulse.kind is PulseKind.PROGRAM:
-            scheme = self.build_program_scheme(row, col)
-        else:
-            scheme = self.build_erase_scheme(row, col)
+    def _class_cells(self, k: int, row: int, col: int) -> list:
+        """(row, col) of every cell in role class ``k`` for a pulse on (row, col)."""
+        rows = [row] if k < 2 else [r for r in range(self.rows) if r != row]
+        cols = [col] if k % 2 == 0 else [c for c in range(self.cols) if c != col]
+        return [(r, c) for r in rows for c in cols]
 
+    def pulse_cell(self, row: int, col: int, pulse: PulseSpec) -> DisturbDelta:
+        """Apply one pulse to the target; every cell sees its class's bias.
+
+        Cells of a class whose select factor reaches ``SF_DRAW_MIN`` each
+        take their own variability draw through ``pulse_shift``; the
+        other classes get their deterministic shift as one array update.
+        """
+        roles = self._role_grid(row, col)
         dvth = np.zeros((self.rows, self.cols))
-        roles = np.array(
-            [
-                [ROLES.index(self.role_of(r, c, row, col)) for c in range(self.cols)]
-                for r in range(self.rows)
-            ],
-            dtype=np.int64,
-        )
         if pulse.duration == 0.0:
             # no-op pulse: neither state nor disturb accounting moves
             return DisturbDelta(
                 target=(row, col), kind=pulse.kind, dvth=dvth, roles=roles
             )
 
-        for (r, c), bias in scheme.items():
-            new_vth, new_count, delta = pulse_shift(
-                pulse.kind,
-                float(self.v_th[r, c]),
-                int(self.rng_seeds[r, c]),
-                int(self.rng_counts[r, c]),
-                pulse,
-                bias,
-                self.cfg,
-            )
-            self.v_th[r, c] = new_vth
-            self.rng_counts[r, c] = new_count
-            dvth[r, c] = delta
-            role = ROLES[roles[r, c]]
-            self.disturb.counts[role][r, c] += 1
-            if role != "selected":
-                self.disturb.cumulative_dvth[r, c] += abs(delta)
+        table = bias_table(pulse.kind, self.topology, self.cfg.inhibition)
+        sizes = (1, self.cols - 1, self.rows - 1, (self.rows - 1) * (self.cols - 1))
+        draws = self.cfg.pulse.variability_sigma > 0.0
+        drawn = [k for k in range(4) if sizes[k] and draws and table[k][1] >= SF_DRAW_MIN]
 
+        new_vth = self.v_th
+        if len(drawn) < sum(1 for n in sizes if n):
+            step, sign, limit = pulse_law(pulse.kind, pulse, self.cfg)
+            shift = np.array([sign * (step * sf) for _, sf in table])
+            new_vth = self.v_th + shift[roles]
+            clamp = np.minimum if sign > 0 else np.maximum
+            clamp(new_vth, limit, out=new_vth)
+            np.subtract(new_vth, self.v_th, out=dvth)
+        # drawn cells replace the bulk result; self.v_th still holds the old state
+        for k in drawn:
+            for r, c in self._class_cells(k, row, col):
+                new_vth[r, c], self.rng_counts[r, c], dvth[r, c] = pulse_shift(
+                    pulse.kind,
+                    float(self.v_th[r, c]),
+                    int(self.rng_seeds[r, c]),
+                    int(self.rng_counts[r, c]),
+                    pulse,
+                    table[k][0],
+                    self.cfg,
+                )
+        if new_vth is not self.v_th:
+            self.v_th[...] = new_vth
+
+        for k, role in enumerate(ROLES):
+            if sizes[k]:
+                self.disturb.counts[role] += roles == k
+        exposure = np.abs(dvth)
+        exposure[row, col] = 0.0  # the intended shift is not disturb
+        self.disturb.cumulative_dvth += exposure
         return DisturbDelta(target=(row, col), kind=pulse.kind, dvth=dvth, roles=roles)
 
     # ----------------------------------------------------------- readout

@@ -70,6 +70,9 @@ class PulseSpec:
     duration: float  # [s]
 
     def __post_init__(self):
+        for name in ("amplitude", "duration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"pulse {name} must be finite")
         if self.duration < 0:
             raise ValueError("pulse duration must be >= 0")
         if not (0 < self.amplitude <= V_MAX_ABS):
@@ -131,7 +134,7 @@ def subthreshold_current(v_cg, v_th, n_slope, i0, temperature, i_sat):
     return np.minimum(i0 * np.exp(x), i_sat)
 
 
-def _check_temperature(temperature: float) -> None:
+def check_temperature(temperature: float) -> None:
     if not (T_MIN <= temperature <= T_MAX):
         raise ValueError(
             f"temperature {temperature} K outside the model window "
@@ -146,7 +149,7 @@ def drain_current(
     cfg: ModelConfig = DEFAULT_CONFIG,
 ) -> float:
     """Deterministic readout current [A]; zero when the word line is off."""
-    _check_temperature(temperature)
+    check_temperature(temperature)
     if bias.v_wl < cfg.wl_on_threshold:
         return 0.0
     return float(
@@ -222,6 +225,32 @@ def erase_select_factor(bias: BiasCondition, inh: InhibitionParams) -> float:
     return f_eg * f_cg
 
 
+def select_factor(kind: PulseKind, bias: BiasCondition, inh: InhibitionParams) -> float:
+    """Select factor of a pulse of ``kind`` under ``bias``, in [0, 1]."""
+    if kind is PulseKind.PROGRAM:
+        return program_select_factor(bias, inh)
+    return erase_select_factor(bias, inh)
+
+
+def pulse_law(kind: PulseKind, pulse: PulseSpec, cfg: ModelConfig):
+    """Per-kind constants of the pulse response: (step, sign, limit).
+
+    ``step`` is the shift [V] of this pulse at select factor 1: the
+    nominal per-pulse shift scaled linearly by duration and amplitude
+    relative to the configured nominals. Program pulses raise v_th up to
+    the window top, erase pulses lower it down to the window bottom.
+    """
+    cal = cfg.require_calibration()
+    p = cfg.pulse
+    if kind is PulseKind.PROGRAM:
+        scale = (pulse.duration / p.program_duration) * (
+            pulse.amplitude / p.program_amplitude
+        )
+        return cal.dv_program_nominal * scale, 1.0, cal.v_th_max
+    scale = (pulse.duration / p.erase_duration) * (pulse.amplitude / p.erase_amplitude)
+    return cal.dv_erase_nominal * scale, -1.0, cal.v_th_min
+
+
 def pulse_shift(
     kind: PulseKind,
     v_th: float,
@@ -234,31 +263,16 @@ def pulse_shift(
     """Core pulse response shared by cell- and array-level operations.
 
     Returns (new v_th, new draw counter, applied signed shift). The shift
-    scales linearly with pulse duration and amplitude relative to the
-    configured nominals, times the bias select factor, times a seeded
-    lognormal variability factor.
+    is the pulse's ``pulse_law`` step times the bias select factor, times
+    a seeded lognormal variability factor when the select factor is at
+    least ``SF_DRAW_MIN``.
     """
     if pulse.duration == 0.0:
         return v_th, rng_count, 0.0
-    cal = cfg.require_calibration()
-    if kind is PulseKind.PROGRAM:
-        sf = program_select_factor(bias, cfg.inhibition)
-        nominal = cal.dv_program_nominal
-        scale = (pulse.duration / cfg.pulse.program_duration) * (
-            pulse.amplitude / cfg.pulse.program_amplitude
-        )
-        sign = 1.0
-        limit = cal.v_th_max
-    else:
-        sf = erase_select_factor(bias, cfg.inhibition)
-        nominal = cal.dv_erase_nominal
-        scale = (pulse.duration / cfg.pulse.erase_duration) * (
-            pulse.amplitude / cfg.pulse.erase_amplitude
-        )
-        sign = -1.0
-        limit = cal.v_th_min
+    sf = select_factor(kind, bias, cfg.inhibition)
+    step, sign, limit = pulse_law(kind, pulse, cfg)
 
-    magnitude = nominal * scale * sf
+    magnitude = step * sf
     sigma = cfg.pulse.variability_sigma
     if sf >= SF_DRAW_MIN and sigma > 0.0:
         z = np.random.default_rng((rng_seed, rng_count)).standard_normal()
@@ -273,6 +287,17 @@ def pulse_shift(
     return new_vth, rng_count, new_vth - v_th
 
 
+def _apply_pulse(kind, cell, pulse, bias, cfg):
+    if pulse.kind is not kind:
+        raise ValueError(f"apply_{kind.value}_pulse requires a {kind.value!r} pulse")
+    if pulse.duration == 0.0:
+        return cell
+    v_th, count, _ = pulse_shift(
+        kind, cell.v_th, cell.rng_seed, cell.rng_count, pulse, bias, cfg
+    )
+    return replace(cell, v_th=v_th, rng_count=count)
+
+
 def apply_program_pulse(
     cell: CellState,
     pulse: PulseSpec,
@@ -280,14 +305,7 @@ def apply_program_pulse(
     cfg: ModelConfig = DEFAULT_CONFIG,
 ) -> CellState:
     """Raise v_th by the inhibition-weighted shift (readout current drops)."""
-    if pulse.kind is not PulseKind.PROGRAM:
-        raise ValueError("apply_program_pulse requires a program pulse")
-    if pulse.duration == 0.0:
-        return cell
-    v_th, count, _ = pulse_shift(
-        PulseKind.PROGRAM, cell.v_th, cell.rng_seed, cell.rng_count, pulse, bias, cfg
-    )
-    return replace(cell, v_th=v_th, rng_count=count)
+    return _apply_pulse(PulseKind.PROGRAM, cell, pulse, bias, cfg)
 
 
 def apply_erase_pulse(
@@ -297,14 +315,7 @@ def apply_erase_pulse(
     cfg: ModelConfig = DEFAULT_CONFIG,
 ) -> CellState:
     """Lower v_th by the inhibition-weighted shift (readout current rises)."""
-    if pulse.kind is not PulseKind.ERASE:
-        raise ValueError("apply_erase_pulse requires an erase pulse")
-    if pulse.duration == 0.0:
-        return cell
-    v_th, count, _ = pulse_shift(
-        PulseKind.ERASE, cell.v_th, cell.rng_seed, cell.rng_count, pulse, bias, cfg
-    )
-    return replace(cell, v_th=v_th, rng_count=count)
+    return _apply_pulse(PulseKind.ERASE, cell, pulse, bias, cfg)
 
 
 def retention_hold(
@@ -322,7 +333,7 @@ def retention_hold(
     """
     if duration < 0:
         raise ValueError("duration must be >= 0")
-    _check_temperature(temperature)
+    check_temperature(temperature)
     if duration == 0.0 or not cfg.retention.random_walk:
         return cell
     cal = cfg.require_calibration()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array import ArrayState
-from .cell import CellState, subthreshold_current
+from .cell import CellState, check_temperature, subthreshold_current
 from .config import DEFAULT_CONFIG, ModelConfig
 from .constants import thermal_voltage
 from .tuning import TuneTarget
@@ -117,11 +117,14 @@ def multiply(
     """
     cfg = array.cfg
     t = cfg.temperature_ref if temperature is None else temperature
+    check_temperature(t)
+    if noisy and samples < 1:
+        raise ValueError("samples must be >= 1")
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape != (array.rows,):
         raise ValueError(f"expected {array.rows} input currents, got {inputs.shape}")
     lo, hi = cfg.current_window
-    if np.any(inputs < lo) or np.any(inputs > hi):
+    if not np.all((inputs >= lo) & (inputs <= hi)):
         raise ValueError("input currents outside the validity window")
     _check_peripherals(array)
 
@@ -157,15 +160,35 @@ def weight_at_temperature(w_ref: float, t_ref: float, t: float) -> float:
     return math.exp(math.log(w_ref) * t_ref / t)
 
 
+def differential_drift_grid(
+    w_plus, w_minus, temp_range, reference: float, step: float = 1.0
+) -> np.ndarray:
+    """``differential_drift`` of each (w_plus, w_minus) pair, as one array.
+
+    Evaluates the pairs against the whole temperature grid at once. The
+    logarithms and the reference-point exponentials use ``math`` so every
+    value is bit-identical to the scalar objective.
+    """
+    a = np.array([math.log(x) for x in w_plus])
+    b = np.array([math.log(x) for x in w_minus])
+    out0 = np.array([math.exp(x) - math.exp(y) for x, y in zip(a, b)])
+    temps = np.arange(temp_range[0], temp_range[1] + step / 2, step)
+    out = np.divide.outer(a * reference, temps)
+    np.exp(out, out=out)
+    minus = np.divide.outer(b * reference, temps)
+    np.exp(minus, out=minus)
+    np.subtract(out, minus, out=out)
+    np.divide(out, out0[:, None], out=out)
+    np.subtract(out, 1.0, out=out)
+    np.abs(out, out=out)
+    return out.max(axis=1)
+
+
 def differential_drift(
     w_plus: float, w_minus: float, temp_range, reference: float, step: float = 1.0
 ) -> float:
     """Worst-case relative drift of w+ - w- over the interval (analytic)."""
-    a, b = math.log(w_plus), math.log(w_minus)
-    temps = np.arange(temp_range[0], temp_range[1] + step / 2, step)
-    out = np.exp(a * reference / temps) - np.exp(b * reference / temps)
-    out0 = math.exp(a) - math.exp(b)
-    return float(np.max(np.abs(out / out0 - 1.0)))
+    return float(differential_drift_grid([w_plus], [w_minus], temp_range, reference, step)[0])
 
 
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-6):
@@ -219,7 +242,7 @@ def optimize_bias_weight(
         return differential_drift(w_b + w / 2.0, w_b - w / 2.0, temp_range, t0)
 
     grid = np.arange(lo, hi + 1e-12, 1e-3)
-    values = [objective(x) for x in grid]
+    values = differential_drift_grid(grid + w / 2.0, grid - w / 2.0, temp_range, t0)
     k = int(np.argmin(values))
     bracket_lo = grid[max(k - 1, 0)]
     bracket_hi = grid[min(k + 1, len(grid) - 1)]

@@ -170,6 +170,14 @@ class TestPulses:
         with pytest.raises(ValueError):
             apply_erase_pulse(cell, PulseSpec.program(CFG), full_select_erase(), CFG)
 
+    @pytest.mark.parametrize("field", ["duration", "amplitude"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_pulse_rejected(self, field, value):
+        # a NaN duration used to pass and turn every v_th of an array to NaN
+        args = {"amplitude": 4.5, "duration": 1e-5, field: value}
+        with pytest.raises(ValueError, match=field):
+            PulseSpec(PulseKind.PROGRAM, **args)
+
     def test_nominal_program_factor_matches_calibration(self):
         # with variability off, one nominal pulse scales the current by
         # exp(-q dv / (n kB T)) exactly

@@ -173,6 +173,25 @@ class TestMultiply:
         with pytest.raises(ValueError, match="window"):
             multiply(array, [1e-9, 1e-5])
 
+    def test_temperature_outside_model_window_rejected(self):
+        array = centered_array(rows=2, cols=4)
+        set_weights(array, np.full((2, 2), 0.5))
+        for t in (1000.0, 100.0, float("nan")):
+            with pytest.raises(ValueError, match="temperature"):
+                multiply(array, [1e-9, 1e-9], temperature=t)
+
+    def test_noisy_needs_a_sample(self):
+        array = centered_array(rows=2, cols=4)
+        set_weights(array, np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="samples"):
+            multiply(array, [1e-9, 1e-9], noisy=True, samples=0)
+
+    def test_nan_input_rejected(self):
+        array = centered_array(rows=2, cols=4)
+        set_weights(array, np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="window"):
+            multiply(array, [1e-9, float("nan")])
+
     def test_noisy_deterministic_under_seeded_rng(self):
         array = centered_array(rows=2, cols=4)
         set_weights(array, np.full((2, 2), 0.5))
