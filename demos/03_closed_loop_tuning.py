@@ -14,7 +14,7 @@ print("=" * 64)
 print("Tuning one cell from fully programmed to 30 nA at 2% precision")
 print("=" * 64)
 array = ArrayState.fresh(cfg, rows=4, cols=6)
-result = tune_cell(array, TuneTarget(1, 2, 30e-9, 0.02), budget=100, record_trajectory=True)
+result = tune_cell(array, TuneTarget(1, 2, 30e-9, 0.02), budget=100)
 print("  readout trajectory (pulse count, measured current):")
 for pulses, current in result.trajectory:
     print(f"    after {pulses:2d} pulses: {current:.3e} A")

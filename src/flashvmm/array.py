@@ -11,6 +11,7 @@ is tracked in a disturb log.
 """
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,8 @@ ROLES = ("selected", "row_half", "col_half", "unselected")
 
 _MEASURE_STREAM_TAG = 0xA77A
 
-STATE_FORMAT_VERSION = 1
+STATE_FORMAT_VERSION = 2
+STATE_COLUMNS = "row,col,v_th,seed,draws"
 
 
 @dataclass
@@ -124,17 +126,14 @@ class DisturbDelta:
 class ArrayState:
     """Grid of cell states plus line topology and measurement stream."""
 
-    def __init__(self, cfg, rows, cols, topology, v_th, n_slope, i0, seeds, counts):
+    def __init__(self, cfg, topology, v_th, seeds, counts):
         if topology not in ("modified", "original"):
             raise ValueError("topology must be 'modified' or 'original'")
         cfg.require_calibration()
         self.cfg = cfg
-        self.rows = int(rows)
-        self.cols = int(cols)
+        self.rows, self.cols = v_th.shape
         self.topology = topology
         self.v_th = v_th
-        self.n_slope = n_slope
-        self.i0 = i0
         self.rng_seeds = seeds
         self.rng_counts = counts
         self.disturb = DisturbLog.empty(self.rows, self.cols)
@@ -166,12 +165,8 @@ class ArrayState:
         seeds = seed_gen.integers(0, 2**63 - 1, size=(rows, cols), dtype=np.int64)
         return cls(
             cfg=cfg,
-            rows=rows,
-            cols=cols,
             topology=topology,
             v_th=np.full((rows, cols), start, dtype=float),
-            n_slope=np.full((rows, cols), cfg.n, dtype=float),
-            i0=np.full((rows, cols), cfg.i0, dtype=float),
             seeds=seeds,
             counts=np.zeros((rows, cols), dtype=np.int64),
         )
@@ -209,20 +204,12 @@ class ArrayState:
         self._check_target(row, col)
         return CellState(
             v_th=float(self.v_th[row, col]),
-            n_slope=float(self.n_slope[row, col]),
-            i0=float(self.i0[row, col]),
+            n_slope=self.cfg.n,
+            i0=self.cfg.i0,
             noise=self.cfg.noise,
             rng_seed=int(self.rng_seeds[row, col]),
             rng_count=int(self.rng_counts[row, col]),
         )
-
-    def set_cell(self, row: int, col: int, cell: CellState) -> None:
-        self._check_target(row, col)
-        self.v_th[row, col] = cell.v_th
-        self.n_slope[row, col] = cell.n_slope
-        self.i0[row, col] = cell.i0
-        self.rng_seeds[row, col] = cell.rng_seed
-        self.rng_counts[row, col] = cell.rng_count
 
     def set_cell_current(self, row: int, col: int, current: float) -> None:
         """Place a cell's v_th to read ``current`` at standard bias (clamped)."""
@@ -332,7 +319,6 @@ class ArrayState:
         samples: int = 1,
     ) -> float:
         """Standard-bias readout [A]; never mutates any cell state."""
-        self._check_target(row, col)
         t = self.cfg.temperature_ref if temperature is None else temperature
         cell = self.cell_at(row, col)
         if noisy:
@@ -351,44 +337,73 @@ class ArrayState:
                 f"# rows={self.rows} cols={self.cols} topology={self.topology}\n"
             )
             fh.write(f"# config_hash={config_hash(self.cfg)}\n")
-            fh.write("row,col,v_th,n_slope,i0,seed,draws\n")
+            fh.write(STATE_COLUMNS + "\n")
             for r in range(self.rows):
                 for c in range(self.cols):
                     fh.write(
                         f"{r},{c},{float(self.v_th[r, c])!r},"
-                        f"{float(self.n_slope[r, c])!r},"
-                        f"{float(self.i0[r, c])!r},{int(self.rng_seeds[r, c])},"
-                        f"{int(self.rng_counts[r, c])}\n"
+                        f"{int(self.rng_seeds[r, c])},{int(self.rng_counts[r, c])}\n"
                     )
 
     @classmethod
     def load(cls, path, cfg: ModelConfig = DEFAULT_CONFIG) -> "ArrayState":
+        """Read a file written by ``save``; it loads exactly or raises.
+
+        The file must hold exactly one record per cell, in the row-major
+        order ``save`` writes, each with a v_th inside the threshold
+        window, a seed in [0, 2**63) and a draw count >= 0. Every failure
+        is a ValueError naming the path and line.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-        if not lines or not lines[0].startswith("# flashvmm-array v"):
-            raise ValueError(f"{path}: not a flashvmm array state file")
-        version = int(lines[0].rsplit("v", 1)[1])
-        if version != STATE_FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported state version {version}")
-        meta = dict(
-            item.split("=", 1) for item in lines[1].lstrip("# ").split()
+
+        def error(lineno, message):
+            return ValueError(f"{path}, line {lineno}: {message}")
+
+        def header(k, pattern, message):
+            match = re.fullmatch(pattern, lines[k]) if k < len(lines) else None
+            if match is None:
+                raise error(k + 1, message)
+            return match
+
+        version = header(0, r"# flashvmm-array v(\d+)", "not a flashvmm array state file")[1]
+        if int(version) != STATE_FORMAT_VERSION:
+            raise error(1, f"unsupported state version {version}")
+        geometry = header(
+            1,
+            r"# rows=([1-9]\d*) cols=([1-9]\d*) topology=(modified|original)",
+            "malformed geometry line",
         )
-        saved_hash = lines[2].split("=", 1)[1].strip()
+        saved_hash = header(2, r"# config_hash=(\S+)", "malformed config hash line")[1]
         if saved_hash != config_hash(cfg):
-            raise ValueError(
-                f"{path}: state was written under config {saved_hash}, "
-                f"current config is {config_hash(cfg)}"
+            raise error(
+                3,
+                f"state was written under config {saved_hash}, "
+                f"current config is {config_hash(cfg)}",
             )
-        rows, cols = int(meta["rows"]), int(meta["cols"])
-        arr = cls.fresh(cfg, rows=rows, cols=cols, topology=meta["topology"])
-        for line in lines[4:]:
-            if not line.strip():
-                continue
-            r, c, v_th, n, i0, seed, draws = line.split(",")
-            r, c = int(r), int(c)
-            arr.v_th[r, c] = float(v_th)
-            arr.n_slope[r, c] = float(n)
-            arr.i0[r, c] = float(i0)
-            arr.rng_seeds[r, c] = int(seed)
-            arr.rng_counts[r, c] = int(draws)
-        return arr
+        header(3, re.escape(STATE_COLUMNS), f"expected the column line {STATE_COLUMNS}")
+
+        rows, cols = int(geometry[1]), int(geometry[2])
+        records = lines[4:]
+        if len(records) != rows * cols:
+            raise error(len(lines), f"{len(records)} cell records, expected {rows * cols}")
+        cal = cfg.require_calibration()
+        v_th = np.empty((rows, cols))
+        seeds = np.empty((rows, cols), dtype=np.int64)
+        counts = np.empty((rows, cols), dtype=np.int64)
+        for k, line in enumerate(records):
+            lineno = k + 5
+            try:
+                r, c, v, seed, draws = line.split(",")
+                r, c, v, seed, draws = int(r), int(c), float(v), int(seed), int(draws)
+            except ValueError:
+                raise error(lineno, f"malformed record {line!r}") from None
+            if (r, c) != divmod(k, cols):
+                raise error(lineno, f"record for cell ({r}, {c}), expected {divmod(k, cols)}")
+            if not (cal.v_th_min <= v <= cal.v_th_max):  # also rejects NaN
+                raise error(lineno, f"v_th {v!r} outside [{cal.v_th_min!r}, {cal.v_th_max!r}] V")
+            for name, value in (("seed", seed), ("draws", draws)):
+                if not 0 <= value < 2**63:
+                    raise error(lineno, f"{name} {value} outside [0, 2**63)")
+            v_th[r, c], seeds[r, c], counts[r, c] = v, seed, draws
+        return cls(cfg, geometry[3], v_th, seeds, counts)

@@ -134,6 +134,11 @@ def subthreshold_current(v_cg, v_th, n_slope, i0, temperature, i_sat):
     return np.minimum(i0 * np.exp(x), i_sat)
 
 
+def gate_voltage(current, v_th, n_slope, i0, temperature):
+    """Coupling-gate voltage carrying ``current`` [V]; ``subthreshold_current`` inverted."""
+    return v_th + n_slope * thermal_voltage(temperature) * np.log(current / i0)
+
+
 def check_temperature(temperature: float) -> None:
     if not (T_MIN <= temperature <= T_MAX):
         raise ValueError(

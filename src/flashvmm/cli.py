@@ -10,8 +10,6 @@ import json
 import sys
 from dataclasses import replace as dc_replace
 
-import numpy as np
-
 from .array import ArrayState
 from .config import DEFAULT_CONFIG, calibrate, config_hash, load_config, save_config
 from .experiments import EXPERIMENT_IDS, ExperimentSpec, run_experiment, write_csv
@@ -21,6 +19,7 @@ from .vmm import (
     multiply,
     differential_multiply,
     plan_differential,
+    read_matrix_csv,
     reference_current,
 )
 from .tuning import TuneTarget
@@ -33,17 +32,6 @@ def _load_cfg(args):
     if not cfg.calibrated:
         cfg = calibrate(cfg)
     return cfg
-
-
-def _read_vectors(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(x) for x in line.split(",")])
-    return np.array(rows)
 
 
 def _cmd_calibrate(args):
@@ -73,7 +61,7 @@ def _cmd_tune(args):
 def _cmd_multiply(args):
     cfg = _load_cfg(args)
     weights = load_weights_csv(args.weights)
-    inputs = _read_vectors(args.inputs)
+    inputs = read_matrix_csv(args.inputs)
     rows, logical = weights.shape
     if inputs.shape[1] != rows:
         raise ValueError(

@@ -31,13 +31,14 @@ from .cell import (
     apply_program_pulse,
     drain_current,
     fresh_cell,
+    gate_voltage,
     readout_noisy,
     retention_hold,
     subthreshold_current,
     vth_for_standard_current,
 )
 from .config import DEFAULT_CONFIG, ModelConfig, config_hash
-from .constants import K_B, Q_E, T_25C, T_85C, thermal_voltage
+from .constants import K_B, Q_E, T_25C, T_85C
 from .tuning import (
     TuneTarget,
     load_campaign,
@@ -178,9 +179,8 @@ def _run_fig4(spec, seed, out_dir):
     t = cfg.temperature_ref
     n_states = 15
     vths = np.linspace(cal.v_th_min, cal.v_th_max, n_states)
-    ut = cfg.n * thermal_voltage(t)
-    v_lo = cal.v_th_min + ut * math.log(1.0e-10 / cfg.i0) - 0.05
-    v_hi = cal.v_th_max + ut * math.log(3.0e-8 / cfg.i0) + 0.05
+    v_lo = gate_voltage(1.0e-10, cal.v_th_min, cfg.n, cfg.i0, t) - 0.05
+    v_hi = gate_voltage(3.0e-8, cal.v_th_max, cfg.n, cfg.i0, t) + 0.05
     sweep = np.arange(v_lo, v_hi + 1e-9, 0.02)
 
     rows = []
@@ -257,13 +257,12 @@ def _run_fig6(spec, seed, out_dir):
     cal = cfg.require_calibration()
     vths = np.linspace(cal.v_th_min, cal.v_th_max, 8)
     temps = np.arange(T_25C, T_85C + 1e-9, 2.5)
-    ut = cfg.n * thermal_voltage(T_25C)
 
     rows = []
     ratios = {}
     for level in (1.0e-9, 1.0e-8, 1.0e-7):
         for k, vth in enumerate(vths):
-            v_cg = vth + ut * math.log(level / cfg.i0)  # equalize at 25 C
+            v_cg = gate_voltage(level, vth, cfg.n, cfg.i0, T_25C)  # equalize at 25 C
             currents = subthreshold_current(v_cg, vth, cfg.n, cfg.i0, temps, cfg.i_sat)
             for tt, ii in zip(temps, currents):
                 rows.append((float(level), k, float(tt), float(ii)))

@@ -46,19 +46,14 @@ class TuneResult:
     pulses_used: dict  # {"program": n, "erase": m}
     final_current: float  # deciding (or last verification) readout [A]
     relative_error: float
-    trajectory: list = None  # optional [(pulse index, current), ...]
+    trajectory: list  # [(pulses applied, tracking read current [A]), ...]
 
     @property
     def pulses_total(self) -> int:
         return sum(self.pulses_used.values())
 
 
-def tune_cell(
-    array: ArrayState,
-    target: TuneTarget,
-    budget: int,
-    record_trajectory: bool = False,
-) -> TuneResult:
+def tune_cell(array: ArrayState, target: TuneTarget, budget: int) -> TuneResult:
     """Drive one cell to its target current within the pulse budget.
 
     Budget exhaustion yields a non-converged result, not an exception.
@@ -77,7 +72,7 @@ def tune_cell(
     ut = cfg.n * thermal_voltage(cfg.temperature_ref)
 
     pulses = {"program": 0, "erase": 0}
-    trajectory = [] if record_trajectory else None
+    trajectory = []
     used = 0
     cap = 1.0
     last_sign = 0
@@ -85,8 +80,7 @@ def tune_cell(
 
     while True:
         current = array.read_cell(row, col, noisy=True, samples=TRACK_SAMPLES)
-        if trajectory is not None:
-            trajectory.append((used, current))
+        trajectory.append((used, current))
         err = current / goal - 1.0
         if abs(err) <= target.precision:
             final = array.read_cell(row, col, noisy=True, samples=VERIFY_SAMPLES)
@@ -124,12 +118,7 @@ def tune_cell(
         used += 1
 
 
-def tune_array(
-    array: ArrayState,
-    targets,
-    budget: int,
-    record_trajectory: bool = False,
-):
+def tune_array(array: ArrayState, targets, budget: int):
     """Tune the listed cells one by one; returns (results, summary stats)."""
     targets = list(targets)
     seen = {}
@@ -138,10 +127,7 @@ def tune_array(
         if key in seen:
             raise ValueError(f"conflicting targets for cell {key}")
         seen[key] = t
-    results = [
-        tune_cell(array, t, budget, record_trajectory=record_trajectory)
-        for t in targets
-    ]
+    results = [tune_cell(array, t, budget) for t in targets]
     errors = [r.relative_error for r in results]
     summary = {
         "targets": len(results),

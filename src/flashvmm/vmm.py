@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array import ArrayState
-from .cell import CellState, check_temperature, subthreshold_current
+from .cell import CellState, check_temperature, gate_voltage, subthreshold_current
 from .config import DEFAULT_CONFIG, ModelConfig
 from .constants import thermal_voltage
 from .tuning import TuneTarget
@@ -49,15 +49,30 @@ class WeightMatrix:
         return self.values.shape
 
 
-def load_weights_csv(path) -> WeightMatrix:
+def read_matrix_csv(path) -> np.ndarray:
+    """Rows of comma-separated numbers; blank and ``#`` lines are skipped."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(x) for x in line.split(",")])
-    return WeightMatrix(np.array(rows))
+            try:
+                rows.append([float(x) for x in line.split(",")])
+            except ValueError:
+                raise ValueError(f"{path}, line {lineno}: malformed row {line!r}") from None
+            if len(rows[-1]) != len(rows[0]):
+                raise ValueError(
+                    f"{path}, line {lineno}: {len(rows[-1])} entries, "
+                    f"the first row has {len(rows[0])}"
+                )
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.array(rows)
+
+
+def load_weights_csv(path) -> WeightMatrix:
+    return WeightMatrix(read_matrix_csv(path))
 
 
 # ------------------------------------------------------- basic operations
@@ -75,8 +90,8 @@ def input_gate_voltage(
             f"input current {input_current:.3e} A outside the validity window "
             f"[{lo:.0e}, {hi:.0e}] A"
         )
-    ut = peripheral.n_slope * thermal_voltage(temperature)
-    return peripheral.v_th + ut * math.log(input_current / peripheral.i0)
+    p = peripheral
+    return float(gate_voltage(input_current, p.v_th, p.n_slope, p.i0, temperature))
 
 
 def weight_of(
@@ -130,19 +145,9 @@ def multiply(
 
     per_cols = np.array([array.peripheral_col_for_row(r) for r in range(array.rows)])
     rows_idx = np.arange(array.rows)
-    vth_p = array.v_th[rows_idx, per_cols]
-    n_p = array.n_slope[rows_idx, per_cols]
-    i0_p = array.i0[rows_idx, per_cols]
-    v_gate = vth_p + n_p * thermal_voltage(t) * np.log(inputs / i0_p)
-
-    cols = array.array_cols
+    v_gate = gate_voltage(inputs, array.v_th[rows_idx, per_cols], cfg.n, cfg.i0, t)
     currents = subthreshold_current(
-        v_gate[:, None],
-        array.v_th[:, cols],
-        array.n_slope[:, cols],
-        array.i0[:, cols],
-        t,
-        cfg.i_sat,
+        v_gate[:, None], array.v_th[:, array.array_cols], cfg.n, cfg.i0, t, cfg.i_sat
     )
     if noisy:
         if rng is None:

@@ -213,8 +213,6 @@ class TestPersistence:
         array.save(path)
         loaded = ArrayState.load(path, CFG)
         assert np.array_equal(loaded.v_th, array.v_th)
-        assert np.array_equal(loaded.n_slope, array.n_slope)
-        assert np.array_equal(loaded.i0, array.i0)
         assert np.array_equal(loaded.rng_seeds, array.rng_seeds)
         assert np.array_equal(loaded.rng_counts, array.rng_counts)
         assert loaded.topology == array.topology
@@ -223,7 +221,7 @@ class TestPersistence:
         array = ArrayState.fresh(CFG, rows=1, cols=1)
         path = tmp_path / "array.txt"
         array.save(path)
-        assert path.read_text().startswith("# flashvmm-array v1\n")
+        assert path.read_text().startswith("# flashvmm-array v2\n")
 
     def test_config_mismatch_rejected(self, tmp_path):
         array = ArrayState.fresh(CFG, rows=1, cols=1)
@@ -238,6 +236,88 @@ class TestPersistence:
         path.write_text("not a state file\n")
         with pytest.raises(ValueError, match="not a flashvmm"):
             ArrayState.load(path, CFG)
+
+    def test_v1_file_refused(self, tmp_path):
+        # v1 records also carried n_slope and i0; such a file is refused, not read
+        def to_v1(lines):
+            v1 = ["# flashvmm-array v1", *lines[1:3], "row,col,v_th,n_slope,i0,seed,draws"]
+            for record in lines[4:]:
+                parts = record.split(",")
+                v1.append(",".join(parts[:3] + [repr(CFG.n), repr(CFG.i0)] + parts[3:]))
+            return v1
+
+        path = save_edited(tmp_path, to_v1)
+        with pytest.raises(ValueError, match="line 1: unsupported state version 1"):
+            ArrayState.load(path, CFG)
+
+    @pytest.mark.parametrize(
+        "edit, line, message",
+        [
+            pytest.param(lambda ls: ls[:-1], 7, "3 cell records, expected 4", id="truncated"),
+            pytest.param(lambda ls: ls + [""], 9, "5 cell records, expected 4", id="extra_line"),
+            pytest.param(
+                lambda ls: ls[:-1] + [ls[-2]], 8, r"record for cell \(1, 0\), expected \(1, 1\)",
+                id="duplicate",
+            ),
+            pytest.param(
+                lambda ls: ls[:-1] + [field(ls[-1], 0, "2")], 8,
+                r"record for cell \(2, 1\), expected \(1, 1\)", id="out_of_range",
+            ),
+            pytest.param(
+                lambda ls: [*ls[:4], ls[5], ls[4], *ls[6:]], 5,
+                r"record for cell \(0, 1\), expected \(0, 0\)", id="reordered",
+            ),
+            pytest.param(
+                lambda ls: ls[:-1] + [field(ls[-1], 2, "nan")], 8, "v_th nan outside", id="nan_v_th"
+            ),
+            pytest.param(
+                lambda ls: ls[:-1] + [field(ls[-1], 2, "9.5")], 8, "v_th 9.5 outside",
+                id="v_th_outside_window",
+            ),
+            pytest.param(
+                lambda ls: ls[:-1] + [field(ls[-1], 4, "-1")], 8, "draws -1 outside",
+                id="negative_draws",
+            ),
+            pytest.param(
+                lambda ls: ls[:-1] + [field(ls[-1], 3, "-5")], 8, "seed -5 outside",
+                id="negative_seed",
+            ),
+            pytest.param(
+                lambda ls: ls[:-1] + [ls[-1] + ",0"], 8, "malformed record", id="extra_field"
+            ),
+            pytest.param(
+                lambda ls: ls[:-1] + [field(ls[-1], 2, "4.0V")], 8, "malformed record",
+                id="non_numeric",
+            ),
+            pytest.param(
+                lambda ls: [ls[0], "# rows=2 cols=x topology=modified", *ls[2:]], 2,
+                "malformed geometry line", id="malformed_geometry",
+            ),
+            pytest.param(
+                lambda ls: [*ls[:3], "row,col,v_th,draws,seed", *ls[4:]], 4,
+                "expected the column line", id="malformed_columns",
+            ),
+        ],
+    )
+    def test_malformed_file_rejected_naming_line(self, tmp_path, edit, line, message):
+        path = save_edited(tmp_path, edit)
+        with pytest.raises(ValueError, match=f"array.txt, line {line}: {message}"):
+            ArrayState.load(path, CFG)
+
+
+def field(record, k, value):
+    """``record`` with its k-th comma-separated field replaced."""
+    parts = record.split(",")
+    parts[k] = value
+    return ",".join(parts)
+
+
+def save_edited(tmp_path, edit):
+    """Save a 2x2 array (records on lines 5-8) and rewrite its lines with ``edit``."""
+    path = tmp_path / "array.txt"
+    ArrayState.fresh(CFG, rows=2, cols=2, initial="center").save(path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return path
 
 
 def test_disturb_log_bounds_current_change():

@@ -47,7 +47,7 @@ def test_tune_campaign_end_to_end(tmp_path):
     lines = results.read_text().splitlines()
     assert lines[0] == "row,col,target,final,rel_error,pulses,converged"
     assert len(lines) == 3
-    assert state.read_text().startswith("# flashvmm-array v1")
+    assert state.read_text().startswith("# flashvmm-array v2")
     assert disturb.exists()
 
 
@@ -101,6 +101,41 @@ def test_state_init_and_info(tmp_path, capsys):
     assert main(["state", "info", str(state)]) == 0
     out = capsys.readouterr().out
     assert "3x4 modified array" in out
+
+
+def test_state_info_on_truncated_file_fails(tmp_path, capsys):
+    state = tmp_path / "arr.txt"
+    assert main(["state", "init", "--rows", "2", "--cols", "2", "--out", str(state)]) == 0
+    state.write_text("\n".join(state.read_text().splitlines()[:-1]) + "\n")
+    assert main(["state", "info", str(state)]) == 1
+    parsed = json.loads(capsys.readouterr().err.strip())
+    assert parsed["error"] == "ValueError"
+    assert "line 7: 3 cell records, expected 4" in parsed["message"]
+
+
+@pytest.mark.parametrize(
+    "inputs, message",
+    [
+        pytest.param("# no vectors\n\n", "in.csv: no data rows", id="comments_only"),
+        pytest.param("5e-8,1e-8\n5e-8\n", "in.csv, line 2: 1 entries", id="ragged"),
+        pytest.param("5e-8,1e-8\n5e-8,1nA\n", "in.csv, line 2: malformed row", id="non_numeric"),
+    ],
+)
+def test_multiply_rejects_bad_inputs_file(tmp_path, capsys, inputs, message):
+    (tmp_path / "w.csv").write_text("0.5,0.25\n0.8,0.4\n")
+    (tmp_path / "in.csv").write_text(inputs)
+    code = main(
+        [
+            "multiply",
+            "--weights", str(tmp_path / "w.csv"),
+            "--inputs", str(tmp_path / "in.csv"),
+            "--out", str(tmp_path / "out.csv"),
+        ]
+    )
+    assert code == 1
+    parsed = json.loads(capsys.readouterr().err.strip())
+    assert parsed["error"] == "ValueError"
+    assert message in parsed["message"]
 
 
 def test_experiment_subcommand(tmp_path, capsys):

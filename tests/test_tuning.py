@@ -94,9 +94,7 @@ class TestTuneCell:
 
     def test_monotone_progress_without_noise(self):
         array = ArrayState.fresh(QUIET_CFG, rows=2, cols=3, initial="erased")
-        res = tune_cell(
-            array, TuneTarget(0, 1, 1e-8, 0.01), budget=100, record_trajectory=True
-        )
+        res = tune_cell(array, TuneTarget(0, 1, 1e-8, 0.01), budget=100)
         assert res.converged
         errors = [abs(math.log(i / 1e-8)) for _, i in res.trajectory]
         assert all(a >= b for a, b in zip(errors, errors[1:]))
