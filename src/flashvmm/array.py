@@ -11,6 +11,7 @@ is tracked in a disturb log.
 """
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 
@@ -25,9 +26,10 @@ from .cell import (
     PulseSpec,
     drain_current,
     pulse_law,
-    pulse_shift,
+    pulse_shift,  # noqa: F401  module attribute that tracing tools wrap
     readout_noisy,
     select_factor,
+    stream_normals,
     vth_for_standard_current,
 )
 from .config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, config_hash
@@ -36,6 +38,11 @@ from .config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, config_hash
 ROLES = ("selected", "row_half", "col_half", "unselected")
 
 _MEASURE_STREAM_TAG = 0xA77A
+
+# variability normals computed ahead per cell, so that successive pulses
+# share one stream_normals call (8 and 16 measured alike on 32x34 and 1x4
+# arrays; 8 keeps the block and each refill small)
+DRAW_AHEAD = 8
 
 STATE_FORMAT_VERSION = 2
 STATE_COLUMNS = "row,col,v_th,seed,draws"
@@ -138,6 +145,7 @@ class ArrayState:
         self.rng_counts = counts
         self.disturb = DisturbLog.empty(self.rows, self.cols)
         self.measure_rng = np.random.default_rng((int(cfg.seed), _MEASURE_STREAM_TAG))
+        self._ahead = None  # draw-ahead block, made by the first drawing pulse
 
     @classmethod
     def fresh(
@@ -251,18 +259,39 @@ class ArrayState:
 
     # ------------------------------------------------------------ pulses
 
-    def _class_cells(self, k: int, row: int, col: int) -> list:
-        """(row, col) of every cell in role class ``k`` for a pulse on (row, col)."""
-        rows = [row] if k < 2 else [r for r in range(self.rows) if r != row]
-        cols = [col] if k % 2 == 0 else [c for c in range(self.cols) if c != col]
-        return [(r, c) for r in rows for c in cols]
+    def _normals(self, cells: np.ndarray) -> np.ndarray:
+        """Next variability normal of each cell, from the draw-ahead block.
+
+        ``cells`` are row-major flat indices. A cell's block holds the
+        normals of draws base .. base + DRAW_AHEAD - 1 of the seed it was
+        made from. Cells whose block does not cover their current seed and
+        draw count are refilled in one ``stream_normals`` call. The block
+        is a pure function of (seed, count) and is not saved.
+        """
+        if self._ahead is None:
+            self._ahead = np.empty((self.rows * self.cols, DRAW_AHEAD))
+            self._ahead_base = np.zeros(self.rows * self.cols, dtype=np.int64)
+            self._ahead_seed = np.full(self.rows * self.cols, -1, dtype=np.int64)
+        seeds, counts = self.rng_seeds.take(cells), self.rng_counts.take(cells)
+        offset = counts - self._ahead_base.take(cells)
+        stale = (seeds != self._ahead_seed.take(cells)) | (offset < 0) | (offset >= DRAW_AHEAD)
+        if stale.any():
+            refill, seeds, base = cells[stale], seeds[stale], counts[stale]
+            block = base.astype(np.uint64)[:, None] + np.arange(DRAW_AHEAD, dtype=np.uint64)
+            normals = stream_normals(np.repeat(seeds, DRAW_AHEAD), block)
+            self._ahead[refill] = normals.reshape(-1, DRAW_AHEAD)
+            self._ahead_base[refill] = base
+            self._ahead_seed[refill] = seeds
+            offset[stale] = 0
+        return self._ahead[cells, offset]
 
     def pulse_cell(self, row: int, col: int, pulse: PulseSpec) -> DisturbDelta:
         """Apply one pulse to the target; every cell sees its class's bias.
 
         Cells of a class whose select factor reaches ``SF_DRAW_MIN`` each
-        take their own variability draw through ``pulse_shift``; the
-        other classes get their deterministic shift as one array update.
+        take their own variability draw, the one ``pulse_shift`` would
+        take; the other classes get their deterministic shift as one
+        array update.
         """
         roles = self._role_grid(row, col)
         dvth = np.zeros((self.rows, self.cols))
@@ -274,29 +303,29 @@ class ArrayState:
 
         table = bias_table(pulse.kind, self.topology, self.cfg.inhibition)
         sizes = (1, self.cols - 1, self.rows - 1, (self.rows - 1) * (self.cols - 1))
-        draws = self.cfg.pulse.variability_sigma > 0.0
-        drawn = [k for k in range(4) if sizes[k] and draws and table[k][1] >= SF_DRAW_MIN]
+        sigma = self.cfg.pulse.variability_sigma
+        drawn = [k for k in range(4) if sizes[k] and sigma > 0.0 and table[k][1] >= SF_DRAW_MIN]
+        step, sign, limit = pulse_law(pulse.kind, pulse, self.cfg)
+        clamp = np.minimum if sign > 0 else np.maximum
+        magnitude = np.array([step * sf for _, sf in table])
 
         new_vth = self.v_th
         if len(drawn) < sum(1 for n in sizes if n):
-            step, sign, limit = pulse_law(pulse.kind, pulse, self.cfg)
-            shift = np.array([sign * (step * sf) for _, sf in table])
-            new_vth = self.v_th + shift[roles]
-            clamp = np.minimum if sign > 0 else np.maximum
+            new_vth = self.v_th + (sign * magnitude)[roles]
             clamp(new_vth, limit, out=new_vth)
             np.subtract(new_vth, self.v_th, out=dvth)
-        # drawn cells replace the bulk result; self.v_th still holds the old state
-        for k in drawn:
-            for r, c in self._class_cells(k, row, col):
-                new_vth[r, c], self.rng_counts[r, c], dvth[r, c] = pulse_shift(
-                    pulse.kind,
-                    float(self.v_th[r, c]),
-                    int(self.rng_seeds[r, c]),
-                    int(self.rng_counts[r, c]),
-                    pulse,
-                    table[k][0],
-                    self.cfg,
-                )
+        if drawn:
+            # drawn cells replace the bulk result; self.v_th still holds the old state
+            is_drawn = np.zeros(4, dtype=bool)
+            is_drawn[drawn] = True
+            cells = np.flatnonzero(is_drawn[roles])
+            scale = [math.exp(x) for x in (sigma * self._normals(cells)).tolist()]
+            old = self.v_th.take(cells)
+            new = old + sign * (magnitude.take(roles.take(cells)) * scale)
+            clamp(new, limit, out=new)
+            np.put(new_vth, cells, new)
+            np.put(dvth, cells, new - old)
+            np.put(self.rng_counts, cells, self.rng_counts.take(cells) + 1)
         if new_vth is not self.v_th:
             self.v_th[...] = new_vth
 

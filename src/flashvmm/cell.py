@@ -13,7 +13,13 @@ from enum import Enum
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, NoiseParams
+from .config import (
+    DEFAULT_CONFIG,
+    InhibitionParams,
+    ModelConfig,
+    NoiseParams,
+    require_positive,
+)
 from .constants import (
     K_B,
     Q_E,
@@ -105,8 +111,7 @@ class CellState:
             raise ValueError("v_th must be finite")
         if not (5.0 <= self.n_slope <= 5.1):
             raise ValueError("n_slope must lie in [5.0, 5.1]")
-        if self.i0 <= 0:
-            raise ValueError("i0 must be positive")
+        require_positive("i0", self.i0)
 
 
 def fresh_cell(
@@ -254,6 +259,120 @@ def pulse_law(kind: PulseKind, pulse: PulseSpec, cfg: ModelConfig):
         return cal.dv_program_nominal * scale, 1.0, cal.v_th_max
     scale = (pulse.duration / p.erase_duration) * (pulse.amplitude / p.erase_amplitude)
     return cal.dv_erase_nominal * scale, -1.0, cal.v_th_min
+
+
+# -------------------------------------------------- variability stream
+
+# NumPy's SeedSequence hash (pool size 4) and PCG64 seeding, restated over
+# arrays so ``stream_normals`` can seed many (seed, count) streams at once
+_XSHIFT = np.uint32(16)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """(xor, multiply) constants of ``n`` successive hash steps, shape (2, n, 1).
+
+    A hash step XORs its value with the running constant, advances the
+    constant by ``mult`` and multiplies by the advanced one.
+    """
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array([consts[:-1], consts[1:]], dtype=np.uint32)[:, :, None]
+
+
+def _mix_rounds(steps: np.ndarray) -> list:
+    """Per source word, the (2, 4, 1) constants hashing it for each pool word.
+
+    mix_entropy mixes source word ``src`` into the other three, one hash
+    step each in order; the source's own row is a placeholder whose
+    result is discarded.
+    """
+    rounds = []
+    for src in range(4):
+        consts = np.zeros((2, 4, 1), dtype=np.uint32)
+        consts[:, [d for d in range(4) if d != src]] = steps[:, 3 * src : 3 * src + 3]
+        rounds.append(consts)
+    return rounds
+
+
+# mix_entropy: 4 hashes of the entropy words, then 12 in the mixing rounds
+_ENTROPY_STEPS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_ENTROPY_HASH = _ENTROPY_STEPS[:, :4]
+_MIX_HASH = _mix_rounds(_ENTROPY_STEPS[:, 4:])
+# generate_state(4, uint64): 8 hashed 32-bit words, cycling over the pool
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+_STREAM_BITGEN = np.random.PCG64(0)
+_STREAM_GEN = np.random.Generator(_STREAM_BITGEN)
+
+
+def _hashed(values, consts):
+    """One SeedSequence hash step per row of ``consts``: xor, multiply, xorshift."""
+    out = values ^ consts[0]  # uint32 array arithmetic wraps silently
+    out *= consts[1]
+    out ^= out >> _XSHIFT
+    return out
+
+
+def stream_normals(seeds, counts) -> np.ndarray:
+    """``default_rng((seed, count)).standard_normal()`` for each pair, bit for bit.
+
+    ``seeds`` and ``counts`` are equal-length integer arrays in [0, 2**64).
+    The SeedSequence hash and the PCG64 seeding run over all pairs at
+    once; each normal is then drawn by NumPy's own ziggurat from one
+    shared PCG64 set to the pair's state (held under the generator's lock).
+    """
+    seeds = np.asarray(seeds).ravel()
+    counts = np.asarray(counts).ravel()
+    if seeds.shape != counts.shape:
+        raise ValueError("seeds and counts must have the same length")
+    if seeds.size == 0:
+        return np.empty(0)
+    if seeds.dtype.kind not in "iu" or counts.dtype.kind not in "iu":
+        raise ValueError("seeds and counts must be integer arrays")
+    if seeds.min() < 0 or counts.min() < 0:
+        raise ValueError("seeds and counts must be >= 0")
+    seeds = seeds.astype(np.uint64)
+    counts = counts.astype(np.uint64)
+
+    # entropy: the 32-bit words of the seed, then of the count, least
+    # significant first (a value below 2**32 is one word), zero-padded to 4
+    s_hi = (seeds >> 32).astype(np.uint32)
+    c_lo, c_hi = counts.astype(np.uint32), (counts >> 32).astype(np.uint32)
+    two = s_hi != 0
+    entropy = np.stack(
+        [seeds.astype(np.uint32), np.where(two, s_hi, c_lo), np.where(two, c_lo, c_hi), c_hi * two]
+    )
+
+    # mix_entropy; the source word is fixed while it is mixed into the other three
+    pool = _hashed(entropy, _ENTROPY_HASH)
+    for src, consts in enumerate(_MIX_HASH):
+        mixed = _MIX_MULT_L * pool
+        mixed -= _MIX_MULT_R * _hashed(pool[src], consts)
+        mixed ^= mixed >> _XSHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    # generate_state(4, uint64): 64-bit word k is 32-bit words 2k (low), 2k + 1
+    words = _hashed(np.concatenate([pool, pool]), _STATE_HASH).astype(np.uint64)
+    w = words[0::2] | (words[1::2] << np.uint64(32))
+
+    out = []
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    pcg = state["state"]
+    with _STREAM_BITGEN.lock:
+        for w0, w1, w2, w3 in zip(*w.tolist()):
+            # pcg64_set_seed: initstate w0:w1, increment (w2:w3 << 1) | 1,
+            # then two LCG steps from state 0
+            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+            pcg["state"] = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+            pcg["inc"] = inc
+            _STREAM_BITGEN.state = state
+            out.append(_STREAM_GEN.standard_normal())
+    return np.array(out)
 
 
 def pulse_shift(

@@ -9,7 +9,7 @@ verifies the feasibility targets; it is idempotent.
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -19,6 +19,26 @@ from .constants import T_25C, T_85C, V_CG_READ, thermal_voltage
 
 class CalibrationError(ValueError):
     """Raised when the calibration targets cannot all be met."""
+
+
+def require_positive(name: str, value) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is finite and > 0."""
+    if not (0.0 < value < math.inf):  # also rejects NaN
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def known_keys(cls, raw, what: str) -> dict:
+    """``raw`` as keyword arguments of the dataclass ``cls``.
+
+    A non-mapping, or a key ``cls`` has no field for, is a ValueError
+    naming ``what`` and the key.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a mapping, got {type(raw).__name__}")
+    unknown = sorted(str(key) for key in set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -143,8 +163,8 @@ class ModelConfig:
     calibration: Calibration = None
 
     def __post_init__(self):
-        if self.i0 <= 0:
-            raise ValueError("i0 must be positive")
+        for name in ("i0", "i_sat", "temperature_ref"):
+            require_positive(name, getattr(self, name))
         lo, hi = self.current_window
         if not (0.0 < lo < hi):
             raise ValueError("current_window must be positive and ordered")
@@ -249,7 +269,8 @@ def load_config(path) -> ModelConfig:
 
 
 def config_from_dict(raw: dict) -> ModelConfig:
-    kwargs = dict(raw)
+    """Config from plain data; an unknown key, at any level, is a ValueError naming it."""
+    kwargs = dict(known_keys(ModelConfig, raw, "config"))
     for key, cls in (
         ("pulse", PulseDefaults),
         ("noise", NoiseParams),
@@ -258,7 +279,7 @@ def config_from_dict(raw: dict) -> ModelConfig:
         ("calibration", Calibration),
     ):
         if kwargs.get(key) is not None:
-            kwargs[key] = cls(**kwargs[key])
+            kwargs[key] = cls(**known_keys(cls, kwargs[key], key))
     if "current_window" in kwargs:
         kwargs["current_window"] = tuple(kwargs["current_window"])
     if isinstance(kwargs.get("n_slope"), list):

@@ -15,7 +15,7 @@ import yaml
 
 from .array import ArrayState
 from .cell import PulseSpec
-from .config import ModelConfig
+from .config import ModelConfig, known_keys, require_positive
 from .constants import thermal_voltage
 
 VERIFY_SAMPLES = 128  # deciding readout averaging
@@ -31,8 +31,7 @@ class TuneTarget:
     precision: float  # relative tolerance
 
     def __post_init__(self):
-        if self.target_current <= 0:
-            raise ValueError("target current must be positive")
+        require_positive("target_current", self.target_current)
         if not (0.0 < self.precision <= 0.5):
             raise ValueError("precision must lie in (0, 0.5]")
 
@@ -178,11 +177,23 @@ class TuningCampaign:
     initial: str = "programmed"
     targets: dict = None  # {"kind": "ramp"|"uniform"|"explicit", ...}
 
+    def __post_init__(self):
+        for name in ("rows", "cols", "budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"campaign {name} must be an integer >= 1, got {value!r}")
+        if not (0.0 < self.precision <= 0.5):  # also rejects NaN
+            raise ValueError(f"campaign precision must lie in (0, 0.5], got {self.precision!r}")
+        if self.initial not in ("programmed", "erased", "center"):
+            raise ValueError(
+                f"campaign initial must be programmed, erased or center, got {self.initial!r}"
+            )
+
 
 def load_campaign(path) -> TuningCampaign:
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
-    return TuningCampaign(**raw)
+    return TuningCampaign(**known_keys(TuningCampaign, raw, "campaign"))
 
 
 def campaign_targets(campaign: TuningCampaign, array: ArrayState) -> list:

@@ -153,6 +153,16 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert parsed["error"] == "FileNotFoundError"
 
 
+def test_bad_campaign_is_a_json_error(tmp_path, capsys):
+    campaign = tmp_path / "campaign.yaml"
+    campaign.write_text("rows: .nan\ncols: 3\n")
+    code = main(["tune", "--campaign", str(campaign), "--results", str(tmp_path / "r.csv")])
+    assert code == 1
+    parsed = json.loads(capsys.readouterr().err.strip())
+    assert parsed["error"] == "ValueError" and "campaign rows" in parsed["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_process_exit_codes(tmp_path):
     # exercised through a real process: success is 0, failure nonzero with
     # a JSON error line on stderr

@@ -8,6 +8,7 @@ from flashvmm.config import (
     ModelConfig,
     NoiseParams,
     calibrate,
+    config_from_dict,
     config_hash,
     load_config,
     save_config,
@@ -102,3 +103,31 @@ def test_current_window_validation():
         ModelConfig(current_window=(1e-6, 1e-10))
     with pytest.raises(ValueError):
         ModelConfig(i_sat=1e-8)  # below window top
+
+
+@pytest.mark.parametrize("name", ["i0", "i_sat", "temperature_ref"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_scalars_rejected_naming_field(name, value):
+    with pytest.raises(ValueError, match=name):
+        ModelConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ({"seed": 1, "bogus": 2}, "config key.*bogus"),
+        ({"pulse": {"program_amplitude": 4.5, "width": 1e-6}}, "pulse key.*width"),
+        ({"noise": {"sigma": 0.01}}, "noise key.*sigma"),
+        ({"inhibition": [1, 2]}, "inhibition must be a mapping"),
+    ],
+)
+def test_unknown_config_keys_rejected_naming_key(raw, key):
+    with pytest.raises(ValueError, match=key):
+        config_from_dict(raw)
+
+
+def test_unknown_yaml_key_rejected(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("seed: 3\nretention:\n  random_walk: true\n  drift: 0.1\n")
+    with pytest.raises(ValueError, match="retention key.*drift"):
+        load_config(path)

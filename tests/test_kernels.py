@@ -2,7 +2,9 @@
 
 ``ArrayState.pulse_cell`` applies a pulse per role class; the oracle runs
 ``pulse_shift`` on every cell under the bias of the ``build_*_scheme``
-map. ``differential_drift_grid`` evaluates many bias weights at once; the
+map. ``stream_normals`` draws many (seed, count) normals at once; the
+oracle is one ``default_rng((seed, count))`` per pair.
+``differential_drift_grid`` evaluates many bias weights at once; the
 oracle is the scalar drift formula evaluated one weight at a time.
 """
 
@@ -15,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flashvmm.array as array_mod
-from flashvmm.array import ROLES, ArrayState, bias_table
-from flashvmm.cell import SF_DRAW_MIN, PulseKind, PulseSpec, pulse_shift
+from flashvmm.array import DRAW_AHEAD, ROLES, ArrayState, bias_table
+from flashvmm.cell import SF_DRAW_MIN, PulseKind, PulseSpec, pulse_shift, stream_normals
 from flashvmm.config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, calibrate
 from flashvmm.constants import T_25C, T_85C
 from flashvmm.vmm import (
@@ -154,21 +156,162 @@ def test_draw_threshold_classes():
     assert np.all(array.rng_counts == 1)
 
 
-def test_pulse_shift_runs_once_per_drawn_cell(monkeypatch):
-    # per-cell draws go through the module attribute, so a wrapper sees them:
-    # with the default config the selected cell and both half-selected lines
+# ------------------------------------------------------ variability stream
+
+STREAM_VALUES = st.one_of(
+    st.just(0), st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1)
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(STREAM_VALUES, STREAM_VALUES), max_size=12))
+def test_stream_normals_matches_default_rng(pairs):
+    seeds = np.array([s for s, _ in pairs], dtype=np.int64)
+    counts = np.array([c for _, c in pairs], dtype=np.int64)
+    expected = np.array([np.random.default_rng((s, c)).standard_normal() for s, c in pairs])
+    assert_bits_equal(stream_normals(seeds, counts), expected)
+
+
+def test_stream_normals_layouts_and_ziggurat_fallback():
+    # every entropy layout, and draws whose ziggurat rejects its first output
+    def consumed(seed, count):
+        bitgen = np.random.PCG64(np.random.SeedSequence((seed, count)))
+        once = np.random.PCG64(np.random.SeedSequence((seed, count)))
+        np.random.Generator(bitgen).standard_normal()
+        once.random_raw()
+        return bitgen.state != once.state
+
+    fallback = [(12345, c) for c in range(1500) if consumed(12345, c)]
+    assert fallback  # about 1 in 150 draws
+    pairs = fallback + [
+        (0, 0), (0, 1), (1, 0), (2**32 - 1, 2**32 - 1), (2**32, 0), (0, 2**32),
+        (2**63 - 1, 2**63 - 1), (2**40 + 3, 7), (9, 2**40 + 3),
+    ]
+    seeds, counts = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    expected = np.array([np.random.default_rng(p).standard_normal() for p in pairs])
+    assert_bits_equal(stream_normals(seeds, counts), expected)
+    with pytest.raises(ValueError, match=">= 0"):
+        stream_normals(np.array([1, -1]), np.array([0, 0]))
+    with pytest.raises(ValueError, match="same length"):
+        stream_normals(np.array([1, 2]), np.array([0]))
+    with pytest.raises(ValueError, match="integer"):
+        stream_normals(np.array([1.5]), np.array([0]))
+
+
+# ------------------------------------------------------------- draw-ahead
+
+def pulse_sequence(cfg, targets):
+    """Alternating program/erase pulses at half the nominal duration."""
+    pulses = []
+    for k, (row, col) in enumerate(targets):
+        make = PulseSpec.program if k % 2 == 0 else PulseSpec.erase
+        pulses.append((row, col, make(cfg, duration=make(cfg).duration / 2)))
+    return pulses
+
+
+def run_both(fast, slow, pulses):
+    for row, col, pulse in pulses:
+        delta = fast.pulse_cell(row, col, pulse)
+        dvth, _ = oracle_pulse(slow, row, col, pulse)
+        assert_bits_equal(delta.dvth, dvth)
+        assert_bits_equal(fast.v_th, slow.v_th)
+        assert_bits_equal(fast.rng_counts, slow.rng_counts)
+
+
+def test_one_stream_call_per_pulse(monkeypatch):
+    # with the default config the selected cell and both half-selected
+    # lines draw, one normal each, refilled in at most one batched call
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return pulse_shift(*args)
+    def counting(seeds, counts):
+        calls.append(len(seeds))
+        return stream_normals(seeds, counts)
 
-    monkeypatch.setattr(array_mod, "pulse_shift", counting)
+    monkeypatch.setattr(array_mod, "stream_normals", counting)
     array = ArrayState.fresh(DEFAULT_CONFIG, rows=5, cols=7, initial="center")
-    for pulse in (PulseSpec.program(DEFAULT_CONFIG), PulseSpec.erase(DEFAULT_CONFIG)):
+    targets = [(2, 3)] * (DRAW_AHEAD + 2) + [(0, 0), (4, 6), (2, 0)]
+    per_pulse = []
+    for row, col, pulse in pulse_sequence(DEFAULT_CONFIG, targets):
+        before = array.rng_counts.copy()
         calls.clear()
-        array.pulse_cell(2, 3, pulse)
-        assert len(calls) == array.rows + array.cols - 1
+        array.pulse_cell(row, col, pulse)
+        per_pulse.append(len(calls))
+        assert np.sum(array.rng_counts - before) == array.rows + array.cols - 1
+    assert max(per_pulse) == 1
+    # one block per drawn cell serves DRAW_AHEAD pulses on one target
+    assert per_pulse[: DRAW_AHEAD + 1] == [1] + [0] * (DRAW_AHEAD - 1) + [1]
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_draw_ahead_over_many_pulses_on_one_cell(topology):
+    cfg = DEFAULT_CONFIG
+    fast = ArrayState.fresh(cfg, rows=3, cols=4, topology=topology, initial="center")
+    slow = ArrayState.fresh(cfg, rows=3, cols=4, topology=topology, initial="center")
+    targets = [(1, 2)] * (2 * DRAW_AHEAD + 3) + [(0, 1), (2, 3), (1, 2)]
+    run_both(fast, slow, pulse_sequence(cfg, targets))
+    assert_same_state(fast, slow)
+    assert fast.rng_counts[1, 2] > 2 * DRAW_AHEAD
+
+
+def test_draw_ahead_follows_in_place_edits():
+    cfg = DEFAULT_CONFIG
+    fast = ArrayState.fresh(cfg, rows=3, cols=4, initial="center")
+    slow = ArrayState.fresh(cfg, rows=3, cols=4, initial="center")
+    pulses = pulse_sequence(cfg, [(1, 1)] * 5)
+
+    def edit(array, step):
+        if step == 0:
+            array.rng_counts[1] -= 2  # back inside the current block
+        elif step == 1:
+            array.rng_counts[:, 1] += 1000  # past it
+        elif step == 2:
+            array.rng_counts[:, 1] -= 1000  # before the new block, same seeds
+        elif step == 3:
+            array.rng_seeds[1, 2] = 99  # a new stream for one cell
+        elif step == 4:
+            array.rng_seeds[1, 2], array.rng_counts[1, 2] = slow_seed, 0  # back again
+        else:
+            array.rng_seeds[...] = array.rng_seeds[::-1, ::-1].copy()  # cells swap streams
+
+    slow_seed = int(slow.rng_seeds[1, 2])
+    run_both(fast, slow, pulses)
+    for step in range(6):
+        edit(fast, step)
+        edit(slow, step)
+        run_both(fast, slow, pulses)
+    assert_same_state(fast, slow)
+
+
+def test_large_drawn_shifts_match_bit_for_bit():
+    # from the window bottom a long program pulse shifts the target so far
+    # that the last bit of its lognormal factor reaches v_th: a few draws
+    # in a thousand differ if np.exp stands in for math.exp
+    cfg = DEFAULT_CONFIG
+    fast = ArrayState.fresh(cfg, rows=1, cols=1, initial="erased")
+    slow = ArrayState.fresh(cfg, rows=1, cols=1, initial="erased")
+    pulse = PulseSpec.program(cfg, duration=8 * cfg.pulse.program_duration)
+    for _ in range(1500):
+        fast.v_th[...] = slow.v_th[...] = cfg.calibration.v_th_min
+        run_both(fast, slow, [(0, 0, pulse)])
+
+
+def test_draw_ahead_is_not_saved(tmp_path):
+    # a campaign saved and reloaded mid-way continues as if uninterrupted
+    cfg = DEFAULT_CONFIG
+    whole = ArrayState.fresh(cfg, rows=3, cols=4, initial="center")
+    first = ArrayState.fresh(cfg, rows=3, cols=4, initial="center")
+    slow = ArrayState.fresh(cfg, rows=3, cols=4, initial="center")
+    targets = [(0, 1)] * 3 + [(2, 2)] * (DRAW_AHEAD + 1) + [(0, 1)] * 2
+    pulses = pulse_sequence(cfg, targets)
+    cut = 5
+    run_both(first, slow, pulses[:cut])
+    first.save(tmp_path / "mid.txt")
+    resumed = ArrayState.load(tmp_path / "mid.txt", cfg)
+    run_both(resumed, slow, pulses[cut:])
+    for row, col, pulse in pulses:
+        whole.pulse_cell(row, col, pulse)
+    assert_bits_equal(resumed.v_th, whole.v_th)
+    assert_bits_equal(resumed.rng_counts, whole.rng_counts)
 
 
 # ------------------------------------------------------------ drift scan

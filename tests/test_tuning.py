@@ -119,6 +119,11 @@ class TestTuneCell:
         with pytest.raises(ValueError):
             TuneTarget(0, 0, -1e-8, 0.05)
 
+    @pytest.mark.parametrize("current", [math.nan, math.inf])
+    def test_non_finite_target_current_rejected(self, current):
+        with pytest.raises(ValueError, match="target_current"):
+            TuneTarget(0, 0, current, 0.05)
+
 
 class TestTuneArray:
     def test_empty_targets(self):
@@ -194,6 +199,24 @@ class TestCampaignFiles:
         assert int(array.rng_seeds[0, 0]) == int(
             np.random.default_rng(77).integers(0, 2**63 - 1, size=(2, 3), dtype=np.int64)[0, 0]
         )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("rows: .nan\n", "rows"),
+            ("cols: 2.5\n", "cols"),
+            ("budget: 0\n", "budget"),
+            ("precision: .nan\n", "precision"),
+            ("initial: half\n", "initial"),
+            ("rows: 2\npulses: 10\n", "campaign key.*pulses"),
+            ("- 1\n- 2\n", "campaign must be a mapping"),
+        ],
+    )
+    def test_bad_campaign_rejected_naming_field(self, tmp_path, text, message):
+        path = tmp_path / "campaign.yaml"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_campaign(path)
 
     def test_uniform_and_ramp_builders(self):
         array = ArrayState.fresh(CFG)
