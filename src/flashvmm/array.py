@@ -32,7 +32,7 @@ from .cell import (
     stream_normals,
     vth_for_standard_current,
 )
-from .config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, config_hash
+from .config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, config_hash, require_count
 
 # role classes in table order: index 2 * (row not selected) + (column not selected)
 ROLES = ("selected", "row_half", "col_half", "unselected")
@@ -161,8 +161,8 @@ class ArrayState:
         ``initial`` is 'programmed' (lowest current), 'erased' (highest)
         or 'center'.
         """
-        if rows < 1 or cols < 1:
-            raise ValueError("array must have at least one row and column")
+        require_count("rows", rows)
+        require_count("cols", cols)
         cal = cfg.require_calibration()
         start = {
             "programmed": cal.v_th_max,
@@ -264,9 +264,11 @@ class ArrayState:
 
         ``cells`` are row-major flat indices. A cell's block holds the
         normals of draws base .. base + DRAW_AHEAD - 1 of the seed it was
-        made from. Cells whose block does not cover their current seed and
-        draw count are refilled in one ``stream_normals`` call. The block
-        is a pure function of (seed, count) and is not saved.
+        made from. If any cell's block does not cover its current seed and
+        draw count, every cell of ``cells`` is refilled from its current
+        count in one ``stream_normals`` call, so the pulses that follow on
+        the same target need no call. The block is a pure function of
+        (seed, count) and is not saved.
         """
         if self._ahead is None:
             self._ahead = np.empty((self.rows * self.cols, DRAW_AHEAD))
@@ -274,15 +276,13 @@ class ArrayState:
             self._ahead_seed = np.full(self.rows * self.cols, -1, dtype=np.int64)
         seeds, counts = self.rng_seeds.take(cells), self.rng_counts.take(cells)
         offset = counts - self._ahead_base.take(cells)
-        stale = (seeds != self._ahead_seed.take(cells)) | (offset < 0) | (offset >= DRAW_AHEAD)
-        if stale.any():
-            refill, seeds, base = cells[stale], seeds[stale], counts[stale]
-            block = base.astype(np.uint64)[:, None] + np.arange(DRAW_AHEAD, dtype=np.uint64)
+        if ((seeds != self._ahead_seed.take(cells)) | (offset < 0) | (offset >= DRAW_AHEAD)).any():
+            block = counts.astype(np.uint64)[:, None] + np.arange(DRAW_AHEAD, dtype=np.uint64)
             normals = stream_normals(np.repeat(seeds, DRAW_AHEAD), block)
-            self._ahead[refill] = normals.reshape(-1, DRAW_AHEAD)
-            self._ahead_base[refill] = base
-            self._ahead_seed[refill] = seeds
-            offset[stale] = 0
+            self._ahead[cells] = normals.reshape(-1, DRAW_AHEAD)
+            self._ahead_base[cells] = counts
+            self._ahead_seed[cells] = seeds
+            return self._ahead[cells, 0]
         return self._ahead[cells, offset]
 
     def pulse_cell(self, row: int, col: int, pulse: PulseSpec) -> DisturbDelta:

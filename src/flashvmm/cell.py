@@ -263,13 +263,15 @@ def pulse_law(kind: PulseKind, pulse: PulseSpec, cfg: ModelConfig):
 
 # -------------------------------------------------- variability stream
 
-# NumPy's SeedSequence hash (pool size 4) and PCG64 seeding, restated over
-# arrays so ``stream_normals`` can seed many (seed, count) streams at once
+# NumPy's SeedSequence hash (pool size 4), PCG64 seeding and first output,
+# and its normal ziggurat's fast path, restated over arrays so
+# ``stream_normals`` can draw many (seed, count) normals at once
 _XSHIFT = np.uint32(16)
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+_M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
 def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
@@ -299,15 +301,35 @@ def _mix_rounds(steps: np.ndarray) -> list:
     return rounds
 
 
+def _limb_rows(const: int) -> np.ndarray:
+    """(4, 4) uint64: row i, column k holds 32-bit limb k - i of ``const``
+    (0 if k < i), so row 0 is its limbs, least significant first.
+
+    Limb i of x times row i puts each partial product x_i * c_j in column
+    i + j, the limb of x * const it adds to (mod 2**128).
+    """
+    c = [const >> (32 * j) & 0xFFFFFFFF for j in range(4)]
+    return np.array([[c[k - i] if k >= i else 0 for k in range(4)] for i in range(4)], np.uint64)
+
+
 # mix_entropy: 4 hashes of the entropy words, then 12 in the mixing rounds
 _ENTROPY_STEPS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _ENTROPY_HASH = _ENTROPY_STEPS[:, :4]
 _MIX_HASH = _mix_rounds(_ENTROPY_STEPS[:, 4:])
 # generate_state(4, uint64): 8 hashed 32-bit words, cycling over the pool
 _STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+# pcg64_set_seed(init, seq) leaves state (inc + init) * M + inc with
+# inc = 2 * seq + 1, so the first output's state is
+# init * M**2 + seq * 2 * (M**2 + M + 1) + (M**2 + M + 1): limb rows for
+# init, then for seq, and the constant term
+_M2 = _PCG_MULT * _PCG_MULT & _MASK128
+_M2_M_1 = (_M2 + _PCG_MULT + 1) & _MASK128
+_FIRST_STATE = np.concatenate([_limb_rows(_M2), _limb_rows(2 * _M2_M_1 & _MASK128)])[:, :, None]
+_FIRST_STATE_ADD = _limb_rows(_M2_M_1)[0, :, None]
 
 _STREAM_BITGEN = np.random.PCG64(0)
 _STREAM_GEN = np.random.Generator(_STREAM_BITGEN)
+_ZIGGURAT = None  # (ki, wi), probed on first use
 
 
 def _hashed(values, consts):
@@ -318,13 +340,62 @@ def _hashed(values, consts):
     return out
 
 
+def _ziggurat() -> tuple:
+    """(ki, wi) of NumPy's normal ziggurat, probed through the public API.
+
+    A PCG64 with increment 1 at state (r - 1) * M**-1 mod 2**128 outputs
+    ``r`` first, so each probe feeds the ziggurat a chosen word: idx in the
+    low byte, the sign in bit 8, rabs from bit 9. Its fast path alone
+    leaves the state one step on; it accepts iff rabs < ki[idx] and
+    returns rabs * wi[idx]. wi stays 0 where ki <= 1: an accepted rabs is
+    then 0.
+    """
+    global _ZIGGURAT
+    if _ZIGGURAT is None:
+        bitgen = np.random.PCG64(0)
+        gen = np.random.Generator(bitgen)
+        inv = pow(_PCG_MULT, -1, 1 << 128)
+        state = {"bit_generator": "PCG64", "state": {"inc": 1}, "has_uint32": 0, "uinteger": 0}
+
+        def fast(idx, rabs):
+            r = rabs << 9 | idx
+            state["state"]["state"] = (r - 1) * inv & _MASK128
+            bitgen.state = state
+            x = gen.standard_normal()
+            return bitgen.state["state"]["state"] == r, x
+
+        ki, wi = np.zeros(256, dtype=np.uint64), np.zeros(256)
+        for idx in range(256):
+            lo, hi = 0, 1 << 52  # least rabs the fast path rejects
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (mid + 1, hi) if fast(idx, mid)[0] else (lo, mid)
+            ki[idx] = lo
+            if lo > 1:
+                wi[idx] = fast(idx, 1)[1]
+        _ZIGGURAT = ki, wi
+    return _ZIGGURAT
+
+
+def _ziggurat_fast(r: np.ndarray) -> tuple:
+    """NumPy's normal ziggurat fast path on first outputs ``r`` (uint64):
+    the normals, and the indices of the outputs it rejects."""
+    ki, wi = _ziggurat()
+    idx = (r & np.uint64(0xFF)).astype(np.intp)
+    rabs = r >> np.uint64(9) & np.uint64(2**52 - 1)
+    out = rabs.astype(np.float64) * wi[idx]
+    np.negative(out, out=out, where=(r & np.uint64(0x100)).astype(bool))
+    return out, np.flatnonzero(rabs >= ki[idx])
+
+
 def stream_normals(seeds, counts) -> np.ndarray:
     """``default_rng((seed, count)).standard_normal()`` for each pair, bit for bit.
 
     ``seeds`` and ``counts`` are equal-length integer arrays in [0, 2**64).
-    The SeedSequence hash and the PCG64 seeding run over all pairs at
-    once; each normal is then drawn by NumPy's own ziggurat from one
-    shared PCG64 set to the pair's state (held under the generator's lock).
+    The SeedSequence hash, the PCG64 seeding and first output and the
+    ziggurat's fast path run over all pairs at once. The few pairs the fast
+    path rejects are drawn by NumPy's own ziggurat from one shared PCG64
+    set to the pair's state (held under the generator's lock).
     """
     seeds = np.asarray(seeds).ravel()
     counts = np.asarray(counts).ravel()
@@ -358,21 +429,36 @@ def stream_normals(seeds, counts) -> np.ndarray:
         pool = mixed
     # generate_state(4, uint64): 64-bit word k is 32-bit words 2k (low), 2k + 1
     words = _hashed(np.concatenate([pool, pool]), _STATE_HASH).astype(np.uint64)
-    w = words[0::2] | (words[1::2] << np.uint64(32))
+    w = words[0::2] | (words[1::2] << _S32)
 
-    out = []
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    pcg = state["state"]
-    with _STREAM_BITGEN.lock:
-        for w0, w1, w2, w3 in zip(*w.tolist()):
-            # pcg64_set_seed: initstate w0:w1, increment (w2:w3 << 1) | 1,
-            # then two LCG steps from state 0
-            inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-            pcg["state"] = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
-            pcg["inc"] = inc
-            _STREAM_BITGEN.state = state
-            out.append(_STREAM_GEN.standard_normal())
-    return np.array(out)
+    # first output: init = w0:w1 and seq = w2:w3 in 32-bit limbs, low
+    # first; the partial products are summed per limb before the carries
+    halves = w[[1, 0, 3, 2]]
+    x = np.stack([halves & _M32, halves >> _S32], axis=1).reshape(8, -1)
+    prod = x[:, None] * _FIRST_STATE
+    limb = (prod & _M32).sum(axis=0) + _FIRST_STATE_ADD
+    limb[1:] += (prod[:, :-1] >> _S32).sum(axis=0)
+    for k in range(3):
+        limb[k + 1] += limb[k] >> _S32
+    hi = limb[3] << _S32 | limb[2] & _M32
+    xsl = hi ^ (limb[1] << _S32 | limb[0] & _M32)
+    rot = hi >> np.uint64(58)
+    r = xsl >> rot | xsl << (np.uint64(64) - rot & np.uint64(63))
+
+    out, rejected = _ziggurat_fast(r)
+    if rejected.size:
+        state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+        pcg = state["state"]
+        with _STREAM_BITGEN.lock:
+            for k, (w0, w1, w2, w3) in zip(rejected.tolist(), w[:, rejected].T.tolist()):
+                # pcg64_set_seed: initstate w0:w1, increment (w2:w3 << 1) | 1,
+                # then two LCG steps from state 0
+                inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+                pcg["state"] = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+                pcg["inc"] = inc
+                _STREAM_BITGEN.state = state
+                out[k] = _STREAM_GEN.standard_normal()
+    return out
 
 
 def pulse_shift(

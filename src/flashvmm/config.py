@@ -27,6 +27,12 @@ def require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def require_count(name: str, value) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def known_keys(cls, raw, what: str) -> dict:
     """``raw`` as keyword arguments of the dataclass ``cls``.
 

@@ -15,7 +15,7 @@ import yaml
 
 from .array import ArrayState
 from .cell import PulseSpec
-from .config import ModelConfig, known_keys, require_positive
+from .config import ModelConfig, known_keys, require_count, require_positive
 from .constants import thermal_voltage
 
 VERIFY_SAMPLES = 128  # deciding readout averaging
@@ -179,9 +179,7 @@ class TuningCampaign:
 
     def __post_init__(self):
         for name in ("rows", "cols", "budget"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"campaign {name} must be an integer >= 1, got {value!r}")
+            require_count(f"campaign {name}", getattr(self, name))
         if not (0.0 < self.precision <= 0.5):  # also rejects NaN
             raise ValueError(f"campaign precision must lie in (0, 0.5], got {self.precision!r}")
         if self.initial not in ("programmed", "erased", "center"):

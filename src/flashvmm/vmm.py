@@ -15,7 +15,7 @@ import numpy as np
 
 from .array import ArrayState
 from .cell import CellState, check_temperature, gate_voltage, subthreshold_current
-from .config import DEFAULT_CONFIG, ModelConfig
+from .config import DEFAULT_CONFIG, ModelConfig, require_positive
 from .constants import thermal_voltage
 from .tuning import TuneTarget
 
@@ -165,6 +165,19 @@ def weight_at_temperature(w_ref: float, t_ref: float, t: float) -> float:
     return math.exp(math.log(w_ref) * t_ref / t)
 
 
+def _check_drift_scan(temp_range, reference, step: float = 1.0) -> None:
+    """Raise a ValueError naming the field unless the temperatures and the
+    step are finite and positive and the range is ordered."""
+    t_lo, t_hi = temp_range
+    require_positive("temp_range", t_lo)
+    require_positive("temp_range", t_hi)
+    if not t_lo < t_hi:
+        raise ValueError("temperature range must be ordered")
+    if reference is not None:
+        require_positive("reference", reference)
+    require_positive("step", step)
+
+
 def differential_drift_grid(
     w_plus, w_minus, temp_range, reference: float, step: float = 1.0
 ) -> np.ndarray:
@@ -174,6 +187,7 @@ def differential_drift_grid(
     logarithms and the reference-point exponentials use ``math`` so every
     value is bit-identical to the scalar objective.
     """
+    _check_drift_scan(temp_range, reference, step)
     a = np.array([math.log(x) for x in w_plus])
     b = np.array([math.log(x) for x in w_minus])
     out0 = np.array([math.exp(x) - math.exp(y) for x, y in zip(a, b)])
@@ -231,10 +245,9 @@ def optimize_bias_weight(
     """
     if not (0.0 <= w < 1.0):
         raise ValueError("differential construction requires 0 <= w < 1")
-    t_lo, t_hi = temp_range
-    if not (t_lo < t_hi):
-        raise ValueError("temperature range must be ordered")
-    t0 = t_lo if reference is None else reference
+    _check_drift_scan(temp_range, reference)
+    require_positive("w_floor", w_floor)
+    t0 = temp_range[0] if reference is None else reference
     if w == 0.0:
         return 0.5, 0.0
 
@@ -348,6 +361,9 @@ def plan_differential(
     i_ref = reference_current(cfg)
     if w_floor is None:
         w_floor = lo_cur / i_ref
+    # bad arguments fail here, naming the field, not as infeasible entries
+    _check_drift_scan(temp_range, reference)
+    require_positive("w_floor", w_floor)
 
     t0 = temp_range[0] if reference is None else reference
     w_b = np.zeros_like(wvals)

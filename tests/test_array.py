@@ -80,6 +80,25 @@ class TestSchemes:
         with pytest.raises(IndexError):
             array.build_erase_scheme(0, 4)
 
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_nan_size_rejected_naming_field(self, field):
+        with pytest.raises(ValueError, match=field):
+            ArrayState.fresh(CFG, **{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_float_size_rejected_naming_field(self, field):
+        with pytest.raises(ValueError, match=field):
+            ArrayState.fresh(CFG, **{field: 3.0})
+
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_bool_size_rejected_naming_field(self, field):
+        with pytest.raises(ValueError, match=field):
+            ArrayState.fresh(CFG, **{field: True})
+
+    def test_numpy_integer_size_accepted(self):
+        array = ArrayState.fresh(CFG, rows=np.int64(2), cols=np.int32(3))
+        assert array.v_th.shape == (2, 3)
+
 
 class TestPulseCell:
     def test_zero_duration_changes_nothing(self):

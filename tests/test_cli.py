@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,16 +168,21 @@ def test_bad_campaign_is_a_json_error(tmp_path, capsys):
 def test_process_exit_codes(tmp_path):
     # exercised through a real process: success is 0, failure nonzero with
     # a JSON error line on stderr
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     ok = subprocess.run(
         [sys.executable, "-m", "flashvmm", "calibrate", "--out", str(tmp_path / "c.yaml")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert ok.returncode == 0
     bad = subprocess.run(
         [sys.executable, "-m", "flashvmm", "state", "info", str(tmp_path / "nope.txt")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert bad.returncode == 1
     assert json.loads(bad.stderr.strip())["error"] == "FileNotFoundError"

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flashvmm.array as array_mod
+import flashvmm.cell as cell_mod
 from flashvmm.array import DRAW_AHEAD, ROLES, ArrayState, bias_table
 from flashvmm.cell import SF_DRAW_MIN, PulseKind, PulseSpec, pulse_shift, stream_normals
 from flashvmm.config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, calibrate
@@ -198,6 +199,72 @@ def test_stream_normals_layouts_and_ziggurat_fallback():
         stream_normals(np.array([1.5]), np.array([0]))
 
 
+WIDE_VALUES = st.one_of(STREAM_VALUES, st.integers(2**63, 2**64 - 1))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(WIDE_VALUES, WIDE_VALUES), min_size=1, max_size=40))
+def test_stream_normals_matches_default_rng_up_to_2_64(pairs):
+    # uint64 input, seeds and counts up to 2**64 - 1
+    seeds = np.array([s for s, _ in pairs], dtype=np.uint64)
+    counts = np.array([c for _, c in pairs], dtype=np.uint64)
+    expected = np.array([np.random.default_rng((s, c)).standard_normal() for s, c in pairs])
+    assert_bits_equal(stream_normals(seeds, counts), expected)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(pairs=st.lists(st.tuples(WIDE_VALUES, WIDE_VALUES), min_size=1, max_size=12))
+def test_stream_normals_forced_fallback(pairs):
+    # with every ki at 0 the fast path accepts nothing: each pair takes
+    # the scalar fallback on the words the array hash computed
+    seeds = np.array([s for s, _ in pairs], dtype=np.uint64)
+    counts = np.array([c for _, c in pairs], dtype=np.uint64)
+    expected = np.array([np.random.default_rng((s, c)).standard_normal() for s, c in pairs])
+    _, wi = cell_mod._ziggurat()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cell_mod, "_ZIGGURAT", (np.zeros(256, dtype=np.uint64), wi))
+        assert_bits_equal(stream_normals(seeds, counts), expected)
+
+
+def test_ziggurat_tables_reproduce_every_index():
+    # feed NumPy's ziggurat chosen first outputs: a PCG64 with increment 1
+    # at state (r - 1) / M yields r, idx in the low byte, the sign in bit 8
+    # and rabs from bit 9; the fast path leaves the state one step on.
+    # The array fast path must accept and return what NumPy's does.
+    ki, _ = cell_mod._ziggurat()
+    inv = pow(cell_mod._PCG_MULT, -1, 1 << 128)
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+
+    def draw(idx, sign, rabs, top):
+        r = top << 61 | rabs << 9 | sign << 8 | idx
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": (r - 1) * inv % (1 << 128), "inc": 1},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        x = gen.standard_normal()
+        return bitgen.state["state"]["state"] == r, x
+
+    assert ki[1] == 0  # NumPy's table: idx 1 never takes the fast path
+    pick = np.random.default_rng(7)
+    words, expected = [], []
+    for idx in range(256):
+        k = int(ki[idx])
+        assert k < 2**52
+        for rabs in {0, min(1, k), k // 2, int(pick.integers(0, k + 1)), k, 2**52 - 1}:
+            for sign, top in ((0, 0), (1, 0), (0, 7), (1, 5)):  # bits 61-63 unused
+                fast, x = draw(idx, sign, rabs, top)
+                assert fast == (rabs < k)
+                words.append(top << 61 | rabs << 9 | sign << 8 | idx)
+                expected.append(x if fast else None)
+    out, rejected = cell_mod._ziggurat_fast(np.array(words, dtype=np.uint64))
+    assert rejected.tolist() == [i for i, x in enumerate(expected) if x is None]
+    accepted = [i for i, x in enumerate(expected) if x is not None]
+    assert_bits_equal(out[accepted], np.array([expected[i] for i in accepted]))
+
+
 # ------------------------------------------------------------- draw-ahead
 
 def pulse_sequence(cfg, targets):
@@ -240,6 +307,32 @@ def test_one_stream_call_per_pulse(monkeypatch):
     assert max(per_pulse) == 1
     # one block per drawn cell serves DRAW_AHEAD pulses on one target
     assert per_pulse[: DRAW_AHEAD + 1] == [1] + [0] * (DRAW_AHEAD - 1) + [1]
+
+
+def test_new_target_refills_all_drawn_cells(monkeypatch):
+    # after pulses on (2, 3) and (4, 5), column 5 and cell (1, 3) hold
+    # partly used blocks and the rest of row 1 none; the first pulse on
+    # (1, 5) refills its whole drawn set (row 1 and column 5), so the
+    # next DRAW_AHEAD - 1 pulses need no stream_normals call
+    calls = []
+
+    def counting(seeds, counts):
+        calls.append(len(seeds))
+        return stream_normals(seeds, counts)
+
+    monkeypatch.setattr(array_mod, "stream_normals", counting)
+    cfg = DEFAULT_CONFIG
+    fast = ArrayState.fresh(cfg, rows=5, cols=7, initial="center")
+    slow = ArrayState.fresh(cfg, rows=5, cols=7, initial="center")
+    run_both(fast, slow, pulse_sequence(cfg, [(2, 3)] * 3 + [(4, 5)] * 2))
+    assert len(calls) == 2
+    per_pulse = []
+    for step in pulse_sequence(cfg, [(1, 5)] * (DRAW_AHEAD + 1)):
+        calls.clear()
+        run_both(fast, slow, [step])
+        per_pulse.append(len(calls))
+    assert per_pulse == [1] + [0] * (DRAW_AHEAD - 1) + [1]
+    assert_same_state(fast, slow)
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)

@@ -268,6 +268,30 @@ class TestBiasWeightOptimization:
         with pytest.raises(ValueError, match="feasible"):
             optimize_bias_weight(0.999, (T_25C, T_85C))
 
+    def test_nan_reference_rejected_naming_field(self):
+        with pytest.raises(ValueError, match="reference"):
+            optimize_bias_weight(0.5, (T_25C, T_85C), reference=math.nan)
+        with pytest.raises(ValueError, match="reference"):
+            optimize_bias_weight(0.0, (T_25C, T_85C), reference=math.nan)
+
+    def test_nan_w_floor_rejected_naming_field(self):
+        with pytest.raises(ValueError, match="w_floor"):
+            optimize_bias_weight(0.5, (T_25C, T_85C), w_floor=math.nan)
+
+    @pytest.mark.parametrize(
+        "temp_range", [(T_25C, math.inf), (-math.inf, T_85C), (math.nan, T_85C)]
+    )
+    def test_non_finite_temp_range_rejected_naming_field(self, temp_range):
+        with pytest.raises(ValueError, match="temp_range"):
+            optimize_bias_weight(0.5, temp_range)
+        with pytest.raises(ValueError, match="temp_range"):
+            differential_drift(0.6, 0.2, temp_range, T_25C)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_drift_step_rejected_naming_field(self, step):
+        with pytest.raises(ValueError, match="step"):
+            differential_drift(0.6, 0.2, (T_25C, T_85C), T_25C, step=step)
+
     def test_golden_section_helper(self):
         x, fx = golden_section_min(lambda x: (x - 2.0) ** 2 + 1.0, 0.0, 5.0)
         assert x == pytest.approx(2.0, abs=1e-5)
@@ -299,6 +323,18 @@ class TestDifferentialPlan:
         with pytest.raises(PlanInfeasibleError) as err:
             plan_differential(weights, (T_25C, T_85C), array)
         assert set(err.value.entries) == {(0, 1), (1, 0)}
+
+    def test_bad_arguments_rejected_naming_field(self):
+        # a NaN reference or floor is a bad argument, not an infeasible entry
+        array = centered_array(rows=1, cols=4)
+        weights = np.array([[0.5]])
+        with pytest.raises(ValueError, match="reference") as err:
+            plan_differential(weights, (T_25C, T_85C), array, reference=math.nan)
+        assert not isinstance(err.value, PlanInfeasibleError)
+        with pytest.raises(ValueError, match="w_floor"):
+            plan_differential(weights, (T_25C, T_85C), array, w_floor=math.nan)
+        with pytest.raises(ValueError, match="temp_range"):
+            plan_differential(weights, (T_25C, math.inf), array)
 
     def test_roundtrip_plan_tune_multiply(self):
         # end-to-end oracle: noiseless, deterministic pulses, tight precision
