@@ -14,6 +14,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -24,10 +25,10 @@ from .cell import (
     CellState,
     PulseKind,
     PulseSpec,
-    drain_current,
+    check_n_slope,
     pulse_law,
     pulse_shift,  # noqa: F401  module attribute that tracing tools wrap
-    readout_noisy,
+    readout,
     select_factor,
     stream_normals,
     vth_for_standard_current,
@@ -50,26 +51,55 @@ STATE_COLUMNS = "row,col,v_th,seed,draws"
 
 @dataclass
 class DisturbLog:
-    """Cumulative half-select exposure: |dv_th| per cell plus pulse counts."""
+    """Cumulative half-select exposure: |dv_th| per cell plus pulse counts.
+
+    A pulse with duration > 0 is counted on its target cell (T), row (R),
+    column (C) and in the total (N); ``counts`` derives each role's count.
+    """
 
     cumulative_dvth: np.ndarray
-    counts: dict
+    targeted: np.ndarray  # T, per cell
+    row_pulses: np.ndarray  # R, per row
+    col_pulses: np.ndarray  # C, per column
+    pulses: int = 0  # N
 
     @classmethod
     def empty(cls, rows: int, cols: int) -> "DisturbLog":
         return cls(
-            cumulative_dvth=np.zeros((rows, cols)),
-            counts={role: np.zeros((rows, cols), dtype=np.int64) for role in ROLES},
+            np.zeros((rows, cols)),
+            np.zeros((rows, cols), dtype=np.int64),
+            np.zeros(rows, dtype=np.int64),
+            np.zeros(cols, dtype=np.int64),
         )
 
+    def record(self, row: int, col: int, dvth: np.ndarray) -> None:
+        """Count one pulse on (row, col) and add its off-target |dvth|."""
+        exposure = np.abs(dvth)
+        exposure[row, col] = 0.0  # the intended shift is not disturb
+        self.cumulative_dvth += exposure
+        self.targeted[row, col] += 1
+        self.row_pulses[row] += 1
+        self.col_pulses[col] += 1
+        self.pulses += 1
+
+    @property
+    def counts(self) -> MappingProxyType:
+        """Read-only (rows, cols) int64 pulse counts per role, in ``ROLES`` order."""
+        t, r, c = self.targeted, self.row_pulses[:, None], self.col_pulses
+        grids = (t.copy(), r - t, c - t, self.pulses - r - c + t)
+        for grid in grids:
+            grid.flags.writeable = False
+        return MappingProxyType(dict(zip(ROLES, grids)))
+
     def to_csv(self, path) -> None:
+        counts = self.counts
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("row,col,cumulative_dvth," + ",".join(ROLES) + "\n")
             rows, cols = self.cumulative_dvth.shape
             for r in range(rows):
                 for c in range(cols):
-                    counts = ",".join(str(int(self.counts[k][r, c])) for k in ROLES)
-                    fh.write(f"{r},{c},{float(self.cumulative_dvth[r, c])!r},{counts}\n")
+                    line = ",".join(str(int(counts[k][r, c])) for k in ROLES)
+                    fh.write(f"{r},{c},{float(self.cumulative_dvth[r, c])!r},{line}\n")
 
 
 def _class_bias(
@@ -116,8 +146,23 @@ def bias_table(kind: PulseKind, topology: str, inh: InhibitionParams) -> tuple:
     return tuple(table)
 
 
-def _role_index(row_sel: bool, col_sel: bool) -> int:
-    return 2 * (not row_sel) + (not col_sel)
+@functools.lru_cache(maxsize=16)
+def _pulse_cells(rows: int, cols: int, row: int, col: int, drawn: tuple) -> tuple:
+    """Row-major flat indices of the target's row and column (of every cell
+    if the unselected class draws), their role indices, the mask of those
+    whose class draws (``drawn``: one flag per class) and those cells."""
+    if drawn[3]:
+        cells = np.arange(rows * cols)
+    else:  # the target's column with its row spliced in
+        column = np.arange(rows) * cols + col
+        cells = np.concatenate((column[:row], row * cols + np.arange(cols), column[row + 1 :]))
+    r, c = np.divmod(cells, cols)
+    roles = 2 * (r != row) + (c != col)
+    draw = np.array(drawn).take(roles)
+    out = (cells, roles, draw, cells[draw])
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -127,7 +172,13 @@ class DisturbDelta:
     target: tuple
     kind: PulseKind
     dvth: np.ndarray  # signed v_th change of every cell
-    roles: np.ndarray  # role index into ROLES per cell
+
+    @property
+    def roles(self) -> np.ndarray:
+        """Role index into ``ROLES`` of every cell."""
+        row, col = self.target
+        rows, cols = self.dvth.shape
+        return 2 * (np.arange(rows)[:, None] != row) + (np.arange(cols) != col)
 
 
 class ArrayState:
@@ -136,7 +187,15 @@ class ArrayState:
     def __init__(self, cfg, topology, v_th, seeds, counts):
         if topology not in ("modified", "original"):
             raise ValueError("topology must be 'modified' or 'original'")
-        cfg.require_calibration()
+        cal = cfg.require_calibration()
+        check_n_slope(cfg.n)  # the config is frozen, so reads need not repeat it
+        if not np.all((v_th >= cal.v_th_min) & (v_th <= cal.v_th_max)):  # also rejects NaN
+            raise ValueError(f"v_th must lie in [{cal.v_th_min!r}, {cal.v_th_max!r}] V")
+        for name, grid in (("seeds", seeds), ("counts", counts)):
+            if grid.shape != v_th.shape:
+                raise ValueError(f"{name} shape {grid.shape} differs from v_th shape {v_th.shape}")
+            if np.any(grid < 0):
+                raise ValueError(f"{name} must be >= 0")
         self.cfg = cfg
         self.rows, self.cols = v_th.shape
         self.topology = topology
@@ -191,11 +250,6 @@ class ArrayState:
         per = set(self.peripheral_cols)
         return [c for c in range(self.cols) if c not in per]
 
-    @property
-    def supercell_row_pairs(self) -> list:
-        """Metadata only: row pairs sharing source and erase gate."""
-        return [(r, r + 1) for r in range(0, self.rows - 1, 2)]
-
     def peripheral_col_for_row(self, row: int) -> int:
         """Which outer column holds the usable peripheral half for a row."""
         if not self.peripheral_cols:
@@ -226,36 +280,8 @@ class ArrayState:
         v = vth_for_standard_current(current, self.cfg)
         self.v_th[row, col] = min(max(v, cal.v_th_min), cal.v_th_max)
 
-    # ------------------------------------------------------ bias schemes
-
     def role_of(self, row: int, col: int, target_row: int, target_col: int) -> str:
-        return ROLES[_role_index(row == target_row, col == target_col)]
-
-    def _role_grid(self, row: int, col: int) -> np.ndarray:
-        """Role index into ``ROLES`` of every cell for a pulse on (row, col)."""
-        self._check_target(row, col)
-        roles = np.full((self.rows, self.cols), 3, dtype=np.int64)
-        roles[row] = 1
-        roles[:, col] = 2
-        roles[row, col] = 0
-        return roles
-
-    def _scheme(self, kind: PulseKind, row: int, col: int) -> dict:
-        self._check_target(row, col)
-        table = bias_table(kind, self.topology, self.cfg.inhibition)
-        return {
-            (r, c): table[_role_index(r == row, c == col)][0]
-            for r in range(self.rows)
-            for c in range(self.cols)
-        }
-
-    def build_program_scheme(self, row: int, col: int) -> dict:
-        """Per-cell bias map for a selective hot-electron program pulse."""
-        return self._scheme(PulseKind.PROGRAM, row, col)
-
-    def build_erase_scheme(self, row: int, col: int) -> dict:
-        """Per-cell bias map for a selective tunneling-erase pulse."""
-        return self._scheme(PulseKind.ERASE, row, col)
+        return ROLES[2 * (row != target_row) + (col != target_col)]
 
     # ------------------------------------------------------------ pulses
 
@@ -288,54 +314,38 @@ class ArrayState:
     def pulse_cell(self, row: int, col: int, pulse: PulseSpec) -> DisturbDelta:
         """Apply one pulse to the target; every cell sees its class's bias.
 
-        Cells of a class whose select factor reaches ``SF_DRAW_MIN`` each
-        take their own variability draw, the one ``pulse_shift`` would
-        take; the other classes get their deterministic shift as one
-        array update.
+        The unselected class takes one whole-array shift. The target's row
+        and column, or every cell when the unselected class draws, are
+        one flat index list: each of its cells in a class whose select
+        factor reaches ``SF_DRAW_MIN`` takes its own variability draw, the
+        one ``pulse_shift`` would take, and the rest their class's shift.
         """
-        roles = self._role_grid(row, col)
-        dvth = np.zeros((self.rows, self.cols))
+        self._check_target(row, col)
         if pulse.duration == 0.0:
             # no-op pulse: neither state nor disturb accounting moves
-            return DisturbDelta(
-                target=(row, col), kind=pulse.kind, dvth=dvth, roles=roles
-            )
+            return DisturbDelta((row, col), pulse.kind, np.zeros((self.rows, self.cols)))
 
         table = bias_table(pulse.kind, self.topology, self.cfg.inhibition)
-        sizes = (1, self.cols - 1, self.rows - 1, (self.rows - 1) * (self.cols - 1))
         sigma = self.cfg.pulse.variability_sigma
-        drawn = [k for k in range(4) if sizes[k] and sigma > 0.0 and table[k][1] >= SF_DRAW_MIN]
         step, sign, limit = pulse_law(pulse.kind, pulse, self.cfg)
         clamp = np.minimum if sign > 0 else np.maximum
         magnitude = np.array([step * sf for _, sf in table])
+        drawn = tuple(sigma > 0.0 and sf >= SF_DRAW_MIN for _, sf in table)
 
-        new_vth = self.v_th
-        if len(drawn) < sum(1 for n in sizes if n):
-            new_vth = self.v_th + (sign * magnitude)[roles]
-            clamp(new_vth, limit, out=new_vth)
-            np.subtract(new_vth, self.v_th, out=dvth)
-        if drawn:
-            # drawn cells replace the bulk result; self.v_th still holds the old state
-            is_drawn = np.zeros(4, dtype=bool)
-            is_drawn[drawn] = True
-            cells = np.flatnonzero(is_drawn[roles])
-            scale = [math.exp(x) for x in (sigma * self._normals(cells)).tolist()]
-            old = self.v_th.take(cells)
-            new = old + sign * (magnitude.take(roles.take(cells)) * scale)
-            clamp(new, limit, out=new)
-            np.put(new_vth, cells, new)
-            np.put(dvth, cells, new - old)
-            np.put(self.rng_counts, cells, self.rng_counts.take(cells) + 1)
-        if new_vth is not self.v_th:
-            self.v_th[...] = new_vth
-
-        for k, role in enumerate(ROLES):
-            if sizes[k]:
-                self.disturb.counts[role] += roles == k
-        exposure = np.abs(dvth)
-        exposure[row, col] = 0.0  # the intended shift is not disturb
-        self.disturb.cumulative_dvth += exposure
-        return DisturbDelta(target=(row, col), kind=pulse.kind, dvth=dvth, roles=roles)
+        cells, roles, draw, picked = _pulse_cells(self.rows, self.cols, row, col, drawn)
+        new_vth = self.v_th + sign * magnitude[3]
+        clamp(new_vth, limit, out=new_vth)
+        scale = np.ones(cells.size)  # exact: m * 1.0 is m, so undrawn cells get v + sign * m
+        if picked.size:
+            scale[draw] = [math.exp(x) for x in (sigma * self._normals(picked)).tolist()]
+            np.put(self.rng_counts, picked, self.rng_counts.take(picked) + 1)
+        new = self.v_th.take(cells) + sign * (magnitude.take(roles) * scale)
+        clamp(new, limit, out=new)
+        np.put(new_vth, cells, new)
+        dvth = new_vth - self.v_th
+        self.v_th[...] = new_vth
+        self.disturb.record(row, col, dvth)
+        return DisturbDelta((row, col), pulse.kind, dvth)
 
     # ----------------------------------------------------------- readout
 
@@ -348,13 +358,14 @@ class ArrayState:
         samples: int = 1,
     ) -> float:
         """Standard-bias readout [A]; never mutates any cell state."""
-        t = self.cfg.temperature_ref if temperature is None else temperature
-        cell = self.cell_at(row, col)
-        if noisy:
-            return readout_noisy(
-                cell, READOUT_BIAS, t, samples, rng=self.measure_rng, cfg=self.cfg
-            )
-        return drain_current(cell, READOUT_BIAS, t, self.cfg)
+        self._check_target(row, col)
+        v_th = float(self.v_th[row, col])
+        if not math.isfinite(v_th):
+            raise ValueError("v_th must be finite")
+        cfg = self.cfg
+        t = cfg.temperature_ref if temperature is None else temperature
+        rng = self.measure_rng if noisy else None
+        return readout(v_th, cfg.n, cfg.i0, READOUT_BIAS, t, cfg, cfg.noise, samples, rng)
 
     # ------------------------------------------------------- persistence
 

@@ -18,6 +18,7 @@ from .config import (
     InhibitionParams,
     ModelConfig,
     NoiseParams,
+    require_count,
     require_positive,
 )
 from .constants import (
@@ -109,9 +110,13 @@ class CellState:
     def __post_init__(self):
         if not math.isfinite(self.v_th):
             raise ValueError("v_th must be finite")
-        if not (5.0 <= self.n_slope <= 5.1):
-            raise ValueError("n_slope must lie in [5.0, 5.1]")
+        check_n_slope(self.n_slope)
         require_positive("i0", self.i0)
+
+
+def check_n_slope(n_slope: float) -> None:
+    if not (5.0 <= n_slope <= 5.1):
+        raise ValueError("n_slope must lie in [5.0, 5.1]")
 
 
 def fresh_cell(
@@ -152,6 +157,29 @@ def check_temperature(temperature: float) -> None:
         )
 
 
+def readout(v_th, n_slope, i0, bias, temperature, cfg, noise=None, samples=1, rng=None):
+    """Readout current [A] of a cell at ``v_th``: the one scalar readout law.
+
+    Without ``rng`` the deterministic subthreshold current, zero when the
+    word line is off. With it, the mean of ``samples`` draws from ``rng``,
+    each the deterministic current times (1 + eps), eps zero-mean Gaussian
+    at the relative sigma of the ``noise`` envelope.
+    """
+    if rng is not None:
+        require_count("samples", samples)
+    check_temperature(temperature)
+    if bias.v_wl < cfg.wl_on_threshold:
+        return 0.0
+    ideal = float(subthreshold_current(bias.v_cg, v_th, n_slope, i0, temperature, cfg.i_sat))
+    if rng is None or ideal == 0.0:
+        return ideal
+    sigma = noise.sigma_at(ideal)
+    if sigma == 0.0:
+        return ideal
+    mean = ideal * ((1.0 + sigma * rng.standard_normal(samples)).sum() / samples)  # as .mean()
+    return max(mean, 1.0e-6 * ideal)
+
+
 def drain_current(
     cell: CellState,
     bias: BiasCondition,
@@ -159,14 +187,7 @@ def drain_current(
     cfg: ModelConfig = DEFAULT_CONFIG,
 ) -> float:
     """Deterministic readout current [A]; zero when the word line is off."""
-    check_temperature(temperature)
-    if bias.v_wl < cfg.wl_on_threshold:
-        return 0.0
-    return float(
-        subthreshold_current(
-            bias.v_cg, cell.v_th, cell.n_slope, cell.i0, temperature, cfg.i_sat
-        )
-    )
+    return readout(cell.v_th, cell.n_slope, cell.i0, bias, temperature, cfg)
 
 
 def readout_noisy(
@@ -177,27 +198,18 @@ def readout_noisy(
     rng: np.random.Generator = None,
     cfg: ModelConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Mean of ``samples`` noisy current draws [A].
+    """Mean of ``samples`` noisy current draws [A] (see ``readout``).
 
-    Each draw multiplies the deterministic current by (1 + eps) with eps
-    zero-mean Gaussian at the relative sigma of the cell's noise envelope.
     Without an explicit generator the draws come from a stream derived
     from the cell's seed and draw counter, so repeated calls on an
     unchanged cell repeat; pass a live generator for evolving
     measurements.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    ideal = drain_current(cell, bias, temperature, cfg)
-    if ideal == 0.0:
-        return 0.0
-    sigma = cell.noise.sigma_at(ideal)
-    if sigma == 0.0:
-        return ideal
     if rng is None:
         rng = np.random.default_rng((cell.rng_seed, _READ_STREAM_TAG, cell.rng_count))
-    mean = ideal * (1.0 + sigma * rng.standard_normal(samples)).mean()
-    return max(mean, 1.0e-6 * ideal)
+    return readout(
+        cell.v_th, cell.n_slope, cell.i0, bias, temperature, cfg, cell.noise, samples, rng
+    )
 
 
 # ------------------------------------------------------------- pulses
@@ -565,8 +577,7 @@ def vth_for_standard_current(
     current: float, cfg: ModelConfig = DEFAULT_CONFIG, temperature: float = None
 ) -> float:
     """Threshold voltage that reads ``current`` at the standard bias [V]."""
-    if current <= 0:
-        raise ValueError("current must be positive")
+    require_positive("current", current)
     t = cfg.temperature_ref if temperature is None else temperature
     return V_CG_READ - cfg.n * thermal_voltage(t) * math.log(current / cfg.i0)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .array import ArrayState
 from .cell import CellState, check_temperature, gate_voltage, subthreshold_current
-from .config import DEFAULT_CONFIG, ModelConfig, require_positive
+from .config import DEFAULT_CONFIG, ModelConfig, require_count, require_positive
 from .constants import thermal_voltage
 from .tuning import TuneTarget
 
@@ -133,8 +133,8 @@ def multiply(
     cfg = array.cfg
     t = cfg.temperature_ref if temperature is None else temperature
     check_temperature(t)
-    if noisy and samples < 1:
-        raise ValueError("samples must be >= 1")
+    if noisy:
+        require_count("samples", samples)
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape != (array.rows,):
         raise ValueError(f"expected {array.rows} input currents, got {inputs.shape}")

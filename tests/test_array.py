@@ -1,11 +1,21 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from flashvmm.array import ROLES, ArrayState
-from flashvmm.cell import PulseSpec, drain_current, READOUT_BIAS
+from flashvmm.array import ROLES, ArrayState, bias_table
+from flashvmm.cell import PulseKind, PulseSpec, drain_current, readout_noisy, READOUT_BIAS
 from flashvmm.config import DEFAULT_CONFIG, ModelConfig, calibrate
+from flashvmm.constants import V_MAX_ABS
 
 CFG = DEFAULT_CONFIG
+
+
+def bias_at(array, kind, r, c, row, col):
+    """Bias of cell (r, c) during a ``kind`` pulse on (row, col)."""
+    table = bias_table(kind, array.topology, array.cfg.inhibition)
+    return table[ROLES.index(array.role_of(r, c, row, col))][0]
 
 
 def role_counts(array, row, col):
@@ -38,47 +48,57 @@ class TestSchemes:
 
     def test_program_scheme_voltages(self):
         array = ArrayState.fresh(CFG)
-        scheme = array.build_program_scheme(3, 5)
-        sel = scheme[(3, 5)]
+        sel = bias_at(array, PulseKind.PROGRAM, 3, 5, 3, 5)
         assert sel.v_s == 4.5 and sel.v_d == 0.5
         assert sel.v_eg - sel.v_d == pytest.approx(4.0)  # selected column
-        other_row = scheme[(0, 5)]
+        other_row = bias_at(array, PulseKind.PROGRAM, 0, 5, 3, 5)
         assert other_row.v_s == 0.5
-        other_col = scheme[(3, 0)]
+        other_col = bias_at(array, PulseKind.PROGRAM, 3, 0, 3, 5)
         assert other_col.v_d >= 2.25
         assert other_col.v_eg - other_col.v_d < 0.0  # unselected column
 
     def test_erase_scheme_voltages(self):
         array = ArrayState.fresh(CFG)
-        scheme = array.build_erase_scheme(3, 5)
-        assert scheme[(3, 5)].v_eg == 11.5 and scheme[(3, 5)].v_cg == 0.0
+        sel = bias_at(array, PulseKind.ERASE, 3, 5, 3, 5)
+        assert sel.v_eg == 11.5 and sel.v_cg == 0.0
         # half-selected: same column, unselected row
-        assert scheme[(0, 5)].v_eg == 11.5 and scheme[(0, 5)].v_cg == 8.0
-        assert scheme[(3, 0)].v_eg == 0.0 and scheme[(3, 0)].v_cg == 0.0
+        col_half = bias_at(array, PulseKind.ERASE, 0, 5, 3, 5)
+        assert col_half.v_eg == 11.5 and col_half.v_cg == 8.0
+        row_half = bias_at(array, PulseKind.ERASE, 3, 0, 3, 5)
+        assert row_half.v_eg == 0.0 and row_half.v_cg == 0.0
 
     def test_one_by_one_array(self):
         array = ArrayState.fresh(CFG, rows=1, cols=1)
-        scheme = array.build_program_scheme(0, 0)
-        assert list(scheme) == [(0, 0)]
-        assert scheme[(0, 0)].v_s == 4.5 and scheme[(0, 0)].v_d == 0.5
-        erase = array.build_erase_scheme(0, 0)
-        assert erase[(0, 0)].v_eg == 11.5 and erase[(0, 0)].v_cg == 0.0
+        delta = array.pulse_cell(0, 0, PulseSpec.program(CFG))
+        assert delta.roles.tolist() == [[ROLES.index("selected")]]
+        program = bias_at(array, PulseKind.PROGRAM, 0, 0, 0, 0)
+        assert program.v_s == 4.5 and program.v_d == 0.5
+        erase = bias_at(array, PulseKind.ERASE, 0, 0, 0, 0)
+        assert erase.v_eg == 11.5 and erase.v_cg == 0.0
 
     def test_all_protocol_voltages_in_bounds(self):
-        # BiasCondition construction enforces the 12 V bound, so building
-        # every scheme is itself the assertion
-        array = ArrayState.fresh(CFG, rows=3, cols=4)
-        for r in range(3):
-            for c in range(4):
-                array.build_program_scheme(r, c)
-                array.build_erase_scheme(r, c)
+        # BiasCondition construction enforces the 12 V bound; every role
+        # class of both kinds and topologies is built here
+        for kind in PulseKind:
+            for topology in ("modified", "original"):
+                for bias, _ in bias_table(kind, topology, CFG.inhibition):
+                    for name in ("v_wl", "v_cg", "v_d", "v_s", "v_eg"):
+                        assert abs(getattr(bias, name)) <= V_MAX_ABS
 
     def test_out_of_bounds_target(self):
-        array = ArrayState.fresh(CFG, rows=3, cols=4)
+        array = ArrayState.fresh(CFG, rows=3, cols=4, initial="center")
+        vth, counts = array.v_th.copy(), array.rng_counts.copy()
+        for row, col, pulse in ((3, 0, PulseSpec.program(CFG)), (0, 4, PulseSpec.erase(CFG))):
+            with pytest.raises(IndexError):
+                array.pulse_cell(row, col, pulse)
+            with pytest.raises(IndexError):
+                array.read_cell(row, col)
         with pytest.raises(IndexError):
-            array.build_program_scheme(3, 0)
-        with pytest.raises(IndexError):
-            array.build_erase_scheme(0, 4)
+            array.pulse_cell(-1, 0, PulseSpec.program(CFG, duration=0.0))
+        # nothing moved
+        assert np.array_equal(array.v_th, vth)
+        assert np.array_equal(array.rng_counts, counts)
+        assert array.disturb.pulses == 0 and not array.disturb.cumulative_dvth.any()
 
     @pytest.mark.parametrize("field", ["rows", "cols"])
     def test_nan_size_rejected_naming_field(self, field):
@@ -98,6 +118,38 @@ class TestSchemes:
     def test_numpy_integer_size_accepted(self):
         array = ArrayState.fresh(CFG, rows=np.int64(2), cols=np.int32(3))
         assert array.v_th.shape == (2, 3)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            pytest.param("v_th", lambda g: g["v_th"].__setitem__((0, 1), np.nan), id="nan_v_th"),
+            pytest.param("v_th", lambda g: g["v_th"].__setitem__((1, 0), 9.5), id="v_th_above"),
+            pytest.param("v_th", lambda g: g["v_th"].__setitem__((1, 1), -9.5), id="v_th_below"),
+            pytest.param("seeds", lambda g: g.update(seeds=g["seeds"][:1]), id="seeds_shape"),
+            pytest.param("counts", lambda g: g.update(counts=g["counts"].T), id="counts_shape"),
+            pytest.param("seeds", lambda g: g["seeds"].__setitem__((0, 0), -3), id="negative_seed"),
+            pytest.param("counts", lambda g: g["counts"].__setitem__((1, 2), -1), id="negative_count"),
+        ],
+    )
+    def test_constructor_rejects_bad_grid_naming_field(self, field, edit):
+        array = ArrayState.fresh(CFG, rows=2, cols=3, initial="center")
+        grids = {"v_th": array.v_th, "seeds": array.rng_seeds, "counts": array.rng_counts}
+        edit(grids)
+        with pytest.raises(ValueError, match=field):
+            ArrayState(CFG, "modified", **grids)
+
+    def test_constructor_checks_slope_factor_once(self):
+        cfg = replace(CFG, n_slope=5.2)
+        with pytest.raises(ValueError, match="n_slope"):
+            ArrayState.fresh(cfg, rows=2, cols=3)
+
+    @pytest.mark.parametrize("current", [float("nan"), float("inf"), 0.0, -1e-9])
+    def test_set_cell_current_rejects_bad_current(self, current):
+        array = ArrayState.fresh(CFG, rows=2, cols=3, initial="center")
+        vth = array.v_th.copy()
+        with pytest.raises(ValueError, match="current"):
+            array.set_cell_current(1, 1, current)
+        assert np.array_equal(array.v_th, vth)
 
 
 class TestPulseCell:
@@ -145,6 +197,10 @@ class TestPulseCell:
         assert array.disturb.counts["col_half"][1, 0] == 10
         assert array.disturb.counts["unselected"][2, 3] == 10
         assert array.disturb.cumulative_dvth[0, 0] == 0.0  # intended shift, not disturb
+        with pytest.raises(TypeError):
+            array.disturb.counts["selected"] = np.zeros((3, 4), dtype=np.int64)
+        with pytest.raises(ValueError):
+            array.disturb.counts["selected"][0, 0] = 0  # derived on demand, read-only
 
     def test_disturb_csv_export(self, tmp_path):
         array = ArrayState.fresh(CFG, rows=2, cols=3)
@@ -161,6 +217,32 @@ class TestReadout:
         array = ArrayState.fresh(CFG, rows=3, cols=4, initial="center")
         cell = array.cell_at(2, 1)
         assert array.read_cell(2, 1) == drain_current(cell, READOUT_BIAS, CFG.temperature_ref, CFG)
+
+    def test_noisy_read_matches_cell_model_bit_for_bit(self):
+        array = ArrayState.fresh(CFG, rows=3, cols=4, initial="center")
+        rng = copy.deepcopy(array.measure_rng)
+        for samples in (1, 8, 128):
+            expected = readout_noisy(
+                array.cell_at(2, 1), READOUT_BIAS, CFG.temperature_ref, samples, rng=rng, cfg=CFG
+            )
+            assert array.read_cell(2, 1, noisy=True, samples=samples) == expected
+
+    def test_read_keeps_the_cell_checks(self):
+        array = ArrayState.fresh(CFG, rows=3, cols=4, initial="center")
+        for t in (100.0, 1000.0, float("nan")):
+            with pytest.raises(ValueError, match="temperature"):
+                array.read_cell(0, 0, temperature=t)
+        array.v_th[0, 0] = float("nan")
+        with pytest.raises(ValueError, match="v_th must be finite"):
+            array.read_cell(0, 0)
+
+    @pytest.mark.parametrize("samples", [0, -2, 2.5, True, np.float64(8.0)])
+    def test_bad_samples_rejected_naming_field(self, samples):
+        array = ArrayState.fresh(CFG, rows=3, cols=4, initial="center")
+        with pytest.raises(ValueError, match="samples"):
+            array.read_cell(0, 0, noisy=True, samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            readout_noisy(array.cell_at(0, 0), READOUT_BIAS, CFG.temperature_ref, samples, cfg=CFG)
 
     def test_reads_are_pure(self):
         array = ArrayState.fresh(CFG, rows=3, cols=4, initial="center")
@@ -214,7 +296,6 @@ class TestLayout:
         assert array.array_cols == list(range(1, 11))
         assert array.peripheral_col_for_row(0) == 0
         assert array.peripheral_col_for_row(1) == 11
-        assert array.supercell_row_pairs == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
 
     def test_narrow_array_has_no_peripherals(self):
         array = ArrayState.fresh(CFG, rows=2, cols=2)

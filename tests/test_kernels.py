@@ -1,9 +1,10 @@
 """Fast kernels pinned bit for bit to their scalar oracles.
 
 ``ArrayState.pulse_cell`` applies a pulse per role class; the oracle runs
-``pulse_shift`` on every cell under the bias of the ``build_*_scheme``
-map. ``stream_normals`` draws many (seed, count) normals at once; the
-oracle is one ``default_rng((seed, count))`` per pair.
+``pulse_shift`` on every cell under the ``bias_table`` entry of its
+geometric role, and keeps its own per-role pulse tally.
+``stream_normals`` draws many (seed, count) normals at once; the oracle
+is one ``default_rng((seed, count))`` per pair.
 ``differential_drift_grid`` evaluates many bias weights at once; the
 oracle is the scalar drift formula evaluated one weight at a time.
 """
@@ -57,43 +58,49 @@ def geometric_role(r, c, row, col):
     return "col_half" if c == col else "unselected"
 
 
-def oracle_pulse(array, row, col, pulse):
+def new_tally(array):
+    """Per-role pulse counts of every cell, as the oracle keeps them."""
+    return {role: np.zeros((array.rows, array.cols), dtype=np.int64) for role in ROLES}
+
+
+def oracle_pulse(array, row, col, pulse, tally=None):
     """Reference kernel: every cell through ``pulse_shift``, one by one."""
-    if pulse.kind is PulseKind.PROGRAM:
-        scheme = array.build_program_scheme(row, col)
-    else:
-        scheme = array.build_erase_scheme(row, col)
+    array._check_target(row, col)
+    table = bias_table(pulse.kind, array.topology, array.cfg.inhibition)
     dvth = np.zeros((array.rows, array.cols))
     roles = np.zeros((array.rows, array.cols), dtype=np.int64)
-    for (r, c), bias in scheme.items():
-        role = geometric_role(r, c, row, col)
-        roles[r, c] = ROLES.index(role)
-        if pulse.duration == 0.0:
-            continue
-        new_vth, count, delta = pulse_shift(
-            pulse.kind,
-            float(array.v_th[r, c]),
-            int(array.rng_seeds[r, c]),
-            int(array.rng_counts[r, c]),
-            pulse,
-            bias,
-            array.cfg,
-        )
-        array.v_th[r, c] = new_vth
-        array.rng_counts[r, c] = count
-        dvth[r, c] = delta
-        array.disturb.counts[role][r, c] += 1
-        if role != "selected":
-            array.disturb.cumulative_dvth[r, c] += abs(delta)
+    for r in range(array.rows):
+        for c in range(array.cols):
+            role = geometric_role(r, c, row, col)
+            roles[r, c] = ROLES.index(role)
+            if pulse.duration == 0.0:
+                continue
+            new_vth, count, delta = pulse_shift(
+                pulse.kind,
+                float(array.v_th[r, c]),
+                int(array.rng_seeds[r, c]),
+                int(array.rng_counts[r, c]),
+                pulse,
+                table[roles[r, c]][0],
+                array.cfg,
+            )
+            array.v_th[r, c] = new_vth
+            array.rng_counts[r, c] = count
+            dvth[r, c] = delta
+            if tally is not None:
+                tally[role][r, c] += 1
+            if role != "selected":
+                array.disturb.cumulative_dvth[r, c] += abs(delta)
     return dvth, roles
 
 
-def assert_same_state(fast, slow):
+def assert_same_state(fast, slow, tally):
     assert_bits_equal(fast.v_th, slow.v_th)
     assert_bits_equal(fast.rng_counts, slow.rng_counts)
     assert_bits_equal(fast.disturb.cumulative_dvth, slow.disturb.cumulative_dvth)
+    assert sorted(fast.disturb.counts) == sorted(ROLES)
     for role in ROLES:
-        assert_bits_equal(fast.disturb.counts[role], slow.disturb.counts[role])
+        assert_bits_equal(fast.disturb.counts[role], tally[role])
 
 
 @st.composite
@@ -130,13 +137,14 @@ def test_pulse_cell_matches_scalar_oracle(shape, topology, data):
     slow = ArrayState.fresh(cfg, rows=rows, cols=cols, topology=topology)
     fast.v_th[...] = v_th
     slow.v_th[...] = v_th
+    tally = new_tally(slow)
     for row, col, pulse in pulses:
         delta = fast.pulse_cell(row, col, pulse)
-        dvth, roles = oracle_pulse(slow, row, col, pulse)
+        dvth, roles = oracle_pulse(slow, row, col, pulse, tally)
         assert delta.target == (row, col) and delta.kind is pulse.kind
         assert_bits_equal(delta.dvth, dvth)
         assert_bits_equal(delta.roles, roles)
-        assert_same_state(fast, slow)
+        assert_same_state(fast, slow, tally)
     # every applied pulse exposes every cell exactly once, under one role
     applied = sum(1 for _, _, p in pulses if p.duration > 0.0)
     exposures = sum(fast.disturb.counts[role] for role in ROLES)
@@ -155,6 +163,21 @@ def test_draw_threshold_classes():
     array = ArrayState.fresh(DEFAULT_CONFIG, rows=3, cols=4, topology="original")
     array.pulse_cell(1, 2, PulseSpec.erase(DEFAULT_CONFIG))
     assert np.all(array.rng_counts == 1)
+
+
+def test_benchmark_contract():
+    # bench/run.py wraps array.pulse_shift in its tracer, and the tune-ramp
+    # digest hashes v_th, rng_counts and every disturb-log array below
+    assert array_mod.pulse_shift is pulse_shift
+    array = ArrayState.fresh(DEFAULT_CONFIG, rows=3, cols=4, initial="center")
+    array.pulse_cell(1, 2, PulseSpec.program(DEFAULT_CONFIG))
+    counts = array.disturb.counts
+    assert sorted(counts) == sorted(ROLES)
+    for role in ROLES:
+        assert isinstance(counts[role], np.ndarray)
+        assert counts[role].dtype == np.int64 and counts[role].shape == (3, 4)
+    cumulative = array.disturb.cumulative_dvth
+    assert cumulative.dtype == np.float64 and cumulative.shape == (3, 4)
 
 
 # ------------------------------------------------------ variability stream
@@ -276,10 +299,10 @@ def pulse_sequence(cfg, targets):
     return pulses
 
 
-def run_both(fast, slow, pulses):
+def run_both(fast, slow, pulses, tally=None):
     for row, col, pulse in pulses:
         delta = fast.pulse_cell(row, col, pulse)
-        dvth, _ = oracle_pulse(slow, row, col, pulse)
+        dvth, _ = oracle_pulse(slow, row, col, pulse, tally)
         assert_bits_equal(delta.dvth, dvth)
         assert_bits_equal(fast.v_th, slow.v_th)
         assert_bits_equal(fast.rng_counts, slow.rng_counts)
@@ -324,15 +347,16 @@ def test_new_target_refills_all_drawn_cells(monkeypatch):
     cfg = DEFAULT_CONFIG
     fast = ArrayState.fresh(cfg, rows=5, cols=7, initial="center")
     slow = ArrayState.fresh(cfg, rows=5, cols=7, initial="center")
-    run_both(fast, slow, pulse_sequence(cfg, [(2, 3)] * 3 + [(4, 5)] * 2))
+    tally = new_tally(slow)
+    run_both(fast, slow, pulse_sequence(cfg, [(2, 3)] * 3 + [(4, 5)] * 2), tally)
     assert len(calls) == 2
     per_pulse = []
     for step in pulse_sequence(cfg, [(1, 5)] * (DRAW_AHEAD + 1)):
         calls.clear()
-        run_both(fast, slow, [step])
+        run_both(fast, slow, [step], tally)
         per_pulse.append(len(calls))
     assert per_pulse == [1] + [0] * (DRAW_AHEAD - 1) + [1]
-    assert_same_state(fast, slow)
+    assert_same_state(fast, slow, tally)
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -341,8 +365,9 @@ def test_draw_ahead_over_many_pulses_on_one_cell(topology):
     fast = ArrayState.fresh(cfg, rows=3, cols=4, topology=topology, initial="center")
     slow = ArrayState.fresh(cfg, rows=3, cols=4, topology=topology, initial="center")
     targets = [(1, 2)] * (2 * DRAW_AHEAD + 3) + [(0, 1), (2, 3), (1, 2)]
-    run_both(fast, slow, pulse_sequence(cfg, targets))
-    assert_same_state(fast, slow)
+    tally = new_tally(slow)
+    run_both(fast, slow, pulse_sequence(cfg, targets), tally)
+    assert_same_state(fast, slow, tally)
     assert fast.rng_counts[1, 2] > 2 * DRAW_AHEAD
 
 
@@ -367,12 +392,13 @@ def test_draw_ahead_follows_in_place_edits():
             array.rng_seeds[...] = array.rng_seeds[::-1, ::-1].copy()  # cells swap streams
 
     slow_seed = int(slow.rng_seeds[1, 2])
-    run_both(fast, slow, pulses)
+    tally = new_tally(slow)
+    run_both(fast, slow, pulses, tally)
     for step in range(6):
         edit(fast, step)
         edit(slow, step)
-        run_both(fast, slow, pulses)
-    assert_same_state(fast, slow)
+        run_both(fast, slow, pulses, tally)
+    assert_same_state(fast, slow, tally)
 
 
 def test_large_drawn_shifts_match_bit_for_bit():

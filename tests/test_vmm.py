@@ -183,8 +183,9 @@ class TestMultiply:
     def test_noisy_needs_a_sample(self):
         array = centered_array(rows=2, cols=4)
         set_weights(array, np.full((2, 2), 0.5))
-        with pytest.raises(ValueError, match="samples"):
-            multiply(array, [1e-9, 1e-9], noisy=True, samples=0)
+        for samples in (0, 2.5, True, np.float64(4.0)):
+            with pytest.raises(ValueError, match="samples"):
+                multiply(array, [1e-9, 1e-9], noisy=True, samples=samples)
 
     def test_nan_input_rejected(self):
         array = centered_array(rows=2, cols=4)
