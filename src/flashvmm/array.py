@@ -41,8 +41,9 @@ ROLES = ("selected", "row_half", "col_half", "unselected")
 _MEASURE_STREAM_TAG = 0xA77A
 
 # variability normals computed ahead per cell, so that successive pulses
-# share one stream_normals call (8 and 16 measured alike on 32x34 and 1x4
-# arrays; 8 keeps the block and each refill small)
+# share one stream_normals call: enough that a refill of a pulse's rows +
+# cols - 1 drawn cells makes about 256 pairs (a call's fixed cost dominates
+# below that), and at least DRAW_AHEAD (1x4 arrays: 64; 32x34, 64x66: 8)
 DRAW_AHEAD = 8
 
 STATE_FORMAT_VERSION = 2
@@ -147,10 +148,12 @@ def bias_table(kind: PulseKind, topology: str, inh: InhibitionParams) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _pulse_cells(rows: int, cols: int, row: int, col: int, drawn: tuple) -> tuple:
+def _pulse_cells(rows, cols, row, col, kind, topology, inh, draws) -> tuple:
     """Row-major flat indices of the target's row and column (of every cell
-    if the unselected class draws), their role indices, the mask of those
-    whose class draws (``drawn``: one flag per class) and those cells."""
+    if the unselected class draws; ``draws`` is sigma > 0), drawing cells
+    first; their select factors; how many draw; the unselected factor."""
+    factors = [sf for _, sf in bias_table(kind, topology, inh)]
+    drawn = np.array([draws and sf >= SF_DRAW_MIN for sf in factors])
     if drawn[3]:
         cells = np.arange(rows * cols)
     else:  # the target's column with its row spliced in
@@ -158,11 +161,11 @@ def _pulse_cells(rows: int, cols: int, row: int, col: int, drawn: tuple) -> tupl
         cells = np.concatenate((column[:row], row * cols + np.arange(cols), column[row + 1 :]))
     r, c = np.divmod(cells, cols)
     roles = 2 * (r != row) + (c != col)
-    draw = np.array(drawn).take(roles)
-    out = (cells, roles, draw, cells[draw])
-    for a in out:
-        a.flags.writeable = False
-    return out
+    draw = drawn.take(roles)
+    order = np.argsort(~draw, kind="stable")
+    cells, sf = cells[order], np.array(factors).take(roles[order])
+    cells.flags.writeable = sf.flags.writeable = False
+    return cells, sf, int(draw.sum()), factors[3]
 
 
 @dataclass
@@ -250,6 +253,12 @@ class ArrayState:
         per = set(self.peripheral_cols)
         return [c for c in range(self.cols) if c not in per]
 
+    @functools.cached_property
+    def io_layout(self) -> tuple:
+        """(row indices, peripheral column of each row, array-column slice)."""
+        per = [self.peripheral_col_for_row(r) for r in range(self.rows)]
+        return np.arange(self.rows), np.array(per), slice(1, self.cols - 1)
+
     def peripheral_col_for_row(self, row: int) -> int:
         """Which outer column holds the usable peripheral half for a row."""
         if not self.peripheral_cols:
@@ -285,31 +294,34 @@ class ArrayState:
 
     # ------------------------------------------------------------ pulses
 
-    def _normals(self, cells: np.ndarray) -> np.ndarray:
-        """Next variability normal of each cell, from the draw-ahead block.
+    def _normals(self, cells: np.ndarray) -> tuple:
+        """Next variability normal and draw count of each cell.
 
-        ``cells`` are row-major flat indices. A cell's block holds the
-        normals of draws base .. base + DRAW_AHEAD - 1 of the seed it was
-        made from. If any cell's block does not cover its current seed and
-        draw count, every cell of ``cells`` is refilled from its current
-        count in one ``stream_normals`` call, so the pulses that follow on
-        the same target need no call. The block is a pure function of
-        (seed, count) and is not saved.
+        ``cells`` are row-major flat indices. A cell's draw-ahead block
+        holds the normals of draws base .. base + width - 1 of the seed it
+        was made from (width: see ``DRAW_AHEAD``). If any cell's block does
+        not cover its current seed and draw count, every cell of ``cells``
+        is refilled from its current count in one ``stream_normals`` call,
+        so the pulses that follow on the same target need no call. The
+        block is a pure function of (seed, count) and is not saved.
         """
         if self._ahead is None:
-            self._ahead = np.empty((self.rows * self.cols, DRAW_AHEAD))
+            width = max(DRAW_AHEAD, math.ceil(256 / (self.rows + self.cols - 1)))
+            self._ahead = np.empty((self.rows * self.cols, width))
             self._ahead_base = np.zeros(self.rows * self.cols, dtype=np.int64)
             self._ahead_seed = np.full(self.rows * self.cols, -1, dtype=np.int64)
+        width = self._ahead.shape[1]
         seeds, counts = self.rng_seeds.take(cells), self.rng_counts.take(cells)
         offset = counts - self._ahead_base.take(cells)
-        if ((seeds != self._ahead_seed.take(cells)) | (offset < 0) | (offset >= DRAW_AHEAD)).any():
-            block = counts.astype(np.uint64)[:, None] + np.arange(DRAW_AHEAD, dtype=np.uint64)
-            normals = stream_normals(np.repeat(seeds, DRAW_AHEAD), block)
-            self._ahead[cells] = normals.reshape(-1, DRAW_AHEAD)
+        # a negative offset wraps past the width as uint64
+        if ((seeds != self._ahead_seed.take(cells)) | (offset.view(np.uint64) >= width)).any():
+            block = counts.astype(np.uint64)[:, None] + np.arange(width, dtype=np.uint64)
+            normals = stream_normals(np.repeat(seeds, width), block)
+            self._ahead[cells] = normals.reshape(-1, width)
             self._ahead_base[cells] = counts
             self._ahead_seed[cells] = seeds
-            return self._ahead[cells, 0]
-        return self._ahead[cells, offset]
+            return self._ahead[cells, 0], counts
+        return self._ahead[cells, offset], counts
 
     def pulse_cell(self, row: int, col: int, pulse: PulseSpec) -> DisturbDelta:
         """Apply one pulse to the target; every cell sees its class's bias.
@@ -325,25 +337,25 @@ class ArrayState:
             # no-op pulse: neither state nor disturb accounting moves
             return DisturbDelta((row, col), pulse.kind, np.zeros((self.rows, self.cols)))
 
-        table = bias_table(pulse.kind, self.topology, self.cfg.inhibition)
         sigma = self.cfg.pulse.variability_sigma
         step, sign, limit = pulse_law(pulse.kind, pulse, self.cfg)
         clamp = np.minimum if sign > 0 else np.maximum
-        magnitude = np.array([step * sf for _, sf in table])
-        drawn = tuple(sigma > 0.0 and sf >= SF_DRAW_MIN for _, sf in table)
-
-        cells, roles, draw, picked = _pulse_cells(self.rows, self.cols, row, col, drawn)
-        new_vth = self.v_th + sign * magnitude[3]
-        clamp(new_vth, limit, out=new_vth)
-        scale = np.ones(cells.size)  # exact: m * 1.0 is m, so undrawn cells get v + sign * m
-        if picked.size:
-            scale[draw] = [math.exp(x) for x in (sigma * self._normals(picked)).tolist()]
-            np.put(self.rng_counts, picked, self.rng_counts.take(picked) + 1)
-        new = self.v_th.take(cells) + sign * (magnitude.take(roles) * scale)
-        clamp(new, limit, out=new)
-        np.put(new_vth, cells, new)
-        dvth = new_vth - self.v_th
-        self.v_th[...] = new_vth
+        cells, sf, drawn, sf_unselected = _pulse_cells(
+            self.rows, self.cols, row, col, pulse.kind, self.topology, self.cfg.inhibition,
+            sigma > 0.0,
+        )
+        magnitude = step * sf
+        if drawn:
+            z, counts = self._normals(cells[:drawn])
+            magnitude[:drawn] *= [math.exp(x) for x in (sigma * z).tolist()]
+            self.rng_counts.put(cells[:drawn], counts + 1)
+        old = self.v_th.copy()
+        line = old.take(cells) + sign * magnitude
+        clamp(line, limit, out=line)
+        self.v_th += sign * (step * sf_unselected)
+        clamp(self.v_th, limit, out=self.v_th)
+        self.v_th.put(cells, line)
+        dvth = self.v_th - old
         self.disturb.record(row, col, dvth)
         return DisturbDelta((row, col), pulse.kind, dvth)
 

@@ -137,10 +137,10 @@ def fresh_cell(
 def subthreshold_current(v_cg, v_th, n_slope, i0, temperature, i_sat):
     """Subthreshold drain current, clamped at the saturation ceiling [A].
 
-    Broadcasts over numpy arrays; the gate overdrive enters as
-    exp(q (v_cg - v_th) / (n kB T)).
+    Takes floats or broadcasts over numpy arrays; the gate overdrive
+    enters as exp(q (v_cg - v_th) / (n kB T)).
     """
-    x = Q_E * (np.asarray(v_cg) - np.asarray(v_th)) / (n_slope * K_B * temperature)
+    x = Q_E * (v_cg - v_th) / (n_slope * K_B * temperature)
     return np.minimum(i0 * np.exp(x), i_sat)
 
 

@@ -121,7 +121,12 @@ def _cmd_experiment(args):
     cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
     if not cfg.calibrated:
         cfg = calibrate(cfg)
-    params = dict(p.split("=", 1) for p in args.param or [])
+    params = {}
+    for item in args.param or []:
+        key, sep, value = item.partition("=")
+        if not key or not sep:
+            raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
+        params[key] = value
     spec = ExperimentSpec(
         experiment_id=args.id,
         cfg=cfg,

@@ -79,6 +79,10 @@ class ExperimentSpec:
                 f"unknown experiment {self.experiment_id!r}; "
                 f"expected one of {', '.join(EXPERIMENT_IDS)}"
             )
+        reads = {"campaign"} if self.experiment_id == "custom" else set()
+        unknown = sorted(map(str, set(self.params or {}) - reads))
+        if unknown:
+            raise ValueError(f"experiment {self.experiment_id} reads no parameter {unknown[0]!r}")
 
 
 def _fmt(x) -> str:

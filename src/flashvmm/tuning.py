@@ -57,8 +57,7 @@ def tune_cell(array: ArrayState, target: TuneTarget, budget: int) -> TuneResult:
 
     Budget exhaustion yields a non-converged result, not an exception.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    require_count("budget", budget)
     cfg = array.cfg
     cal = cfg.require_calibration()
     lo, hi = cfg.current_window
@@ -119,6 +118,7 @@ def tune_cell(array: ArrayState, target: TuneTarget, budget: int) -> TuneResult:
 
 def tune_array(array: ArrayState, targets, budget: int):
     """Tune the listed cells one by one; returns (results, summary stats)."""
+    require_count("budget", budget)
     targets = list(targets)
     seen = {}
     for t in targets:

@@ -104,16 +104,18 @@ def weight_of(
     return math.exp((peripheral.v_th - array_cell.v_th) / ut)
 
 
-def _check_peripherals(array: ArrayState):
+def _check_peripherals(array: ArrayState) -> np.ndarray:
+    """v_th of each row's peripheral cell; raises if one sits at a window bound."""
+    rows, per_cols, _ = array.io_layout
     cal = array.cfg.require_calibration()
-    eps = 1e-9
-    for r in range(array.rows):
-        pc = array.peripheral_col_for_row(r)
-        v = array.v_th[r, pc]
-        if not (cal.v_th_min + eps < v < cal.v_th_max - eps):
-            raise ValueError(
-                f"peripheral cell ({r}, {pc}) is untuned (v_th at a window bound)"
-            )
+    v = array.v_th[rows, per_cols]
+    tuned = (cal.v_th_min + 1e-9 < v) & (v < cal.v_th_max - 1e-9)
+    if not tuned.all():
+        r = int(tuned.argmin())
+        raise ValueError(
+            f"peripheral cell ({r}, {per_cols[r]}) is untuned (v_th at a window bound)"
+        )
+    return v
 
 
 def multiply(
@@ -139,21 +141,18 @@ def multiply(
     if inputs.shape != (array.rows,):
         raise ValueError(f"expected {array.rows} input currents, got {inputs.shape}")
     lo, hi = cfg.current_window
-    if not np.all((inputs >= lo) & (inputs <= hi)):
+    if not ((inputs >= lo) & (inputs <= hi)).all():
         raise ValueError("input currents outside the validity window")
-    _check_peripherals(array)
-
-    per_cols = np.array([array.peripheral_col_for_row(r) for r in range(array.rows)])
-    rows_idx = np.arange(array.rows)
-    v_gate = gate_voltage(inputs, array.v_th[rows_idx, per_cols], cfg.n, cfg.i0, t)
+    v_gate = gate_voltage(inputs, _check_peripherals(array), cfg.n, cfg.i0, t)
     currents = subthreshold_current(
-        v_gate[:, None], array.v_th[:, array.array_cols], cfg.n, cfg.i0, t, cfg.i_sat
+        v_gate[:, None], array.v_th[:, array.io_layout[2]], cfg.n, cfg.i0, t, cfg.i_sat
     )
     if noisy:
         if rng is None:
             rng = array.measure_rng
         sigma = cfg.noise.sigma_at(currents)
-        eps_mean = rng.standard_normal((samples,) + currents.shape).mean(axis=0)
+        # sum / samples: the same float operations as .mean(axis=0)
+        eps_mean = rng.standard_normal((samples,) + currents.shape).sum(axis=0) / samples
         currents = np.maximum(currents * (1.0 + sigma * eps_mean), 0.0)
     return currents.sum(axis=0)
 
@@ -178,29 +177,35 @@ def _check_drift_scan(temp_range, reference, step: float = 1.0) -> None:
     require_positive("step", step)
 
 
-def differential_drift_grid(
-    w_plus, w_minus, temp_range, reference: float, step: float = 1.0
-) -> np.ndarray:
-    """``differential_drift`` of each (w_plus, w_minus) pair, as one array.
+def _drift_temps(temp_range, step: float = 1.0) -> np.ndarray:
+    return np.arange(temp_range[0], temp_range[1] + step / 2, step)
 
-    Evaluates the pairs against the whole temperature grid at once. The
-    logarithms and the reference-point exponentials use ``math`` so every
-    value is bit-identical to the scalar objective.
+
+def _drift(w_plus, w_minus, temps, reference) -> np.ndarray:
+    """Worst-case relative drift of each (w_plus, w_minus) pair over ``temps``.
+
+    The logarithms and the reference-point exponentials are libm's
+    (``math``, mapped over floats): numpy's log and exp differ from them
+    in the last bit on some inputs.
     """
-    _check_drift_scan(temp_range, reference, step)
-    a = np.array([math.log(x) for x in w_plus])
-    b = np.array([math.log(x) for x in w_minus])
+    a = list(map(math.log, w_plus))
+    b = list(map(math.log, w_minus))
     out0 = np.array([math.exp(x) - math.exp(y) for x, y in zip(a, b)])
-    temps = np.arange(temp_range[0], temp_range[1] + step / 2, step)
-    out = np.divide.outer(a * reference, temps)
+    out = np.divide.outer(np.array([a, b]) * reference, temps)  # (w+, w-) x pairs x temps
     np.exp(out, out=out)
-    minus = np.divide.outer(b * reference, temps)
-    np.exp(minus, out=minus)
-    np.subtract(out, minus, out=out)
+    out = np.subtract(out[0], out[1], out=out[0])
     np.divide(out, out0[:, None], out=out)
     np.subtract(out, 1.0, out=out)
     np.abs(out, out=out)
     return out.max(axis=1)
+
+
+def differential_drift_grid(
+    w_plus, w_minus, temp_range, reference: float, step: float = 1.0
+) -> np.ndarray:
+    """``differential_drift`` of each (w_plus, w_minus) pair, as one array."""
+    _check_drift_scan(temp_range, reference, step)
+    return _drift(w_plus, w_minus, _drift_temps(temp_range, step), reference)
 
 
 def differential_drift(
@@ -256,11 +261,13 @@ def optimize_bias_weight(
     if lo >= hi:
         raise ValueError(f"no feasible bias weight for w={w} with floor {w_floor}")
 
+    temps = _drift_temps(temp_range)
+
     def objective(w_b):
-        return differential_drift(w_b + w / 2.0, w_b - w / 2.0, temp_range, t0)
+        return float(_drift([w_b + w / 2.0], [w_b - w / 2.0], temps, t0)[0])
 
     grid = np.arange(lo, hi + 1e-12, 1e-3)
-    values = differential_drift_grid(grid + w / 2.0, grid - w / 2.0, temp_range, t0)
+    values = _drift((grid + w / 2.0).tolist(), (grid - w / 2.0).tolist(), temps, t0)
     k = int(np.argmin(values))
     bracket_lo = grid[max(k - 1, 0)]
     bracket_hi = grid[min(k + 1, len(grid) - 1)]

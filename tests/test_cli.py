@@ -140,6 +140,39 @@ def test_multiply_rejects_bad_inputs_file(tmp_path, capsys, inputs, message):
     assert message in parsed["message"]
 
 
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        pytest.param("foo", "--param expects KEY=VALUE, got 'foo'", id="malformed"),
+        pytest.param("=1", "--param expects KEY=VALUE, got '=1'", id="empty_key"),
+        pytest.param("foo=1", "fig3a reads no parameter 'foo'", id="unread_key"),
+    ],
+)
+def test_experiment_param_is_validated(tmp_path, capsys, param, message):
+    assert main(["experiment", "fig3a", "--out", str(tmp_path), "--param", param]) == 1
+    parsed = json.loads(capsys.readouterr().err.strip())
+    assert parsed["error"] == "ValueError" and message in parsed["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_multiply_zero_budget_is_a_json_error(tmp_path, capsys):
+    (tmp_path / "w.csv").write_text("0.5\n")
+    (tmp_path / "in.csv").write_text("5e-8\n")
+    code = main(
+        [
+            "multiply",
+            "--weights", str(tmp_path / "w.csv"),
+            "--inputs", str(tmp_path / "in.csv"),
+            "--out", str(tmp_path / "out.csv"),
+            "--budget", "0",
+        ]
+    )
+    assert code == 1
+    parsed = json.loads(capsys.readouterr().err.strip())
+    assert parsed["error"] == "ValueError" and "budget" in parsed["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_experiment_subcommand(tmp_path, capsys):
     code = main(["experiment", "fig6", "--out", str(tmp_path)])
     assert code == 0

@@ -22,6 +22,16 @@ def test_unknown_id_rejected(tmp_path):
         ExperimentSpec("fig99", cfg=CFG, output_dir=tmp_path)
 
 
+@pytest.mark.parametrize(
+    "eid, params, key",
+    [("fig3a", {"foo": "1"}, "foo"), ("fig11", {"campaign": "c.yaml"}, "campaign"),
+     ("custom", {"campaign": "c.yaml", "seed": "2"}, "seed")],
+)
+def test_unread_parameter_rejected_naming_key(tmp_path, eid, params, key):
+    with pytest.raises(ValueError, match=f"{eid} reads no parameter '{key}'"):
+        ExperimentSpec(eid, cfg=CFG, output_dir=tmp_path, params=params)
+
+
 def test_csv_provenance_header(tmp_path):
     summary = run("fig4", tmp_path)
     first = open(summary["csv"][0]).readline()

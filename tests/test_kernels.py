@@ -7,6 +7,7 @@ geometric role, and keeps its own per-role pulse tally.
 is one ``default_rng((seed, count))`` per pair.
 ``differential_drift_grid`` evaluates many bias weights at once; the
 oracle is the scalar drift formula evaluated one weight at a time.
+Noisy ``multiply`` is pinned to a per-row restatement of its formula.
 """
 
 import math
@@ -19,15 +20,19 @@ from hypothesis import strategies as st
 
 import flashvmm.array as array_mod
 import flashvmm.cell as cell_mod
+import flashvmm.tuning as tuning_mod
+import flashvmm.vmm as vmm_mod
 from flashvmm.array import DRAW_AHEAD, ROLES, ArrayState, bias_table
 from flashvmm.cell import SF_DRAW_MIN, PulseKind, PulseSpec, pulse_shift, stream_normals
 from flashvmm.config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, calibrate
-from flashvmm.constants import T_25C, T_85C
+from flashvmm.constants import K_B, Q_E, T_25C, T_85C, T_MAX, T_MIN, thermal_voltage
 from flashvmm.vmm import (
     differential_drift,
     differential_drift_grid,
     golden_section_min,
+    multiply,
     optimize_bias_weight,
+    reference_current,
 )
 
 FLOORS = (1e-4, 1e-3, 1e-2)
@@ -165,7 +170,20 @@ def test_draw_threshold_classes():
     assert np.all(array.rng_counts == 1)
 
 
-def test_benchmark_contract():
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_benchmark_contract(monkeypatch):
     # bench/run.py wraps array.pulse_shift in its tracer, and the tune-ramp
     # digest hashes v_th, rng_counts and every disturb-log array below
     assert array_mod.pulse_shift is pulse_shift
@@ -178,6 +196,22 @@ def test_benchmark_contract():
         assert counts[role].dtype == np.int64 and counts[role].shape == (3, 4)
     cumulative = array.disturb.cumulative_dvth
     assert cumulative.dtype == np.float64 and cumulative.shape == (3, 4)
+
+    # diff-program and the tracer: the traced entry points are reached
+    # through their module attributes, array_cols is a list, and multiply
+    # takes noisy= and samples= as keywords
+    planned = count_calls(monkeypatch, vmm_mod, "optimize_bias_weight")
+    tuned = count_calls(monkeypatch, tuning_mod, "tune_cell")
+    multiplied = count_calls(monkeypatch, vmm_mod, "multiply")
+    array = ArrayState.fresh(DEFAULT_CONFIG, rows=1, cols=4)
+    assert isinstance(array.array_cols, list) and len(array.array_cols) == 2
+    plan = vmm_mod.plan_differential(np.array([[0.4]]), (T_25C, T_85C), array)
+    assert len(planned) == 1
+    targets = plan.tune_targets(array, 0.05)
+    tuning_mod.tune_array(array, targets, 200)
+    assert len(tuned) == len(targets) == 3
+    vmm_mod.differential_multiply(array, plan, [1e-7], noisy=True, samples=4)
+    assert multiplied == [{"temperature": None, "noisy": True, "samples": 4, "rng": None}]
 
 
 # ------------------------------------------------------ variability stream
@@ -290,6 +324,24 @@ def test_ziggurat_tables_reproduce_every_index():
 
 # ------------------------------------------------------------- draw-ahead
 
+def block_width(rows, cols):
+    """Normals drawn ahead per cell: about 256 pairs per refill of a
+    pulse's rows + cols - 1 drawn cells, and at least DRAW_AHEAD."""
+    return max(DRAW_AHEAD, math.ceil(256 / (rows + cols - 1)))
+
+
+@pytest.mark.parametrize(
+    "shape, width",
+    [((1, 4), 64), ((5, 7), 24), ((32, 34), 8), ((64, 66), 8)],
+    ids=["1x4", "5x7", "32x34", "64x66"],
+)
+def test_draw_ahead_width_follows_drawn_cells_per_pulse(shape, width):
+    array = ArrayState.fresh(DEFAULT_CONFIG, rows=shape[0], cols=shape[1], initial="center")
+    assert array._ahead is None  # made by the first drawing pulse
+    array.pulse_cell(0, 1, PulseSpec.program(DEFAULT_CONFIG))
+    assert array._ahead.shape[1] == block_width(*shape) == width
+
+
 def pulse_sequence(cfg, targets):
     """Alternating program/erase pulses at half the nominal duration."""
     pulses = []
@@ -319,7 +371,8 @@ def test_one_stream_call_per_pulse(monkeypatch):
 
     monkeypatch.setattr(array_mod, "stream_normals", counting)
     array = ArrayState.fresh(DEFAULT_CONFIG, rows=5, cols=7, initial="center")
-    targets = [(2, 3)] * (DRAW_AHEAD + 2) + [(0, 0), (4, 6), (2, 0)]
+    width = block_width(5, 7)
+    targets = [(2, 3)] * (width + 2) + [(0, 0), (4, 6), (2, 0)]
     per_pulse = []
     for row, col, pulse in pulse_sequence(DEFAULT_CONFIG, targets):
         before = array.rng_counts.copy()
@@ -328,15 +381,16 @@ def test_one_stream_call_per_pulse(monkeypatch):
         per_pulse.append(len(calls))
         assert np.sum(array.rng_counts - before) == array.rows + array.cols - 1
     assert max(per_pulse) == 1
-    # one block per drawn cell serves DRAW_AHEAD pulses on one target
-    assert per_pulse[: DRAW_AHEAD + 1] == [1] + [0] * (DRAW_AHEAD - 1) + [1]
+    # one block per drawn cell serves `width` pulses on one target
+    assert array._ahead.shape[1] == width
+    assert per_pulse[: width + 1] == [1] + [0] * (width - 1) + [1]
 
 
 def test_new_target_refills_all_drawn_cells(monkeypatch):
     # after pulses on (2, 3) and (4, 5), column 5 and cell (1, 3) hold
     # partly used blocks and the rest of row 1 none; the first pulse on
     # (1, 5) refills its whole drawn set (row 1 and column 5), so the
-    # next DRAW_AHEAD - 1 pulses need no stream_normals call
+    # next width - 1 pulses need no stream_normals call
     calls = []
 
     def counting(seeds, counts):
@@ -351,11 +405,12 @@ def test_new_target_refills_all_drawn_cells(monkeypatch):
     run_both(fast, slow, pulse_sequence(cfg, [(2, 3)] * 3 + [(4, 5)] * 2), tally)
     assert len(calls) == 2
     per_pulse = []
-    for step in pulse_sequence(cfg, [(1, 5)] * (DRAW_AHEAD + 1)):
+    width = block_width(5, 7)
+    for step in pulse_sequence(cfg, [(1, 5)] * (width + 1)):
         calls.clear()
         run_both(fast, slow, [step], tally)
         per_pulse.append(len(calls))
-    assert per_pulse == [1] + [0] * (DRAW_AHEAD - 1) + [1]
+    assert per_pulse == [1] + [0] * (width - 1) + [1]
     assert_same_state(fast, slow, tally)
 
 
@@ -364,11 +419,12 @@ def test_draw_ahead_over_many_pulses_on_one_cell(topology):
     cfg = DEFAULT_CONFIG
     fast = ArrayState.fresh(cfg, rows=3, cols=4, topology=topology, initial="center")
     slow = ArrayState.fresh(cfg, rows=3, cols=4, topology=topology, initial="center")
-    targets = [(1, 2)] * (2 * DRAW_AHEAD + 3) + [(0, 1), (2, 3), (1, 2)]
+    width = block_width(3, 4)
+    targets = [(1, 2)] * (2 * width + 3) + [(0, 1), (2, 3), (1, 2)]
     tally = new_tally(slow)
     run_both(fast, slow, pulse_sequence(cfg, targets), tally)
     assert_same_state(fast, slow, tally)
-    assert fast.rng_counts[1, 2] > 2 * DRAW_AHEAD
+    assert fast.rng_counts[1, 2] > 2 * width
 
 
 def test_draw_ahead_follows_in_place_edits():
@@ -420,7 +476,7 @@ def test_draw_ahead_is_not_saved(tmp_path):
     whole = ArrayState.fresh(cfg, rows=3, cols=4, initial="center")
     first = ArrayState.fresh(cfg, rows=3, cols=4, initial="center")
     slow = ArrayState.fresh(cfg, rows=3, cols=4, initial="center")
-    targets = [(0, 1)] * 3 + [(2, 2)] * (DRAW_AHEAD + 1) + [(0, 1)] * 2
+    targets = [(0, 1)] * 3 + [(2, 2)] * (block_width(3, 4) + 1) + [(0, 1)] * 2
     pulses = pulse_sequence(cfg, targets)
     cut = 5
     run_both(first, slow, pulses[:cut])
@@ -473,3 +529,77 @@ def test_drift_grid_matches_scalar_objective(w, reference):
     assert_bits_equal(fast, scalar)
     fast_opt = optimize_bias_weight(w, temp_range, reference=reference)
     assert_bits_equal(np.array(fast_opt), np.array(scalar_optimize(w, temp_range, reference)))
+
+
+# ------------------------------------------------------------- multiply
+
+def oracle_multiply(array, inputs, temperature, samples, rng):
+    """Noisy multiply as first written: a per-row peripheral loop, the
+    readout law with its array wrappers, and ``.mean(axis=0)``."""
+    cfg = array.cfg
+    cal = cfg.require_calibration()
+    v_per = []
+    for r in range(array.rows):
+        pc = array.peripheral_col_for_row(r)
+        v = array.v_th[r, pc]
+        if not (cal.v_th_min + 1e-9 < v < cal.v_th_max - 1e-9):
+            raise ValueError(f"peripheral cell ({r}, {pc}) is untuned (v_th at a window bound)")
+        v_per.append(v)
+    ut = cfg.n * thermal_voltage(temperature)
+    v_gate = np.array(v_per) + ut * np.log(np.asarray(inputs) / cfg.i0)
+    x = Q_E * (np.asarray(v_gate[:, None]) - np.asarray(array.v_th[:, array.array_cols]))
+    x = x / (cfg.n * K_B * temperature)
+    currents = np.minimum(cfg.i0 * np.exp(x), cfg.i_sat)
+    sigma = cfg.noise.sigma_at(currents)
+    eps_mean = rng.standard_normal((samples,) + currents.shape).mean(axis=0)
+    return np.maximum(currents * (1.0 + sigma * eps_mean), 0.0).sum(axis=0)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (3, 5), (6, 8)], ids=lambda s: f"{s[0]}x{s[1]}")
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_noisy_multiply_matches_formula_oracle(shape, data):
+    rows, cols = shape
+    cfg = replace(DEFAULT_CONFIG, seed=data.draw(st.integers(0, 2**31)))
+    lo, hi = cfg.current_window
+    currents = st.floats(lo, hi)
+    array = ArrayState.fresh(cfg, rows=rows, cols=cols)
+    oracle = ArrayState.fresh(cfg, rows=rows, cols=cols)
+    for r in range(rows):
+        for c in range(cols):
+            peripheral = c == array.peripheral_col_for_row(r)
+            i = reference_current(cfg) if peripheral else data.draw(currents)
+            array.set_cell_current(r, c, i)
+            oracle.set_cell_current(r, c, i)
+    inputs = data.draw(st.lists(currents, min_size=rows, max_size=rows))
+    t = data.draw(st.floats(T_MIN, T_MAX))
+    samples = data.draw(st.integers(1, 128))
+    # the array's own measurement stream, then an explicit generator
+    got = multiply(array, inputs, temperature=t, noisy=True, samples=samples)
+    want = oracle_multiply(oracle, inputs, t, samples, oracle.measure_rng)
+    assert_bits_equal(got, want)
+    assert array.measure_rng.bit_generator.state == oracle.measure_rng.bit_generator.state
+    seed = data.draw(st.integers(0, 2**31))
+    got = multiply(array, inputs, temperature=t, noisy=True, samples=samples,
+                   rng=np.random.default_rng(seed))
+    assert_bits_equal(got, oracle_multiply(oracle, inputs, t, samples, np.random.default_rng(seed)))
+
+
+def test_untuned_peripheral_names_the_first_one():
+    # rows 0 and 2 use column 0, rows 1 and 3 column 4; rows 1 and 2 stay untuned
+    cfg = DEFAULT_CONFIG
+    array = ArrayState.fresh(cfg, rows=4, cols=5)
+    for r in (0, 3):
+        array.set_cell_current(r, array.peripheral_col_for_row(r), reference_current(cfg))
+    message = "peripheral cell (1, 4) is untuned (v_th at a window bound)"
+    for call in (lambda: multiply(array, [1e-8] * 4, noisy=True),
+                 lambda: oracle_multiply(array, [1e-8] * 4, T_25C, 1, None)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    array.set_cell_current(1, 4, reference_current(cfg))
+    with pytest.raises(ValueError, match=r"^peripheral cell \(2, 0\) is untuned"):
+        multiply(array, [1e-8] * 4)
+    narrow = ArrayState.fresh(cfg, rows=2, cols=2)
+    with pytest.raises(ValueError, match="no peripheral columns"):
+        multiply(narrow, [1e-8] * 2)

@@ -119,6 +119,19 @@ class TestTuneCell:
         with pytest.raises(ValueError):
             TuneTarget(0, 0, -1e-8, 0.05)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 2.5, True, "3"])
+    def test_bad_budget_rejected_naming_field(self, budget):
+        # a reachable target: a NaN or inf budget must not decide anything
+        array = ArrayState.fresh(CFG, rows=2, cols=3, initial="center")
+        target = TuneTarget(0, 1, 1e-8, 0.05)
+        with pytest.raises(ValueError, match="budget"):
+            tune_cell(array, target, budget)
+        with pytest.raises(ValueError, match="budget"):
+            tune_array(array, [target], budget)
+        with pytest.raises(ValueError, match="budget"):
+            tune_array(array, [], budget)
+        assert np.all(array.rng_counts == 0)
+
     @pytest.mark.parametrize("current", [math.nan, math.inf])
     def test_non_finite_target_current_rejected(self, current):
         with pytest.raises(ValueError, match="target_current"):
