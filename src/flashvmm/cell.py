@@ -141,6 +141,8 @@ def subthreshold_current(v_cg, v_th, n_slope, i0, temperature, i_sat):
     enters as exp(q (v_cg - v_th) / (n kB T)).
     """
     x = Q_E * (v_cg - v_th) / (n_slope * K_B * temperature)
+    if isinstance(x, float):
+        return min(i0 * float(np.exp(x)), i_sat)
     return np.minimum(i0 * np.exp(x), i_sat)
 
 

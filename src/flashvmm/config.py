@@ -27,10 +27,10 @@ def require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def require_count(name: str, value) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def require_count(name: str, value, low: int = 1) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``low`` (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def known_keys(cls, raw, what: str) -> dict:
@@ -68,12 +68,15 @@ class NoiseParams:
         """Relative r.m.s. at the given current, constant outside the anchors.
 
         Log-linear in current between the anchors; broadcasts over arrays.
+        A float takes np.interp's two-point arithmetic, in its order.
         """
-        sigma = np.interp(
-            np.log(current),
-            (math.log(self.i_low_anchor), math.log(self.i_high_anchor)),
-            (self.sigma_low, self.sigma_high),
-        )
+        x0, x1 = math.log(self.i_low_anchor), math.log(self.i_high_anchor)
+        if isinstance(current, float):
+            x = float(np.log(current))
+            if x0 < x < x1:
+                return (self.sigma_high - self.sigma_low) / (x1 - x0) * (x - x0) + self.sigma_low
+            return float(self.sigma_low if x <= x0 else self.sigma_high if x >= x1 else x)
+        sigma = np.interp(np.log(current), (x0, x1), (self.sigma_low, self.sigma_high))
         return float(sigma) if np.ndim(current) == 0 else sigma
 
 
@@ -169,6 +172,7 @@ class ModelConfig:
     calibration: Calibration = None
 
     def __post_init__(self):
+        require_count("seed", self.seed, 0)
         for name in ("i0", "i_sat", "temperature_ref"):
             require_positive(name, getattr(self, name))
         lo, hi = self.current_window

@@ -37,7 +37,7 @@ from .cell import (
     subthreshold_current,
     vth_for_standard_current,
 )
-from .config import DEFAULT_CONFIG, ModelConfig, config_hash
+from .config import DEFAULT_CONFIG, ModelConfig, config_hash, require_count
 from .constants import K_B, Q_E, T_25C, T_85C
 from .tuning import (
     TuneTarget,
@@ -74,6 +74,8 @@ class ExperimentSpec:
     params: dict = None
 
     def __post_init__(self):
+        if self.seed is not None:
+            require_count("seed", self.seed, 0)
         if self.experiment_id not in EXPERIMENT_IDS:
             raise ValueError(
                 f"unknown experiment {self.experiment_id!r}; "

@@ -109,9 +109,9 @@ def _check_peripherals(array: ArrayState) -> np.ndarray:
     rows, per_cols, _ = array.io_layout
     cal = array.cfg.require_calibration()
     v = array.v_th[rows, per_cols]
-    tuned = (cal.v_th_min + 1e-9 < v) & (v < cal.v_th_max - 1e-9)
-    if not tuned.all():
-        r = int(tuned.argmin())
+    lo, hi = cal.v_th_min + 1e-9, cal.v_th_max - 1e-9
+    if not (lo < v.min() and v.max() < hi):  # NaN fails too
+        r = int(((lo < v) & (v < hi)).argmin())
         raise ValueError(
             f"peripheral cell ({r}, {per_cols[r]}) is untuned (v_th at a window bound)"
         )
@@ -141,7 +141,7 @@ def multiply(
     if inputs.shape != (array.rows,):
         raise ValueError(f"expected {array.rows} input currents, got {inputs.shape}")
     lo, hi = cfg.current_window
-    if not ((inputs >= lo) & (inputs <= hi)).all():
+    if not (lo <= inputs.min() and inputs.max() <= hi):  # NaN fails too
         raise ValueError("input currents outside the validity window")
     v_gate = gate_voltage(inputs, _check_peripherals(array), cfg.n, cfg.i0, t)
     currents = subthreshold_current(
@@ -181,23 +181,28 @@ def _drift_temps(temp_range, step: float = 1.0) -> np.ndarray:
     return np.arange(temp_range[0], temp_range[1] + step / 2, step)
 
 
-def _drift(w_plus, w_minus, temps, reference) -> np.ndarray:
-    """Worst-case relative drift of each (w_plus, w_minus) pair over ``temps``.
+def _drift(w_plus, w_minus, temps, reference):
+    """Worst-case relative drift over ``temps`` of one (w_plus, w_minus)
+    pair of floats, or of each pair of two equal-length float sequences.
 
     The logarithms and the reference-point exponentials are libm's
     (``math``, mapped over floats): numpy's log and exp differ from them
     in the last bit on some inputs.
     """
-    a = list(map(math.log, w_plus))
-    b = list(map(math.log, w_minus))
-    out0 = np.array([math.exp(x) - math.exp(y) for x, y in zip(a, b)])
-    out = np.divide.outer(np.array([a, b]) * reference, temps)  # (w+, w-) x pairs x temps
+    if isinstance(w_plus, float):
+        a, b = math.log(w_plus), math.log(w_minus)
+        out0 = math.exp(a) - math.exp(b)
+    else:
+        a = list(map(math.log, w_plus))
+        b = list(map(math.log, w_minus))
+        out0 = np.array([math.exp(x) - math.exp(y) for x, y in zip(a, b)])[:, None]
+    out = np.divide.outer(np.array([a, b]) * reference, temps)  # (w+, w-) x [pairs] x temps
     np.exp(out, out=out)
     out = np.subtract(out[0], out[1], out=out[0])
-    np.divide(out, out0[:, None], out=out)
+    np.divide(out, out0, out=out)
     np.subtract(out, 1.0, out=out)
     np.abs(out, out=out)
-    return out.max(axis=1)
+    return out.max(axis=-1)
 
 
 def differential_drift_grid(
@@ -264,11 +269,17 @@ def optimize_bias_weight(
     temps = _drift_temps(temp_range)
 
     def objective(w_b):
-        return float(_drift([w_b + w / 2.0], [w_b - w / 2.0], temps, t0)[0])
+        return float(_drift(w_b + w / 2.0, w_b - w / 2.0, temps, t0))
 
     grid = np.arange(lo, hi + 1e-12, 1e-3)
-    values = _drift((grid + w / 2.0).tolist(), (grid - w / 2.0).tolist(), temps, t0)
-    k = int(np.argmin(values))
+    w_plus, w_minus = grid + w / 2.0, grid - w / 2.0
+    # The drift at the end temperatures bounds each point's drift from
+    # below (same elements, max of a subset): a point whose bound exceeds
+    # the drift at the bound's argmin cannot hold np.argmin's first
+    # minimum. A NaN drift there keeps every point.
+    bound = _drift(w_plus.tolist(), w_minus.tolist(), temps[[0, -1]], t0)
+    keep = np.flatnonzero(~(bound > objective(grid[np.argmin(bound)])))
+    k = int(keep[np.argmin(_drift(w_plus[keep].tolist(), w_minus[keep].tolist(), temps, t0))])
     bracket_lo = grid[max(k - 1, 0)]
     bracket_hi = grid[min(k + 1, len(grid) - 1)]
     w_b, drift = golden_section_min(objective, bracket_lo, bracket_hi, tol=1e-6)
@@ -422,14 +433,12 @@ def differential_multiply(
     rows, logical = plan.weights.shape
     if rows != array.rows:
         raise ValueError("plan rows do not match the array")
-    cols = array.array_cols
-    col_index = {c: k for k, c in enumerate(cols)}
+    cols = range(array.cols)[array.io_layout[2]]  # outputs[k] is column cols[k]
     for cp, cm in plan.column_pairs:
-        if cp not in col_index or cm not in col_index:
+        if cp not in cols or cm not in cols:
             raise ValueError(f"plan pair ({cp}, {cm}) not among array columns")
     outputs = multiply(
         array, inputs, temperature=temperature, noisy=noisy, samples=samples, rng=rng
     )
-    return np.array(
-        [outputs[col_index[cp]] - outputs[col_index[cm]] for cp, cm in plan.column_pairs]
-    )
+    k = cols.start
+    return np.array([outputs[cp - k] - outputs[cm - k] for cp, cm in plan.column_pairs])

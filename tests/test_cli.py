@@ -155,6 +155,21 @@ def test_experiment_param_is_validated(tmp_path, capsys, param, message):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["state", "init", "--rows", "2", "--cols", "3"], id="state_init"),
+        pytest.param(["experiment", "fig3a"], id="experiment"),
+    ],
+)
+def test_negative_seed_is_a_json_error_naming_seed(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out), "--seed", "-1"]) == 1
+    parsed = json.loads(capsys.readouterr().err.strip())
+    assert parsed == {"error": "ValueError", "message": "seed must be an integer >= 0, got -1"}
+    assert not out.exists()
+
+
 def test_multiply_zero_budget_is_a_json_error(tmp_path, capsys):
     (tmp_path / "w.csv").write_text("0.5\n")
     (tmp_path / "in.csv").write_text("5e-8\n")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from flashvmm.config import (
@@ -14,6 +15,7 @@ from flashvmm.config import (
     save_config,
 )
 from flashvmm.constants import V_CG_READ, thermal_voltage
+from flashvmm.experiments import ExperimentSpec
 
 
 def test_noise_invariants():
@@ -110,6 +112,22 @@ def test_current_window_validation():
 def test_non_finite_or_negative_scalars_rejected_naming_field(name, value):
     with pytest.raises(ValueError, match=name):
         ModelConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "seed", [-1, math.nan, 1.5, 2.0, True, "3", None, np.int64(-2)], ids=repr
+)
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
+        ModelConfig(seed=seed)
+    with pytest.raises(ValueError, match=r"^seed must be an integer >= 0"):
+        ExperimentSpec("fig3a", seed=seed if seed is not None else -1)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**70, np.int64(5), np.uint32(9)], ids=repr)
+def test_integer_seeds_accepted(seed):
+    assert ModelConfig(seed=seed).seed == seed
+    assert ExperimentSpec("fig3a", seed=seed).seed == seed
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ is one ``default_rng((seed, count))`` per pair.
 ``differential_drift_grid`` evaluates many bias weights at once; the
 oracle is the scalar drift formula evaluated one weight at a time.
 Noisy ``multiply`` is pinned to a per-row restatement of its formula.
+The float branches of ``sigma_at`` and ``subthreshold_current`` are
+pinned to ``np.interp`` and to the one-element array path.
 """
 
 import math
@@ -23,7 +25,14 @@ import flashvmm.cell as cell_mod
 import flashvmm.tuning as tuning_mod
 import flashvmm.vmm as vmm_mod
 from flashvmm.array import DRAW_AHEAD, ROLES, ArrayState, bias_table
-from flashvmm.cell import SF_DRAW_MIN, PulseKind, PulseSpec, pulse_shift, stream_normals
+from flashvmm.cell import (
+    SF_DRAW_MIN,
+    PulseKind,
+    PulseSpec,
+    pulse_shift,
+    stream_normals,
+    subthreshold_current,
+)
 from flashvmm.config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, calibrate
 from flashvmm.constants import K_B, Q_E, T_25C, T_85C, T_MAX, T_MIN, thermal_voltage
 from flashvmm.vmm import (
@@ -529,6 +538,93 @@ def test_drift_grid_matches_scalar_objective(w, reference):
     assert_bits_equal(fast, scalar)
     fast_opt = optimize_bias_weight(w, temp_range, reference=reference)
     assert_bits_equal(np.array(fast_opt), np.array(scalar_optimize(w, temp_range, reference)))
+
+
+def grid_size(w, w_floor):
+    return len(np.arange(w / 2.0 + w_floor, 1.0 - w / 2.0 + 1e-12, 1e-3))
+
+
+# (w, w_floor): a sweep over the range, tiny weights, and the top end
+# where the bias-weight grid has 3, 2 or 1 points
+SWEEP = (
+    [(float(w), 0.01) for w in np.linspace(0.002, 0.98, 90)]
+    + [(1e-17, 0.01), (1e-9, 0.01), (1e-6, 0.01), (1e-4, 0.01)]
+    + [(0.9875, 0.01), (0.9885, 0.01), (0.9895, 0.01), (0.98999, 0.01)]
+    + [(float(w), 0.05) for w in np.linspace(0.01, 0.9, 12)]
+    + [(0.9475, 0.05), (0.9485, 0.05), (0.9495, 0.05), (1e-3, 1e-4), (0.5, 1e-4)]
+)
+
+
+def test_pruned_scan_matches_full_grid_oracle():
+    assert len(SWEEP) >= 100
+    assert {grid_size(w, f) for w, f in SWEEP} >= {1, 2, 3}
+    assert {grid_size(w, 0.05) for w, f in SWEEP if f == 0.05} >= {1, 2, 3}
+    references = (T_25C, 320.0, T_85C)
+    for k, (w, w_floor) in enumerate(SWEEP):
+        reference = references[k % 3]
+        with np.errstate(invalid="ignore"):  # w = 1e-17: w+ == w- on the grid, whose drifts are NaN
+            got = optimize_bias_weight(w, (T_25C, T_85C), reference=reference, w_floor=w_floor)
+            want = scalar_optimize(w, (T_25C, T_85C), reference, w_floor)
+        assert_bits_equal(np.array(got), np.array(want))
+
+
+# ----------------------------------------------------------- scalar reads
+
+def interp_sigma(noise, currents):
+    """The envelope as np.interp on the natural log of the currents."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.log(np.asarray(currents, dtype=float))
+    anchors = (math.log(noise.i_low_anchor), math.log(noise.i_high_anchor))
+    return np.interp(x, anchors, (noise.sigma_low, noise.sigma_high))
+
+
+def scalar_sigmas(noise, currents, kind):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = [noise.sigma_at(kind(c)) for c in currents]
+    assert all(type(g) is float for g in got)
+    return np.array(got)
+
+
+def test_scalar_sigma_matches_interp():
+    noise = DEFAULT_CONFIG.noise
+    currents = 10.0 ** np.random.default_rng(7).uniform(-13.0, -4.0, 100_000)
+    want = interp_sigma(noise, currents)
+    assert_bits_equal(scalar_sigmas(noise, currents.tolist(), float), want)
+    assert_bits_equal(scalar_sigmas(noise, currents[:5000], np.float64), want[:5000])
+
+
+def test_scalar_sigma_at_anchors_and_outside():
+    noise = DEFAULT_CONFIG.noise
+    currents = [0.0, 1e-300, 1e300, math.inf, math.nan, -1e-9]
+    for anchor in (noise.i_low_anchor, noise.i_high_anchor):
+        # 257 currents around the anchor, one float step apart
+        near = (np.float64(anchor).view(np.int64) + np.arange(-128, 129)).view(np.float64)
+        assert near[128] == anchor and near[127] == np.nextafter(anchor, 0.0)
+        logs, x = np.log(near), math.log(anchor)
+        # currents whose log lands on the anchor's log and one step either side
+        for target in (x, np.nextafter(x, -math.inf), np.nextafter(x, math.inf)):
+            assert (logs == target).any()
+        currents += near.tolist()
+    for kind in (float, np.float64):
+        assert_bits_equal(scalar_sigmas(noise, currents, kind), interp_sigma(noise, currents))
+
+
+def test_scalar_subthreshold_current_matches_array_path():
+    cfg = DEFAULT_CONFIG
+    rng = np.random.default_rng(8)
+    v_th = rng.uniform(2.0, 6.0, 3000)
+    v_cg = v_th + rng.uniform(-4.0, 1.0, 3000)  # from deep subthreshold past i_sat
+    temps = rng.uniform(T_MIN, T_MAX, 3000)
+    cases = list(zip(v_cg.tolist(), v_th.tolist(), temps.tolist()))
+    cases += [(math.inf, 4.0, T_25C), (-math.inf, 4.0, T_25C), (math.nan, 4.0, T_25C)]
+    clamped = 0
+    for vc, vt, t in cases:
+        got = subthreshold_current(vc, vt, cfg.n, cfg.i0, t, cfg.i_sat)
+        want = subthreshold_current(np.array([vc]), vt, cfg.n, cfg.i0, t, cfg.i_sat)
+        assert type(got) is float
+        assert_bits_equal(np.array([got]), want)
+        clamped += got == cfg.i_sat
+    assert 100 < clamped < len(cases) - 100
 
 
 # ------------------------------------------------------------- multiply

@@ -377,6 +377,22 @@ class TestDifferentialPlan:
         with pytest.raises(ValueError, match="rows"):
             differential_multiply(other, plan, [1e-8, 1e-8, 1e-8])
 
+    @pytest.mark.parametrize(
+        "pair", [(0, 2), (1, 3), (1, 4), (7, 2), (-1, 2)],
+        ids=["peripheral_left", "peripheral_right", "past_end", "far_past_end", "negative"],
+    )
+    def test_plan_pair_outside_array_columns(self, pair):
+        # a 2x4 array has peripheral columns 0 and 3 and array columns 1 and 2
+        array = centered_array(rows=2, cols=4)
+        plan = plan_differential(np.full((2, 1), 0.5), (T_25C, T_85C), array)
+        assert plan.column_pairs == [(1, 2)]
+        plan = replace(plan, column_pairs=[(1, 2), pair])
+        state = array.measure_rng.bit_generator.state
+        message = rf"^plan pair \({pair[0]}, {pair[1]}\) not among array columns$"
+        with pytest.raises(ValueError, match=message):
+            differential_multiply(array, plan, [1e-8, 1e-8], noisy=True)
+        assert array.measure_rng.bit_generator.state == state  # checked before any draw
+
     def test_weight_matrix_validation(self):
         with pytest.raises(ValueError):
             WeightMatrix(np.array([[0.5, 0.0]]))  # zero not allowed
