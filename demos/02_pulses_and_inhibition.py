@@ -4,7 +4,8 @@ Run: python3 demos/02_pulses_and_inhibition.py
 """
 
 from flashvmm import ArrayState, DEFAULT_CONFIG, PulseSpec
-from flashvmm.cell import BiasCondition, apply_program_pulse, fresh_cell, standard_current
+from flashvmm.array import ROLES
+from flashvmm.cell import BiasCondition, apply_pulse, fresh_cell, standard_current
 from flashvmm.cell import program_select_factor
 
 cfg = DEFAULT_CONFIG
@@ -17,7 +18,7 @@ bias = BiasCondition(v_wl=1.0, v_cg=0.0, v_d=0.5, v_s=4.5, v_eg=4.5)
 print("  pulse   v_th [V]   I @ standard bias [A]")
 for k in range(8):
     print(f"  {k:5d}   {cell.v_th:.4f}    {standard_current(cell.v_th, cfg):.3e}")
-    cell = apply_program_pulse(cell, PulseSpec.program(cfg), bias, cfg)
+    cell = apply_pulse(cell, PulseSpec.program(cfg), bias, cfg)
 
 print("\nRaising the bit line inhibits programming in a half-selected cell:")
 print("  v_bl [V]   select factor")
@@ -31,12 +32,12 @@ print("\nArray-scale disturb accounting: 60 program pulses into one cell")
 array = ArrayState.fresh(cfg, rows=4, cols=6, initial="center")
 start = {(r, c): array.read_cell(r, c) for r in range(4) for c in range(6)}
 for _ in range(60):
-    array.pulse_cell(2, 3, PulseSpec.program(cfg))
+    delta = array.pulse_cell(2, 3, PulseSpec.program(cfg))
 print("  role            pulses   worst |dI/I|")
 for role in ("row_half", "col_half", "unselected"):
     worst = 0.0
     for (r, c), i0 in start.items():
-        if array.role_of(r, c, 2, 3) == role:
+        if ROLES[delta.roles[r, c]] == role:
             worst = max(worst, abs(array.read_cell(r, c) / i0 - 1.0))
     count = int(array.disturb.counts[role].max())
     print(f"  {role:<14}  {count:5d}    {worst:.2e}")

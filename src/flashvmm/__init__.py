@@ -17,8 +17,7 @@ from .cell import (
     CellState,
     PulseKind,
     PulseSpec,
-    apply_erase_pulse,
-    apply_program_pulse,
+    apply_pulse,
     drain_current,
     fresh_cell,
     readout_noisy,

@@ -275,9 +275,6 @@ class ArrayState:
         self._check_target(row, col)
         return CellState(
             v_th=float(self.v_th[row, col]),
-            n_slope=self.cfg.n,
-            i0=self.cfg.i0,
-            noise=self.cfg.noise,
             rng_seed=int(self.rng_seeds[row, col]),
             rng_count=int(self.rng_counts[row, col]),
         )
@@ -288,9 +285,6 @@ class ArrayState:
         cal = self.cfg.require_calibration()
         v = vth_for_standard_current(current, self.cfg)
         self.v_th[row, col] = min(max(v, cal.v_th_min), cal.v_th_max)
-
-    def role_of(self, row: int, col: int, target_row: int, target_col: int) -> str:
-        return ROLES[2 * (row != target_row) + (col != target_col)]
 
     # ------------------------------------------------------------ pulses
 
@@ -338,7 +332,7 @@ class ArrayState:
             return DisturbDelta((row, col), pulse.kind, np.zeros((self.rows, self.cols)))
 
         sigma = self.cfg.pulse.variability_sigma
-        step, sign, limit = pulse_law(pulse.kind, pulse, self.cfg)
+        step, sign, limit = pulse_law(pulse, self.cfg)
         clamp = np.minimum if sign > 0 else np.maximum
         cells, sf, drawn, sf_unselected = _pulse_cells(
             self.rows, self.cols, row, col, pulse.kind, self.topology, self.cfg.inhibition,
@@ -374,10 +368,9 @@ class ArrayState:
         v_th = float(self.v_th[row, col])
         if not math.isfinite(v_th):
             raise ValueError("v_th must be finite")
-        cfg = self.cfg
-        t = cfg.temperature_ref if temperature is None else temperature
+        t = self.cfg.temperature_ref if temperature is None else temperature
         rng = self.measure_rng if noisy else None
-        return readout(v_th, cfg.n, cfg.i0, READOUT_BIAS, t, cfg, cfg.noise, samples, rng)
+        return readout(v_th, READOUT_BIAS, t, self.cfg, samples, rng)
 
     # ------------------------------------------------------- persistence
 

@@ -1,10 +1,11 @@
 """Compact behavioral model of a single modified floating-gate cell.
 
-The cell is a value object (threshold voltage, slope factor, prefactor,
-noise envelope, stochastic stream seed). Readout follows the subthreshold
-exponential law; program/erase pulses shift the threshold voltage with a
-bias-dependent select factor and a seeded lognormal per-pulse variability.
-All operations are pure: they return currents or new ``CellState`` values.
+The cell is a value object (threshold voltage, stochastic stream seed and
+draw count); the slope factor, prefactor and noise envelope are the
+config's. Readout follows the subthreshold exponential law; program/erase
+pulses shift the threshold voltage with a bias-dependent select factor and
+a seeded lognormal per-pulse variability. All operations are pure: they
+return currents or new ``CellState`` values.
 """
 
 import math
@@ -17,7 +18,6 @@ from .config import (
     DEFAULT_CONFIG,
     InhibitionParams,
     ModelConfig,
-    NoiseParams,
     require_count,
     require_positive,
 )
@@ -101,17 +101,12 @@ class CellState:
     """Analog state of one floating-gate transistor."""
 
     v_th: float  # threshold voltage [V]
-    n_slope: float  # subthreshold slope factor, dimensionless
-    i0: float  # effective prefactor at zero gate overdrive [A]
-    noise: NoiseParams
     rng_seed: int  # per-cell stochastic stream seed
     rng_count: int = 0  # stochastic draws consumed so far
 
     def __post_init__(self):
         if not math.isfinite(self.v_th):
             raise ValueError("v_th must be finite")
-        check_n_slope(self.n_slope)
-        require_positive("i0", self.i0)
 
 
 def check_n_slope(n_slope: float) -> None:
@@ -124,12 +119,11 @@ def fresh_cell(
 ) -> CellState:
     """New cell at the given threshold (default: fully programmed)."""
     cal = cfg.require_calibration()
+    check_n_slope(cfg.n)
     if v_th is None:
         v_th = cal.v_th_max
     v_th = min(max(v_th, cal.v_th_min), cal.v_th_max)
-    return CellState(
-        v_th=v_th, n_slope=cfg.n, i0=cfg.i0, noise=cfg.noise, rng_seed=int(seed)
-    )
+    return CellState(v_th=v_th, rng_seed=int(seed))
 
 
 # ------------------------------------------------------------- readout
@@ -159,23 +153,23 @@ def check_temperature(temperature: float) -> None:
         )
 
 
-def readout(v_th, n_slope, i0, bias, temperature, cfg, noise=None, samples=1, rng=None):
+def readout(v_th, bias, temperature, cfg, samples=1, rng=None):
     """Readout current [A] of a cell at ``v_th``: the one scalar readout law.
 
     Without ``rng`` the deterministic subthreshold current, zero when the
     word line is off. With it, the mean of ``samples`` draws from ``rng``,
     each the deterministic current times (1 + eps), eps zero-mean Gaussian
-    at the relative sigma of the ``noise`` envelope.
+    at the relative sigma of the config's noise envelope.
     """
     if rng is not None:
         require_count("samples", samples)
     check_temperature(temperature)
     if bias.v_wl < cfg.wl_on_threshold:
         return 0.0
-    ideal = float(subthreshold_current(bias.v_cg, v_th, n_slope, i0, temperature, cfg.i_sat))
+    ideal = float(subthreshold_current(bias.v_cg, v_th, cfg.n, cfg.i0, temperature, cfg.i_sat))
     if rng is None or ideal == 0.0:
         return ideal
-    sigma = noise.sigma_at(ideal)
+    sigma = cfg.noise.sigma_at(ideal)
     if sigma == 0.0:
         return ideal
     mean = ideal * ((1.0 + sigma * rng.standard_normal(samples)).sum() / samples)  # as .mean()
@@ -189,7 +183,7 @@ def drain_current(
     cfg: ModelConfig = DEFAULT_CONFIG,
 ) -> float:
     """Deterministic readout current [A]; zero when the word line is off."""
-    return readout(cell.v_th, cell.n_slope, cell.i0, bias, temperature, cfg)
+    return readout(cell.v_th, bias, temperature, cfg)
 
 
 def readout_noisy(
@@ -209,9 +203,7 @@ def readout_noisy(
     """
     if rng is None:
         rng = np.random.default_rng((cell.rng_seed, _READ_STREAM_TAG, cell.rng_count))
-    return readout(
-        cell.v_th, cell.n_slope, cell.i0, bias, temperature, cfg, cell.noise, samples, rng
-    )
+    return readout(cell.v_th, bias, temperature, cfg, samples, rng)
 
 
 # ------------------------------------------------------------- pulses
@@ -256,7 +248,7 @@ def select_factor(kind: PulseKind, bias: BiasCondition, inh: InhibitionParams) -
     return erase_select_factor(bias, inh)
 
 
-def pulse_law(kind: PulseKind, pulse: PulseSpec, cfg: ModelConfig):
+def pulse_law(pulse: PulseSpec, cfg: ModelConfig):
     """Per-kind constants of the pulse response: (step, sign, limit).
 
     ``step`` is the shift [V] of this pulse at select factor 1: the
@@ -266,7 +258,7 @@ def pulse_law(kind: PulseKind, pulse: PulseSpec, cfg: ModelConfig):
     """
     cal = cfg.require_calibration()
     p = cfg.pulse
-    if kind is PulseKind.PROGRAM:
+    if pulse.kind is PulseKind.PROGRAM:
         scale = (pulse.duration / p.program_duration) * (
             pulse.amplitude / p.program_amplitude
         )
@@ -476,7 +468,6 @@ def stream_normals(seeds, counts) -> np.ndarray:
 
 
 def pulse_shift(
-    kind: PulseKind,
     v_th: float,
     rng_seed: int,
     rng_count: int,
@@ -493,8 +484,8 @@ def pulse_shift(
     """
     if pulse.duration == 0.0:
         return v_th, rng_count, 0.0
-    sf = select_factor(kind, bias, cfg.inhibition)
-    step, sign, limit = pulse_law(kind, pulse, cfg)
+    sf = select_factor(pulse.kind, bias, cfg.inhibition)
+    step, sign, limit = pulse_law(pulse, cfg)
 
     magnitude = step * sf
     sigma = cfg.pulse.variability_sigma
@@ -511,35 +502,18 @@ def pulse_shift(
     return new_vth, rng_count, new_vth - v_th
 
 
-def _apply_pulse(kind, cell, pulse, bias, cfg):
-    if pulse.kind is not kind:
-        raise ValueError(f"apply_{kind.value}_pulse requires a {kind.value!r} pulse")
+def apply_pulse(
+    cell: CellState,
+    pulse: PulseSpec,
+    bias: BiasCondition,
+    cfg: ModelConfig = DEFAULT_CONFIG,
+) -> CellState:
+    """Shift v_th by the inhibition-weighted step of ``pulse``: a program
+    pulse raises it (readout current drops), an erase pulse lowers it."""
     if pulse.duration == 0.0:
         return cell
-    v_th, count, _ = pulse_shift(
-        kind, cell.v_th, cell.rng_seed, cell.rng_count, pulse, bias, cfg
-    )
+    v_th, count, _ = pulse_shift(cell.v_th, cell.rng_seed, cell.rng_count, pulse, bias, cfg)
     return replace(cell, v_th=v_th, rng_count=count)
-
-
-def apply_program_pulse(
-    cell: CellState,
-    pulse: PulseSpec,
-    bias: BiasCondition,
-    cfg: ModelConfig = DEFAULT_CONFIG,
-) -> CellState:
-    """Raise v_th by the inhibition-weighted shift (readout current drops)."""
-    return _apply_pulse(PulseKind.PROGRAM, cell, pulse, bias, cfg)
-
-
-def apply_erase_pulse(
-    cell: CellState,
-    pulse: PulseSpec,
-    bias: BiasCondition,
-    cfg: ModelConfig = DEFAULT_CONFIG,
-) -> CellState:
-    """Lower v_th by the inhibition-weighted shift (readout current rises)."""
-    return _apply_pulse(PulseKind.ERASE, cell, pulse, bias, cfg)
 
 
 def retention_hold(
@@ -564,10 +538,10 @@ def retention_hold(
     current = drain_current(cell, READOUT_BIAS, temperature, cfg)
     sigma_rel = (
         cfg.retention.sigma_scale
-        * cell.noise.sigma_at(current)
+        * cfg.noise.sigma_at(current)
         * math.sqrt(duration / 86400.0)
     )
-    dv_sigma = sigma_rel * cell.n_slope * thermal_voltage(temperature)
+    dv_sigma = sigma_rel * cfg.n * thermal_voltage(temperature)
     z = np.random.default_rng((cell.rng_seed, cell.rng_count)).standard_normal()
     v_th = min(max(cell.v_th + dv_sigma * z, cal.v_th_min), cal.v_th_max)
     return replace(cell, v_th=v_th, rng_count=cell.rng_count + 1)

@@ -27,8 +27,7 @@ from .cell import (
     READOUT_BIAS,
     BiasCondition,
     PulseSpec,
-    apply_erase_pulse,
-    apply_program_pulse,
+    apply_pulse,
     drain_current,
     fresh_cell,
     gate_voltage,
@@ -125,28 +124,24 @@ def _disturb_sweep(cfg, seed, kind: str):
     margin = 0.1 * cal.window_width
     vth_lo, vth_hi = cal.v_th_min + margin, cal.v_th_max - margin
 
+    # (v_wl, v_cg, v_d, v_s, v_eg) with the inhibiting line at each voltage
     if kind == "program":
+        pulse = PulseSpec.program(cfg)
         votes = np.arange(inh.program_bl_full, 3.0 + 1e-9, 0.125)
+        biases = [BiasCondition(1.0, 0.0, float(v), inh.program_sl_full, 4.5) for v in votes]
     else:
+        pulse = PulseSpec.erase(cfg)
         votes = np.arange(inh.erase_cg_full, inh.erase_cg_inhibit + 1e-9, 0.25)
+        biases = [BiasCondition(0.0, float(v), 0.0, 0.0, inh.erase_eg_full) for v in votes]
 
     rows = []
     trials = 25
-    for v in votes:
+    for v, bias in zip(votes, biases):
         rels = []
         for _ in range(trials):
             vth = vth_lo + rng.random() * (vth_hi - vth_lo)
             cell = fresh_cell(cfg, seed=int(rng.integers(2**62)), v_th=vth)
-            if kind == "program":
-                bias = BiasCondition(
-                    v_wl=1.0, v_cg=0.0, v_d=float(v), v_s=inh.program_sl_full, v_eg=4.5
-                )
-                after = apply_program_pulse(cell, PulseSpec.program(cfg), bias, cfg)
-            else:
-                bias = BiasCondition(
-                    v_wl=0.0, v_cg=float(v), v_d=0.0, v_s=0.0, v_eg=inh.erase_eg_full
-                )
-                after = apply_erase_pulse(cell, PulseSpec.erase(cfg), bias, cfg)
+            after = apply_pulse(cell, pulse, bias, cfg)
             before_i = drain_current(cell, READOUT_BIAS, cfg.temperature_ref, cfg)
             after_i = drain_current(after, READOUT_BIAS, cfg.temperature_ref, cfg)
             rels.append(abs(after_i / before_i - 1.0))

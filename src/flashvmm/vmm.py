@@ -21,6 +21,10 @@ from .tuning import TuneTarget
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# least net weight of a differential pair: below it w_b +- w/2 (w_b about
+# 0.34) holds w to worse than about 1e-7 and the optimized drift degrades
+W_MIN = 1.0e-9
+
 
 class PlanInfeasibleError(ValueError):
     """Raised when weight entries cannot be realized; carries (row, col) list."""
@@ -84,23 +88,26 @@ def input_gate_voltage(
     cfg: ModelConfig = DEFAULT_CONFIG,
 ) -> float:
     """Coupling-gate voltage at which the peripheral cell carries the input [V]."""
+    check_temperature(temperature)
     lo, hi = cfg.current_window
     if not (lo <= input_current <= hi):
         raise ValueError(
             f"input current {input_current:.3e} A outside the validity window "
             f"[{lo:.0e}, {hi:.0e}] A"
         )
-    p = peripheral
-    return float(gate_voltage(input_current, p.v_th, p.n_slope, p.i0, temperature))
+    return float(gate_voltage(input_current, peripheral.v_th, cfg.n, cfg.i0, temperature))
 
 
 def weight_of(
-    array_cell: CellState, peripheral: CellState, temperature: float
+    array_cell: CellState,
+    peripheral: CellState,
+    temperature: float,
+    cfg: ModelConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Current-mirror ratio set by the threshold-voltage difference."""
-    if abs(array_cell.n_slope - peripheral.n_slope) > 1e-12:
-        raise ValueError("gate-coupled cells must share the slope factor")
-    ut = peripheral.n_slope * thermal_voltage(temperature)
+    """Current-mirror ratio set by the threshold-voltage difference, at
+    the slope factor of ``cfg``."""
+    check_temperature(temperature)
+    ut = cfg.n * thermal_voltage(temperature)
     return math.exp((peripheral.v_th - array_cell.v_th) / ut)
 
 
@@ -209,6 +216,8 @@ def differential_drift_grid(
     w_plus, w_minus, temp_range, reference: float, step: float = 1.0
 ) -> np.ndarray:
     """``differential_drift`` of each (w_plus, w_minus) pair, as one array."""
+    if not (np.all(np.greater(w_plus, w_minus)) and np.all(np.greater(w_minus, 0.0))):
+        raise ValueError("w_plus must exceed w_minus, and w_minus must be > 0")
     _check_drift_scan(temp_range, reference, step)
     return _drift(w_plus, w_minus, _drift_temps(temp_range, step), reference)
 
@@ -251,7 +260,8 @@ def optimize_bias_weight(
     The objective is the maximum relative deviation of w+ - w- from its
     reference-temperature value on a 1 K grid, scanned on a coarse
     bias-weight grid and refined by golden section. The floor keeps
-    w_minus realizable within the tunable window.
+    w_minus realizable within the tunable window; a w in (0, ``W_MIN``)
+    has no feasible bias weight.
     """
     if not (0.0 <= w < 1.0):
         raise ValueError("differential construction requires 0 <= w < 1")
@@ -261,6 +271,8 @@ def optimize_bias_weight(
     if w == 0.0:
         return 0.5, 0.0
 
+    if w < W_MIN:
+        raise ValueError(f"no feasible bias weight for w={w} below {W_MIN}")
     lo = w / 2.0 + w_floor
     hi = 1.0 - w / 2.0
     if lo >= hi:

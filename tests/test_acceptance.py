@@ -14,8 +14,7 @@ from flashvmm.cell import (
     READOUT_BIAS,
     BiasCondition,
     PulseSpec,
-    apply_erase_pulse,
-    apply_program_pulse,
+    apply_pulse,
     drain_current,
     fresh_cell,
     readout_noisy,
@@ -88,12 +87,12 @@ def test_criterion_2_inhibition_property():
             # program half-select: raised bit line, negative EG-to-BL
             v_d = 2.25 + 0.75 * rng.random()
             bias = BiasCondition(v_wl=1.0, v_cg=0.0, v_d=v_d, v_s=4.5, v_eg=0.0)
-            after = apply_program_pulse(cell, PulseSpec.program(CFG), bias, CFG)
+            after = apply_pulse(cell, PulseSpec.program(CFG), bias, CFG)
             worst = max(worst, abs(standard_current(after.v_th, CFG) / before - 1.0))
 
             # erase half-select: +8 V coupling gate during the 11.5 V pulse
             bias = BiasCondition(v_wl=0.0, v_cg=8.0, v_d=0.0, v_s=0.0, v_eg=11.5)
-            after = apply_erase_pulse(cell, PulseSpec.erase(CFG), bias, CFG)
+            after = apply_pulse(cell, PulseSpec.erase(CFG), bias, CFG)
             worst = max(worst, abs(standard_current(after.v_th, CFG) / before - 1.0))
         assert worst < 0.01
     report(
@@ -133,8 +132,8 @@ def test_criterion_4_temperature_law():
     i85 = drain_current(cell, READOUT_BIAS, T_85C, CFG)
     ratio = i85 / i25
     assert ratio > 10.0
-    lhs = math.log(i85 / cell.i0)
-    rhs = math.log(i25 / cell.i0) * (T_25C / T_85C)
+    lhs = math.log(i85 / CFG.i0)
+    rhs = math.log(i25 / CFG.i0) * (T_25C / T_85C)
     assert abs(lhs / rhs - 1.0) < 1e-9
     report(
         4,

@@ -15,14 +15,14 @@ CFG = DEFAULT_CONFIG
 def bias_at(array, kind, r, c, row, col):
     """Bias of cell (r, c) during a ``kind`` pulse on (row, col)."""
     table = bias_table(kind, array.topology, array.cfg.inhibition)
-    return table[ROLES.index(array.role_of(r, c, row, col))][0]
+    return table[2 * (r != row) + (c != col)][0]
 
 
 def role_counts(array, row, col):
     counts = {role: 0 for role in ROLES}
     for r in range(array.rows):
         for c in range(array.cols):
-            counts[array.role_of(r, c, row, col)] += 1
+            counts[ROLES[2 * (r != row) + (c != col)]] += 1
     return counts
 
 

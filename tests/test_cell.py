@@ -10,13 +10,13 @@ from flashvmm.cell import (
     CellState,
     PulseKind,
     PulseSpec,
-    apply_erase_pulse,
-    apply_program_pulse,
+    apply_pulse,
     drain_current,
     fresh_cell,
     readout_noisy,
     retention_hold,
     standard_current,
+    subthreshold_current,
     vth_for_standard_current,
 )
 from flashvmm.config import DEFAULT_CONFIG, ModelConfig, NoiseParams, calibrate
@@ -31,9 +31,13 @@ QUIET_CFG = calibrate(
 )
 
 
-def small_cell(v_th=4.0, n=5.0, i0=1e-9, seed=1):
-    """Cell with i0 below the saturation clamp, for identity checks."""
-    return CellState(v_th=v_th, n_slope=n, i0=i0, noise=CFG.noise, rng_seed=seed)
+def small_current(v_cg, t, v_th=4.0, n=5.0, i0=1e-9):
+    """Current of a cell with i0 below the saturation clamp, for identity checks."""
+    return subthreshold_current(v_cg, v_th, n, i0, t, CFG.i_sat)
+
+
+def mid_cell(cfg=CFG, seed=2):
+    return fresh_cell(cfg, seed=seed, v_th=cfg.calibration.v_th_center)
 
 
 def bias_with_vcg(v_cg):
@@ -43,50 +47,47 @@ def bias_with_vcg(v_cg):
 class TestDrainCurrent:
     def test_identity_at_zero_overdrive(self):
         # v_cg = v_th makes the exponent zero at any temperature
-        cell = small_cell()
         for t in (250.0, 298.15, 358.15, 400.0):
-            assert drain_current(cell, bias_with_vcg(cell.v_th), t, CFG) == cell.i0
+            assert small_current(4.0, t) == 1e-9
 
     def test_decade_per_295_8_mv(self):
         # independent oracle: dv for one decade is n kB T ln(10) / q
         t, n = 298.15, 5.0
         dv = n * K_B * t * math.log(10.0) / Q_E
         assert dv == pytest.approx(0.295797, abs=1e-5)
-        cell = small_cell(v_th=4.0, n=n)
-        i1 = drain_current(cell, bias_with_vcg(3.0), t, CFG)
-        i2 = drain_current(cell, bias_with_vcg(3.0 + dv), t, CFG)
+        i1 = small_current(3.0, t, n=n)
+        i2 = small_current(3.0 + dv, t, n=n)
         assert i2 / i1 == pytest.approx(10.0, rel=1e-9)
 
     def test_semilog_slope_matches_configured_n(self):
         t = 298.15
-        cell = small_cell(n=5.05)
         v = np.linspace(2.0, 3.0, 9)
-        cur = [drain_current(cell, bias_with_vcg(x), t, CFG) for x in v]
+        cur = [small_current(x, t, n=5.05) for x in v]
         slope = np.polyfit(v, np.log(cur), 1)[0]
         assert slope == pytest.approx(Q_E / (5.05 * K_B * t), rel=1e-9)
 
+    def test_drain_current_follows_config_n_and_i0(self):
+        # drain_current is the subthreshold law at the config's n and i0
+        cell = fresh_cell(CFG, v_th=CFG.calibration.v_th_center)
+        t = 298.15
+        for v in np.linspace(2.0, 3.0, 9):
+            want = subthreshold_current(float(v), cell.v_th, CFG.n, CFG.i0, t, CFG.i_sat)
+            assert drain_current(cell, bias_with_vcg(float(v)), t, CFG) == want
+
     def test_temperature_scaling_identity(self):
-        cell = small_cell()
         t1, t2 = 298.15, 358.15
-        i1 = drain_current(cell, bias_with_vcg(2.0), t1, CFG)
-        i2 = drain_current(cell, bias_with_vcg(2.0), t2, CFG)
-        lhs = math.log(i2 / cell.i0)
-        rhs = math.log(i1 / cell.i0) * (t1 / t2)
+        i1 = small_current(2.0, t1)
+        i2 = small_current(2.0, t2)
+        lhs = math.log(i2 / 1e-9)
+        rhs = math.log(i1 / 1e-9) * (t1 / t2)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_monotone_in_gate_voltage_and_temperature(self):
-        cell = small_cell()
         t = 300.0
-        currents = [
-            drain_current(cell, bias_with_vcg(v), t, CFG)
-            for v in np.linspace(1.5, 3.5, 21)
-        ]
+        currents = [small_current(float(v), t) for v in np.linspace(1.5, 3.5, 21)]
         assert all(a < b for a, b in zip(currents, currents[1:]))
         # below threshold, warming raises the current
-        by_t = [
-            drain_current(cell, bias_with_vcg(2.5), tt, CFG)
-            for tt in np.linspace(260.0, 390.0, 14)
-        ]
+        by_t = [small_current(2.5, float(tt)) for tt in np.linspace(260.0, 390.0, 14)]
         assert all(a < b for a, b in zip(by_t, by_t[1:]))
 
     def test_saturation_clamp(self):
@@ -95,12 +96,12 @@ class TestDrainCurrent:
         assert hot == CFG.i_sat
 
     def test_word_line_off_gives_zero(self):
-        cell = small_cell()
+        cell = mid_cell()
         off = BiasCondition(0.5, 2.5, 1.0, 0.0, 0.0)
         assert drain_current(cell, off, 298.15, CFG) == 0.0
 
     def test_temperature_bounds(self):
-        cell = small_cell()
+        cell = mid_cell()
         for t in (200.0, 450.0):
             with pytest.raises(ValueError, match="temperature"):
                 drain_current(cell, READOUT_BIAS, t, CFG)
@@ -114,9 +115,11 @@ class TestDrainCurrent:
 
 class TestNoisyReadout:
     def test_zero_noise_equals_deterministic(self):
-        cell = CellState(4.0, 5.05, 1e-9, NoiseParams(0.0, 0.0), rng_seed=3)
-        ideal = drain_current(cell, READOUT_BIAS, 298.15, CFG)
-        assert readout_noisy(cell, READOUT_BIAS, 298.15, 16, cfg=CFG) == ideal
+        # the noise envelope is the config's
+        cell = CellState(4.0, rng_seed=3)
+        ideal = drain_current(cell, READOUT_BIAS, 298.15, QUIET_CFG)
+        assert readout_noisy(cell, READOUT_BIAS, 298.15, 16, cfg=QUIET_CFG) == ideal
+        assert readout_noisy(cell, READOUT_BIAS, 298.15, 16, cfg=CFG) != ideal
 
     def test_default_stream_repeats_on_unchanged_cell(self):
         cell = fresh_cell(CFG, seed=11, v_th=vth_for_standard_current(1e-9, CFG))
@@ -140,11 +143,7 @@ class TestNoisyReadout:
 
     def test_requires_at_least_one_sample(self):
         with pytest.raises(ValueError):
-            readout_noisy(small_cell(), READOUT_BIAS, 298.15, 0, cfg=CFG)
-
-
-def mid_cell(cfg=CFG, seed=2):
-    return fresh_cell(cfg, seed=seed, v_th=cfg.calibration.v_th_center)
+            readout_noisy(mid_cell(), READOUT_BIAS, 298.15, 0, cfg=CFG)
 
 
 def full_select_program():
@@ -159,16 +158,9 @@ class TestPulses:
     def test_zero_duration_is_identity(self):
         cell = mid_cell()
         pulse = PulseSpec(PulseKind.PROGRAM, 4.5, 0.0)
-        assert apply_program_pulse(cell, pulse, full_select_program(), CFG) is cell
+        assert apply_pulse(cell, pulse, full_select_program(), CFG) is cell
         pulse = PulseSpec(PulseKind.ERASE, 11.5, 0.0)
-        assert apply_erase_pulse(cell, pulse, full_select_erase(), CFG) is cell
-
-    def test_wrong_kind_rejected(self):
-        cell = mid_cell()
-        with pytest.raises(ValueError):
-            apply_program_pulse(cell, PulseSpec.erase(CFG), full_select_program(), CFG)
-        with pytest.raises(ValueError):
-            apply_erase_pulse(cell, PulseSpec.program(CFG), full_select_erase(), CFG)
+        assert apply_pulse(cell, pulse, full_select_erase(), CFG) is cell
 
     @pytest.mark.parametrize("field", ["duration", "amplitude"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -184,7 +176,7 @@ class TestPulses:
         cfg = QUIET_CFG
         cell = fresh_cell(cfg, v_th=cfg.calibration.v_th_center)
         before = standard_current(cell.v_th, cfg)
-        after_cell = apply_program_pulse(cell, PulseSpec.program(cfg), full_select_program(), cfg)
+        after_cell = apply_pulse(cell, PulseSpec.program(cfg), full_select_program(), cfg)
         after = standard_current(after_cell.v_th, cfg)
         expected = math.exp(
             -cfg.calibration.dv_program_nominal / (cfg.n * thermal_voltage(cfg.temperature_ref))
@@ -200,7 +192,7 @@ class TestPulses:
     def test_erase_mirrors_program(self):
         cfg = QUIET_CFG
         cell = fresh_cell(cfg, v_th=cfg.calibration.v_th_center)
-        after = apply_erase_pulse(cell, PulseSpec.erase(cfg), full_select_erase(), cfg)
+        after = apply_pulse(cell, PulseSpec.erase(cfg), full_select_erase(), cfg)
         assert after.v_th == pytest.approx(
             cell.v_th - cfg.calibration.dv_erase_nominal, rel=1e-12
         )
@@ -213,7 +205,7 @@ class TestPulses:
             cell = fresh_cell(CFG, seed=int(rng.integers(2**62)), v_th=vth)
             v_d = 0.5 + 2.5 * rng.random()
             bias = BiasCondition(1.0, 0.0, v_d, 4.5, 4.5)
-            after = apply_program_pulse(cell, PulseSpec.program(CFG), bias, CFG)
+            after = apply_pulse(cell, PulseSpec.program(CFG), bias, CFG)
             assert after.v_th >= cell.v_th
             assert cal.v_th_min <= after.v_th <= cal.v_th_max
 
@@ -222,20 +214,20 @@ class TestPulses:
         # drain raised to the inhibit level, erase-gate-to-bit-line negative
         bias = BiasCondition(v_wl=1.0, v_cg=0.0, v_d=2.25, v_s=4.5, v_eg=0.0)
         before = standard_current(cell.v_th, CFG)
-        after = apply_program_pulse(cell, PulseSpec.program(CFG), bias, CFG)
+        after = apply_pulse(cell, PulseSpec.program(CFG), bias, CFG)
         assert abs(standard_current(after.v_th, CFG) / before - 1.0) < 0.01
 
     def test_half_select_erase_disturb_below_1pct(self):
         cell = mid_cell()
         bias = BiasCondition(v_wl=0.0, v_cg=8.0, v_d=0.0, v_s=0.0, v_eg=11.5)
         before = standard_current(cell.v_th, CFG)
-        after = apply_erase_pulse(cell, PulseSpec.erase(CFG), bias, CFG)
+        after = apply_pulse(cell, PulseSpec.erase(CFG), bias, CFG)
         assert abs(standard_current(after.v_th, CFG) / before - 1.0) < 0.01
 
     def test_clamped_at_window_edges(self):
         cfg = QUIET_CFG
         cell = fresh_cell(cfg)  # programmed bound
-        after = apply_program_pulse(cell, PulseSpec.program(cfg), full_select_program(), cfg)
+        after = apply_pulse(cell, PulseSpec.program(cfg), full_select_program(), cfg)
         assert after.v_th == cfg.calibration.v_th_max
 
     def test_trajectory_is_seed_deterministic(self):
@@ -243,9 +235,9 @@ class TestPulses:
             cell = mid_cell(seed=seed)
             for k in range(10):
                 if k % 2:
-                    cell = apply_erase_pulse(cell, PulseSpec.erase(CFG), full_select_erase(), CFG)
+                    cell = apply_pulse(cell, PulseSpec.erase(CFG), full_select_erase(), CFG)
                 else:
-                    cell = apply_program_pulse(cell, PulseSpec.program(CFG), full_select_program(), CFG)
+                    cell = apply_pulse(cell, PulseSpec.program(CFG), full_select_program(), CFG)
             return cell
 
         assert run(33) == run(33)
@@ -288,8 +280,9 @@ class TestStateHelpers:
 
     def test_cell_state_invariants(self):
         with pytest.raises(ValueError):
-            CellState(4.0, 4.9, 1e-9, CFG.noise, 1)  # n out of range
-        with pytest.raises(ValueError):
-            CellState(4.0, 5.05, -1e-9, CFG.noise, 1)
-        with pytest.raises(ValueError):
-            CellState(float("inf"), 5.05, 1e-9, CFG.noise, 1)
+            CellState(float("inf"), 1)
+
+    def test_fresh_cell_checks_slope_factor(self):
+        cfg = replace(CFG, n_slope=4.9)
+        with pytest.raises(ValueError, match="n_slope"):
+            fresh_cell(cfg)

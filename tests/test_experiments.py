@@ -34,7 +34,8 @@ def test_unread_parameter_rejected_naming_key(tmp_path, eid, params, key):
 
 def test_csv_provenance_header(tmp_path):
     summary = run("fig4", tmp_path)
-    first = open(summary["csv"][0]).readline()
+    with open(summary["csv"][0]) as fh:
+        first = fh.readline()
     assert first.startswith("# flashvmm-csv v1 ")
     assert f"config_hash={config_hash(CFG)}" in first
     assert f"seed={CFG.seed}" in first

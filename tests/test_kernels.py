@@ -13,6 +13,7 @@ pinned to ``np.interp`` and to the one-element array path.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flashvmm
 import flashvmm.array as array_mod
 import flashvmm.cell as cell_mod
 import flashvmm.tuning as tuning_mod
@@ -34,7 +36,7 @@ from flashvmm.cell import (
     subthreshold_current,
 )
 from flashvmm.config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, calibrate
-from flashvmm.constants import K_B, Q_E, T_25C, T_85C, T_MAX, T_MIN, thermal_voltage
+from flashvmm.constants import K_B, Q_E, T_25C, T_85C, T_MAX, T_MIN, V_CG_READ, thermal_voltage
 from flashvmm.vmm import (
     differential_drift,
     differential_drift_grid,
@@ -90,7 +92,6 @@ def oracle_pulse(array, row, col, pulse, tally=None):
             if pulse.duration == 0.0:
                 continue
             new_vth, count, delta = pulse_shift(
-                pulse.kind,
                 float(array.v_th[r, c]),
                 int(array.rng_seeds[r, c]),
                 int(array.rng_counts[r, c]),
@@ -221,6 +222,34 @@ def test_benchmark_contract(monkeypatch):
     assert len(tuned) == len(targets) == 3
     vmm_mod.differential_multiply(array, plan, [1e-7], noisy=True, samples=4)
     assert multiplied == [{"temperature": None, "noisy": True, "samples": 4, "rng": None}]
+
+    # the workloads reach the modules as package attributes: fv.constants
+    # for the diff-program temperatures, fv.cell, fv.array, fv.tuning, fv.vmm
+    for name in ("array", "cell", "constants", "tuning", "vmm"):
+        assert getattr(flashvmm, name) is sys.modules[f"flashvmm.{name}"]
+    assert (flashvmm.constants.T_25C, flashvmm.constants.T_85C) == (T_25C, T_85C)
+
+    # mvm-noisy's dense oracle: the three-argument weight_of on cells of a
+    # config that differs from DEFAULT_CONFIG only in its seed
+    cfg = replace(DEFAULT_CONFIG, seed=7)
+    array = ArrayState.fresh(cfg, rows=2, cols=4)
+    i_ref = vmm_mod.reference_current(cfg)
+    for r in range(2):
+        pc = array.peripheral_col_for_row(r)
+        array.set_cell_current(r, pc, i_ref)
+        for c in array.array_cols:
+            array.set_cell_current(r, c, 0.3 * i_ref)
+            w = vmm_mod.weight_of(array.cell_at(r, c), array.cell_at(r, pc), cfg.temperature_ref)
+            ut = cfg.n * thermal_voltage(cfg.temperature_ref)
+            assert w == math.exp((array.v_th[r, pc] - array.v_th[r, c]) / ut)
+            assert w == pytest.approx(0.3, rel=1e-12)
+
+    # tune-ramp's check: the noiseless standard-bias current of a v_th
+    v = float(array.v_th[0, 1])
+    current = cell_mod.standard_current(v, cfg)
+    assert isinstance(current, float)
+    t = cfg.temperature_ref
+    assert current == subthreshold_current(V_CG_READ, v, cfg.n, cfg.i0, t, cfg.i_sat)
 
 
 # ------------------------------------------------------ variability stream
@@ -544,11 +573,11 @@ def grid_size(w, w_floor):
     return len(np.arange(w / 2.0 + w_floor, 1.0 - w / 2.0 + 1e-12, 1e-3))
 
 
-# (w, w_floor): a sweep over the range, tiny weights, and the top end
-# where the bias-weight grid has 3, 2 or 1 points
+# (w, w_floor): a sweep over the range, tiny weights down to W_MIN, and
+# the top end where the bias-weight grid has 3, 2 or 1 points
 SWEEP = (
     [(float(w), 0.01) for w in np.linspace(0.002, 0.98, 90)]
-    + [(1e-17, 0.01), (1e-9, 0.01), (1e-6, 0.01), (1e-4, 0.01)]
+    + [(1e-9, 0.01), (3e-9, 0.01), (1e-6, 0.01), (1e-4, 0.01)]
     + [(0.9875, 0.01), (0.9885, 0.01), (0.9895, 0.01), (0.98999, 0.01)]
     + [(float(w), 0.05) for w in np.linspace(0.01, 0.9, 12)]
     + [(0.9475, 0.05), (0.9485, 0.05), (0.9495, 0.05), (1e-3, 1e-4), (0.5, 1e-4)]
@@ -562,9 +591,8 @@ def test_pruned_scan_matches_full_grid_oracle():
     references = (T_25C, 320.0, T_85C)
     for k, (w, w_floor) in enumerate(SWEEP):
         reference = references[k % 3]
-        with np.errstate(invalid="ignore"):  # w = 1e-17: w+ == w- on the grid, whose drifts are NaN
-            got = optimize_bias_weight(w, (T_25C, T_85C), reference=reference, w_floor=w_floor)
-            want = scalar_optimize(w, (T_25C, T_85C), reference, w_floor)
+        got = optimize_bias_weight(w, (T_25C, T_85C), reference=reference, w_floor=w_floor)
+        want = scalar_optimize(w, (T_25C, T_85C), reference, w_floor)
         assert_bits_equal(np.array(got), np.array(want))
 
 

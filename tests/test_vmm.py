@@ -10,15 +10,18 @@ from flashvmm.cell import (
     CellState,
     drain_current,
     fresh_cell,
+    gate_voltage,
 )
 from flashvmm.config import DEFAULT_CONFIG, ModelConfig, NoiseParams, calibrate
 from flashvmm.constants import T_25C, T_85C, thermal_voltage
 from flashvmm.tuning import tune_array
 from flashvmm.vmm import (
+    W_MIN,
     DifferentialWeightPlan,
     PlanInfeasibleError,
     WeightMatrix,
     differential_drift,
+    differential_drift_grid,
     differential_multiply,
     golden_section_min,
     input_gate_voltage,
@@ -58,9 +61,13 @@ def set_weights(array, weights):
 
 class TestInputGateVoltage:
     def test_identity_at_prefactor(self):
+        v_th = CFG.calibration.v_th_center
+        assert gate_voltage(1e-8, v_th, CFG.n, 1e-8, 298.15) == v_th
+
+    def test_follows_config_n_and_i0(self):
         cell = fresh_cell(CFG, v_th=CFG.calibration.v_th_center)
-        cell = replace(cell, i0=1e-8)
-        assert input_gate_voltage(cell, 1e-8, 298.15, CFG) == cell.v_th
+        want = float(gate_voltage(1e-8, cell.v_th, CFG.n, CFG.i0, 298.15))
+        assert input_gate_voltage(cell, 1e-8, 298.15, CFG) == want
 
     def test_roundtrip_through_forward_model(self):
         # oracle: feeding the voltage back into the readout law recovers
@@ -78,9 +85,8 @@ class TestInputGateVoltage:
             assert abs(back / current - 1.0) < 1e-12
 
     def test_decade_step_295_8_mv(self):
-        cell = CellState(4.0, 5.0, CFG.i0, CFG.noise, rng_seed=1)
-        v1 = input_gate_voltage(cell, 1e-9, 298.15, CFG)
-        v2 = input_gate_voltage(cell, 1e-8, 298.15, CFG)
+        v1 = gate_voltage(1e-9, 4.0, 5.0, CFG.i0, 298.15)
+        v2 = gate_voltage(1e-8, 4.0, 5.0, CFG.i0, 298.15)
         assert v2 - v1 == pytest.approx(0.295797, abs=1e-5)
 
     def test_window_enforced(self):
@@ -90,11 +96,17 @@ class TestInputGateVoltage:
         with pytest.raises(ValueError, match="window"):
             input_gate_voltage(cell, 1e-11, 298.15, CFG)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 200.0, 450.0])
+    def test_temperature_outside_model_window_rejected(self, t):
+        cell = fresh_cell(CFG, v_th=CFG.calibration.v_th_center)
+        with pytest.raises(ValueError, match="temperature"):
+            input_gate_voltage(cell, 1e-8, t, CFG)
+
 
 class TestWeightOf:
     def test_equal_thresholds_give_unity_any_temperature(self):
-        a = CellState(4.1, 5.05, 1e-3, CFG.noise, 1)
-        p = CellState(4.1, 5.05, 1e-3, CFG.noise, 2)
+        a = CellState(4.1, 1)
+        p = CellState(4.1, 2)
         for t in (260.0, 298.15, 358.15, 395.0):
             assert weight_of(a, p, t) == 1.0
 
@@ -102,23 +114,23 @@ class TestWeightOf:
         # oracle: dv for w = 0.5 is -n kB T ln 2 / q, about -89.0 mV
         dv = -5.0 * thermal_voltage(298.15) * math.log(2.0)
         assert dv == pytest.approx(-0.08904, abs=2e-5)
-        p = CellState(4.0, 5.0, 1e-3, CFG.noise, 1)
-        a = CellState(4.0 - dv, 5.0, 1e-3, CFG.noise, 2)
-        assert weight_of(a, p, 298.15) == pytest.approx(0.5, rel=1e-12)
+        cfg = calibrate(ModelConfig(n_slope=5.0))
+        p = CellState(4.0, 1)
+        a = CellState(4.0 - dv, 2)
+        assert weight_of(a, p, 298.15, cfg) == pytest.approx(0.5, rel=1e-12)
 
     def test_temperature_scaling_law(self):
-        p = CellState(4.0, 5.05, 1e-3, CFG.noise, 1)
-        a = CellState(4.2, 5.05, 1e-3, CFG.noise, 2)
+        p = CellState(4.0, 1)
+        a = CellState(4.2, 2)
         w1 = weight_of(a, p, T_25C)
         w2 = weight_of(a, p, T_85C)
         assert math.log(w2) == pytest.approx(math.log(w1) * T_25C / T_85C, rel=1e-6)
         assert w2 == pytest.approx(weight_at_temperature(w1, T_25C, T_85C), rel=1e-12)
 
-    def test_slope_factor_mismatch_rejected(self):
-        a = CellState(4.0, 5.00, 1e-3, CFG.noise, 1)
-        p = CellState(4.0, 5.05, 1e-3, CFG.noise, 2)
-        with pytest.raises(ValueError, match="slope"):
-            weight_of(a, p, 298.15)
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 200.0, 450.0])
+    def test_temperature_outside_model_window_rejected(self, t):
+        with pytest.raises(ValueError, match="temperature"):
+            weight_of(CellState(4.2, 1), CellState(4.0, 2), t)
 
 
 class TestMultiply:
@@ -292,6 +304,34 @@ class TestBiasWeightOptimization:
     def test_bad_drift_step_rejected_naming_field(self, step):
         with pytest.raises(ValueError, match="step"):
             differential_drift(0.6, 0.2, (T_25C, T_85C), T_25C, step=step)
+
+    @pytest.mark.parametrize(
+        "pair", [(0.5, 0.5), (0.4, 0.5), (0.5, 0.0), (0.5, -0.1), (math.nan, 0.2), (0.5, math.nan)]
+    )
+    def test_drift_needs_w_plus_above_positive_w_minus(self, pair):
+        # w+ == w- used to return NaN with only a RuntimeWarning
+        with pytest.raises(ValueError, match="w_plus"):
+            differential_drift(*pair, (T_25C, T_85C), T_25C)
+        with pytest.raises(ValueError, match="w_plus"):
+            differential_drift_grid([0.6, pair[0]], [0.2, pair[1]], (T_25C, T_85C), T_25C)
+
+    @pytest.mark.parametrize("w", [W_MIN / 10, 1e-11, 1e-15, 1e-17])
+    def test_weight_below_w_min_infeasible(self, w):
+        # w_b +- w/2 no longer holds w: at 1e-15 the optimizer reported a
+        # drift of 0.111, and at 1e-17 planned w+ == w- with drift 2.0
+        with pytest.raises(ValueError, match="no feasible bias weight"):
+            optimize_bias_weight(w, (T_25C, T_85C))
+        array = centered_array(rows=1, cols=4)
+        with pytest.raises(PlanInfeasibleError) as info:
+            plan_differential([[w]], (T_25C, T_85C), array)
+        assert info.value.entries == [(0, 0)]
+
+    def test_small_weights_keep_the_optimum(self):
+        # down to W_MIN the optimized drift stays at its small-w limit
+        for w in [10.0**-k for k in range(3, 10)] + [W_MIN]:
+            w_b, drift = optimize_bias_weight(w, (T_25C, T_85C))
+            assert drift == pytest.approx(0.0028544, abs=1e-7), w
+            assert w_b == pytest.approx(0.340474, abs=1e-6), w
 
     def test_golden_section_helper(self):
         x, fx = golden_section_min(lambda x: (x - 2.0) ** 2 + 1.0, 0.0, 5.0)
