@@ -30,7 +30,6 @@ from .config import (
     CalibrationError,
     ModelConfig,
     NoiseParams,
-    calibrate,
     config_hash,
     load_config,
     save_config,

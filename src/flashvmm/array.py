@@ -25,7 +25,6 @@ from .cell import (
     CellState,
     PulseKind,
     PulseSpec,
-    check_n_slope,
     pulse_law,
     pulse_shift,  # noqa: F401  module attribute that tracing tools wrap
     readout,
@@ -190,8 +189,7 @@ class ArrayState:
     def __init__(self, cfg, topology, v_th, seeds, counts):
         if topology not in ("modified", "original"):
             raise ValueError("topology must be 'modified' or 'original'")
-        cal = cfg.require_calibration()
-        check_n_slope(cfg.n)  # the config is frozen, so reads need not repeat it
+        cal = cfg.calibration
         if not np.all((v_th >= cal.v_th_min) & (v_th <= cal.v_th_max)):  # also rejects NaN
             raise ValueError(f"v_th must lie in [{cal.v_th_min!r}, {cal.v_th_max!r}] V")
         for name, grid in (("seeds", seeds), ("counts", counts)):
@@ -225,7 +223,9 @@ class ArrayState:
         """
         require_count("rows", rows)
         require_count("cols", cols)
-        cal = cfg.require_calibration()
+        if initial not in ("programmed", "erased", "center"):
+            raise ValueError(f"initial must be programmed, erased or center, got {initial!r}")
+        cal = cfg.calibration
         start = {
             "programmed": cal.v_th_max,
             "erased": cal.v_th_min,
@@ -282,7 +282,7 @@ class ArrayState:
     def set_cell_current(self, row: int, col: int, current: float) -> None:
         """Place a cell's v_th to read ``current`` at standard bias (clamped)."""
         self._check_target(row, col)
-        cal = self.cfg.require_calibration()
+        cal = self.cfg.calibration
         v = vth_for_standard_current(current, self.cfg)
         self.v_th[row, col] = min(max(v, cal.v_th_min), cal.v_th_max)
 
@@ -432,7 +432,7 @@ class ArrayState:
         records = lines[4:]
         if len(records) != rows * cols:
             raise error(len(lines), f"{len(records)} cell records, expected {rows * cols}")
-        cal = cfg.require_calibration()
+        cal = cfg.calibration
         v_th = np.empty((rows, cols))
         seeds = np.empty((rows, cols), dtype=np.int64)
         counts = np.empty((rows, cols), dtype=np.int64)

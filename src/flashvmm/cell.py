@@ -109,17 +109,11 @@ class CellState:
             raise ValueError("v_th must be finite")
 
 
-def check_n_slope(n_slope: float) -> None:
-    if not (5.0 <= n_slope <= 5.1):
-        raise ValueError("n_slope must lie in [5.0, 5.1]")
-
-
 def fresh_cell(
     cfg: ModelConfig = DEFAULT_CONFIG, seed: int = 0, v_th: float = None
 ) -> CellState:
     """New cell at the given threshold (default: fully programmed)."""
-    cal = cfg.require_calibration()
-    check_n_slope(cfg.n)
+    cal = cfg.calibration
     if v_th is None:
         v_th = cal.v_th_max
     v_th = min(max(v_th, cal.v_th_min), cal.v_th_max)
@@ -256,7 +250,7 @@ def pulse_law(pulse: PulseSpec, cfg: ModelConfig):
     relative to the configured nominals. Program pulses raise v_th up to
     the window top, erase pulses lower it down to the window bottom.
     """
-    cal = cfg.require_calibration()
+    cal = cfg.calibration
     p = cfg.pulse
     if pulse.kind is PulseKind.PROGRAM:
         scale = (pulse.duration / p.program_duration) * (
@@ -534,7 +528,7 @@ def retention_hold(
     check_temperature(temperature)
     if duration == 0.0 or not cfg.retention.random_walk:
         return cell
-    cal = cfg.require_calibration()
+    cal = cfg.calibration
     current = drain_current(cell, READOUT_BIAS, temperature, cfg)
     sigma_rel = (
         cfg.retention.sigma_scale

@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace as dc_replace
 
 from .array import ArrayState
-from .config import DEFAULT_CONFIG, calibrate, config_hash, load_config, save_config
+from .config import DEFAULT_CONFIG, config_hash, load_config, save_config
 from .experiments import EXPERIMENT_IDS, ExperimentSpec, run_experiment, write_csv
 from .tuning import load_campaign, results_to_csv, run_campaign, tune_array
 from .vmm import (
@@ -26,17 +26,15 @@ from .tuning import TuneTarget
 
 
 def _load_cfg(args):
-    cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
-    if getattr(args, "seed", None) is not None:
-        cfg = dc_replace(cfg, seed=int(args.seed))
-    if not cfg.calibrated:
-        cfg = calibrate(cfg)
-    return cfg
+    seed = getattr(args, "seed", None)
+    if args.config:
+        # the override must precede the n_slope resolution that it seeds
+        return load_config(args.config, seed=seed)
+    return DEFAULT_CONFIG if seed is None else dc_replace(DEFAULT_CONFIG, seed=int(seed))
 
 
 def _cmd_calibrate(args):
     cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
-    cfg = calibrate(cfg)
     save_config(cfg, args.out)
     print(f"calibrated config written to {args.out} (hash {config_hash(cfg)})")
 
@@ -119,8 +117,6 @@ def _cmd_multiply(args):
 
 def _cmd_experiment(args):
     cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
-    if not cfg.calibrated:
-        cfg = calibrate(cfg)
     params = {}
     for item in args.param or []:
         key, sep, value = item.partition("=")

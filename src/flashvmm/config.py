@@ -1,15 +1,16 @@
 """Model configuration: parameter blocks, YAML round-trip, calibration.
 
-A config is usable by the simulator once it carries a ``Calibration``
-block (threshold-voltage window and nominal per-pulse shifts). The
-``calibrate`` function derives that block from the base parameters and
-verifies the feasibility targets; it is idempotent.
+Building a ``ModelConfig`` resolves its slope factor and derives its
+``Calibration`` block (threshold-voltage window and nominal per-pulse
+shifts) from the other fields, verifying the feasibility targets. Every
+config is therefore calibrated, and ``replace`` re-derives the block.
 """
 
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -23,8 +24,15 @@ class CalibrationError(ValueError):
 
 def require_positive(name: str, value) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is finite and > 0."""
-    if not (0.0 < value < math.inf):  # also rejects NaN
+    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):  # also rejects NaN
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def require_finite(name: str, value, low: float = -math.inf) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a finite real >= ``low``."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= low):
+        bound = "" if low == -math.inf else f" >= {low}"
+        raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
 def require_count(name: str, value, low: int = 1) -> None:
@@ -89,10 +97,10 @@ class PulseDefaults:
     variability_sigma: float = 0.30  # lognormal sigma of the per-pulse shift
 
     def __post_init__(self):
-        if self.program_duration < 0 or self.erase_duration < 0:
-            raise ValueError("pulse durations must be >= 0")
-        if self.variability_sigma < 0:
-            raise ValueError("variability_sigma must be >= 0")
+        # nominal amplitudes and durations divide a pulse's own in pulse_law
+        for name in ("program_amplitude", "program_duration", "erase_amplitude", "erase_duration"):
+            require_positive(name, getattr(self, name))
+        require_finite("variability_sigma", self.variability_sigma, 0.0)
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,8 @@ class InhibitionParams:
     erase_cg_inhibit: float = 8.0  # unselected rows' coupling gates [V]
 
     def __post_init__(self):
+        for f in fields(self):
+            require_finite(f.name, getattr(self, f.name))
         if not (0.0 < self.floor < 1.0):
             raise ValueError("inhibition floor must be in (0, 1)")
 
@@ -130,10 +140,13 @@ class RetentionParams:
     random_walk: bool = False
     sigma_scale: float = 1.0
 
+    def __post_init__(self):
+        require_finite("sigma_scale", self.sigma_scale, 0.0)
+
 
 @dataclass(frozen=True)
 class Calibration:
-    """Derived quantities; produced by ``calibrate``."""
+    """Derived quantities; ``ModelConfig`` builds its own."""
 
     v_th_min: float  # [V], fully-erased bound (highest current)
     v_th_max: float  # [V], fully-programmed bound (lowest current)
@@ -159,7 +172,7 @@ class Calibration:
 class ModelConfig:
     seed: int = 12345
     i0: float = 1.0e-3  # effective prefactor [A]
-    n_slope: object = (5.0, 5.1)  # scalar, or (lo, hi) resolved by calibrate
+    n_slope: object = (5.0, 5.1)  # scalar, or (lo, hi) resolved from seed
     i_sat: float = 1.0e-6  # saturation ceiling [A]
     wl_on_threshold: float = 1.0  # word-line pass switch [V]
     temperature_ref: float = T_25C  # [K]
@@ -169,65 +182,59 @@ class ModelConfig:
     noise: NoiseParams = field(default_factory=NoiseParams)
     inhibition: InhibitionParams = field(default_factory=InhibitionParams)
     retention: RetentionParams = field(default_factory=RetentionParams)
-    calibration: Calibration = None
+    calibration: Calibration = field(init=False)
 
     def __post_init__(self):
         require_count("seed", self.seed, 0)
         for name in ("i0", "i_sat", "temperature_ref"):
             require_positive(name, getattr(self, name))
+        require_finite("wl_on_threshold", self.wl_on_threshold)
         lo, hi = self.current_window
         if not (0.0 < lo < hi):
             raise ValueError("current_window must be positive and ordered")
         if self.i_sat < hi:
             raise ValueError("i_sat must be at or above the current window top")
+        n = _resolve_n_slope(self.n_slope, self.seed)
+        if not (5.0 <= n <= 5.1):
+            raise CalibrationError(f"n_slope must lie in [5.0, 5.1], got {n!r}")
+        object.__setattr__(self, "n_slope", n)
+        object.__setattr__(self, "calibration", _derive_calibration(self))
 
     @property
     def n(self) -> float:
-        """Resolved slope factor; requires a calibrated config."""
-        if not isinstance(self.n_slope, (int, float)):
-            raise ValueError("n_slope range not resolved; run calibrate() first")
-        return float(self.n_slope)
-
-    @property
-    def calibrated(self) -> bool:
-        return self.calibration is not None
-
-    def require_calibration(self) -> Calibration:
-        if self.calibration is None:
-            raise ValueError("config is not calibrated; run calibrate() first")
-        return self.calibration
+        """Slope factor, resolved from ``n_slope`` when the config was built."""
+        return self.n_slope
 
 
-def _resolve_n_slope(cfg: ModelConfig) -> float:
-    if isinstance(cfg.n_slope, (int, float)):
-        return float(cfg.n_slope)
-    lo, hi = (float(v) for v in cfg.n_slope)
+def _resolve_n_slope(n_slope, seed: int) -> float:
+    if isinstance(n_slope, numbers.Real):
+        return float(n_slope)
+    try:
+        lo, hi = (float(v) for v in n_slope)
+    except (TypeError, ValueError):
+        raise CalibrationError(f"n_slope must be a number or a (lo, hi) pair, got {n_slope!r}") from None
     if not (lo <= hi):
         raise CalibrationError("n_slope range must be ordered")
-    u = np.random.default_rng((int(cfg.seed), 0x6E)).random()
+    u = np.random.default_rng((int(seed), 0x6E)).random()
     return lo + u * (hi - lo)
 
 
-def calibrate(cfg: ModelConfig) -> ModelConfig:
+def _derive_calibration(cfg: ModelConfig) -> Calibration:
     """Derive the threshold window and nominal pulse shifts.
 
     Solves for the v_th window that maps the tunable current range onto
     the standard readout bias at the reference temperature, sizes the
     nominal per-pulse shift for a full-window traversal in
     ``traversal_pulses`` pulses, and verifies the >10x warm-up ratio of
-    a 1 nA cell between 25 and 85 C. Idempotent: calibrating an already
-    calibrated config returns an equal config.
+    a 1 nA cell between 25 and 85 C.
     """
-    n = _resolve_n_slope(cfg)
-    if not (5.0 <= n <= 5.1):
-        raise CalibrationError(f"slope factor {n:.4f} outside [5.0, 5.1]")
     if not (20 <= cfg.traversal_pulses <= 60):
         raise CalibrationError(
             f"traversal_pulses={cfg.traversal_pulses} outside the 20..60 design range"
         )
 
     i_lo, i_hi = cfg.current_window
-    ut = n * thermal_voltage(cfg.temperature_ref)
+    ut = cfg.n * thermal_voltage(cfg.temperature_ref)
     v_th_max = V_CG_READ - ut * math.log(i_lo / cfg.i0)
     v_th_min = V_CG_READ - ut * math.log(i_hi / cfg.i0)
     if v_th_min <= V_CG_READ:
@@ -247,13 +254,12 @@ def calibrate(cfg: ModelConfig) -> ModelConfig:
             "for a 1 nA cell; increase i0"
         )
 
-    cal = Calibration(
+    return Calibration(
         v_th_min=v_th_min,
         v_th_max=v_th_max,
         dv_program_nominal=dv,
         dv_erase_nominal=dv,
     )
-    return replace(cfg, n_slope=n, calibration=cal)
 
 
 # ---------------------------------------------------------------- file I/O
@@ -261,8 +267,6 @@ def calibrate(cfg: ModelConfig) -> ModelConfig:
 def _to_plain(cfg: ModelConfig) -> dict:
     d = asdict(cfg)
     d["current_window"] = list(cfg.current_window)
-    if not isinstance(cfg.n_slope, (int, float)):
-        d["n_slope"] = list(cfg.n_slope)
     return d
 
 
@@ -272,48 +276,55 @@ def config_hash(cfg: ModelConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def load_config(path) -> ModelConfig:
+def load_config(path, seed: int = None) -> ModelConfig:
+    """Config from a YAML file; ``seed``, when given, replaces the file's
+    seed before an ``n_slope`` range is resolved from it."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh) or {}
+    if seed is not None:
+        raw = dict(known_keys(ModelConfig, raw, "config"), seed=seed)
     return config_from_dict(raw)
 
 
 def config_from_dict(raw: dict) -> ModelConfig:
-    """Config from plain data; an unknown key, at any level, is a ValueError naming it."""
+    """Config from plain data; an unknown key, at any level, is a ValueError naming it.
+
+    So is a ``calibration`` block that differs from the derived one by a bit.
+    """
     kwargs = dict(known_keys(ModelConfig, raw, "config"))
+    saved = kwargs.pop("calibration", None)
     for key, cls in (
         ("pulse", PulseDefaults),
         ("noise", NoiseParams),
         ("inhibition", InhibitionParams),
         ("retention", RetentionParams),
-        ("calibration", Calibration),
     ):
         if kwargs.get(key) is not None:
             kwargs[key] = cls(**known_keys(cls, kwargs[key], key))
     if "current_window" in kwargs:
         kwargs["current_window"] = tuple(kwargs["current_window"])
-    if isinstance(kwargs.get("n_slope"), list):
-        kwargs["n_slope"] = tuple(kwargs["n_slope"])
-    return ModelConfig(**kwargs)
+    cfg = ModelConfig(**kwargs)
+    if saved is not None and known_keys(Calibration, saved, "calibration") != asdict(cfg.calibration):
+        raise ValueError("calibration block differs from the one derived from the config")
+    return cfg
 
 
 def save_config(cfg: ModelConfig, path) -> None:
     """Write the config as YAML; derived fields carry provenance comments."""
     d = _to_plain(cfg)
-    cal = d.pop("calibration", None)
+    cal = d.pop("calibration")
     text = yaml.safe_dump(d, sort_keys=True, default_flow_style=None)
-    if cal is not None:
-        lines = [
-            "calibration:",
-            "  # derived by calibrate(): window maps current_window onto the",
-            "  # standard readout bias at temperature_ref; dv nominals give a",
-            f"  # full-window traversal in {cfg.traversal_pulses} pulses",
-        ]
-        for key in ("v_th_min", "v_th_max", "dv_program_nominal", "dv_erase_nominal"):
-            lines.append(f"  {key}: {cal[key]!r}")
-        text += "\n".join(lines) + "\n"
+    lines = [
+        "calibration:",
+        "  # derived from the keys above and checked on load: window maps",
+        "  # current_window onto the standard readout bias at temperature_ref;",
+        f"  # dv nominals give a full-window traversal in {cfg.traversal_pulses} pulses",
+    ]
+    for key in ("v_th_min", "v_th_max", "dv_program_nominal", "dv_erase_nominal"):
+        lines.append(f"  {key}: {cal[key]!r}")
+    text += "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-DEFAULT_CONFIG = calibrate(ModelConfig())
+DEFAULT_CONFIG = ModelConfig()

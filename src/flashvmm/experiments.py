@@ -118,7 +118,7 @@ def extract_slope_factor(v_cg, current, temperature: float) -> float:
 
 def _disturb_sweep(cfg, seed, kind: str):
     """Per-pulse half-select disturbance vs the inhibiting voltage."""
-    cal = cfg.require_calibration()
+    cal = cfg.calibration
     inh = cfg.inhibition
     rng = np.random.default_rng((seed, 0x316A if kind == "program" else 0x316B))
     margin = 0.1 * cal.window_width
@@ -176,7 +176,7 @@ def _run_fig3(spec, seed, out_dir, kind: str):
 
 def _run_fig4(spec, seed, out_dir):
     cfg = spec.cfg
-    cal = cfg.require_calibration()
+    cal = cfg.calibration
     t = cfg.temperature_ref
     n_states = 15
     vths = np.linspace(cal.v_th_min, cal.v_th_max, n_states)
@@ -255,7 +255,7 @@ def _run_fig5(spec, seed, out_dir):
 
 def _run_fig6(spec, seed, out_dir):
     cfg = spec.cfg
-    cal = cfg.require_calibration()
+    cal = cfg.calibration
     vths = np.linspace(cal.v_th_min, cal.v_th_max, 8)
     temps = np.arange(T_25C, T_85C + 1e-9, 2.5)
 
@@ -472,7 +472,6 @@ _RUNNERS = {
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Regenerate the named dataset; returns csv paths and headline metrics."""
-    spec.cfg.require_calibration()
     seed = spec.cfg.seed if spec.seed is None else int(spec.seed)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

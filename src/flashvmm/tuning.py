@@ -59,7 +59,7 @@ def tune_cell(array: ArrayState, target: TuneTarget, budget: int) -> TuneResult:
     """
     require_count("budget", budget)
     cfg = array.cfg
-    cal = cfg.require_calibration()
+    cal = cfg.calibration
     lo, hi = cfg.current_window
     if not (lo <= target.target_current <= hi):
         raise ValueError(
@@ -167,6 +167,9 @@ def ramp_targets(array: ArrayState, lo: float, hi: float, precision: float) -> l
 
 # ---------------------------------------------------------- campaign I/O
 
+_TARGET_KEYS = {"uniform": ("current",), "ramp": ("lo", "hi"), "explicit": ("cells",)}
+
+
 @dataclass(frozen=True)
 class TuningCampaign:
     rows: int = 10
@@ -186,6 +189,22 @@ class TuningCampaign:
             raise ValueError(
                 f"campaign initial must be programmed, erased or center, got {self.initial!r}"
             )
+        if self.targets:
+            if not isinstance(self.targets, dict):
+                raise ValueError(
+                    f"campaign targets must be a mapping, got {type(self.targets).__name__}"
+                )
+            kind = self.targets.get("kind", "explicit")
+            keys = _TARGET_KEYS.get(kind) if isinstance(kind, str) else None
+            if keys is None:
+                raise ValueError(
+                    f"campaign targets kind must be uniform, ramp or explicit, got {kind!r}"
+                )
+            if set(self.targets) - {"kind"} != set(keys):
+                raise ValueError(
+                    f"campaign targets of kind {kind} take key(s) {', '.join(keys)}, "
+                    f"got {', '.join(sorted(map(str, self.targets)))}"
+                )
 
 
 def load_campaign(path) -> TuningCampaign:
@@ -203,12 +222,10 @@ def campaign_targets(campaign: TuningCampaign, array: ArrayState) -> list:
         return ramp_targets(
             array, float(spec["lo"]), float(spec["hi"]), campaign.precision
         )
-    if kind == "explicit":
-        return [
-            TuneTarget(int(r), int(c), float(cur), campaign.precision)
-            for r, c, cur in spec["cells"]
-        ]
-    raise ValueError(f"unknown target kind {kind!r}")
+    return [
+        TuneTarget(int(r), int(c), float(cur), campaign.precision)
+        for r, c, cur in spec["cells"]
+    ]
 
 
 def run_campaign(cfg: ModelConfig, campaign: TuningCampaign):

@@ -114,7 +114,7 @@ def weight_of(
 def _check_peripherals(array: ArrayState) -> np.ndarray:
     """v_th of each row's peripheral cell; raises if one sits at a window bound."""
     rows, per_cols, _ = array.io_layout
-    cal = array.cfg.require_calibration()
+    cal = array.cfg.calibration
     v = array.v_th[rows, per_cols]
     lo, hi = cal.v_th_min + 1e-9, cal.v_th_max - 1e-9
     if not (lo < v.min() and v.max() < hi):  # NaN fails too
@@ -253,7 +253,6 @@ def optimize_bias_weight(
     temp_range,
     reference: float = None,
     w_floor: float = 0.01,
-    cfg: ModelConfig = DEFAULT_CONFIG,
 ):
     """Bias weight minimizing worst-case differential drift; returns (w_b, drift).
 
@@ -407,7 +406,7 @@ def plan_differential(
                 continue
             try:
                 w_b[r, m], drift[r, m] = optimize_bias_weight(
-                    w, temp_range, reference=t0, w_floor=w_floor, cfg=cfg
+                    w, temp_range, reference=t0, w_floor=w_floor
                 )
             except ValueError:
                 bad.append((r, m))

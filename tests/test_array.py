@@ -6,7 +6,7 @@ import pytest
 
 from flashvmm.array import ROLES, ArrayState, bias_table
 from flashvmm.cell import PulseKind, PulseSpec, drain_current, readout_noisy, READOUT_BIAS
-from flashvmm.config import DEFAULT_CONFIG, ModelConfig, calibrate
+from flashvmm.config import DEFAULT_CONFIG, ModelConfig
 from flashvmm.constants import V_MAX_ABS
 
 CFG = DEFAULT_CONFIG
@@ -115,6 +115,10 @@ class TestSchemes:
         with pytest.raises(ValueError, match=field):
             ArrayState.fresh(CFG, **{field: True})
 
+    def test_unknown_initial_rejected_naming_field(self):
+        with pytest.raises(ValueError, match="initial must be programmed, erased or center"):
+            ArrayState.fresh(CFG, rows=2, cols=3, initial="bogus")
+
     def test_numpy_integer_size_accepted(self):
         array = ArrayState.fresh(CFG, rows=np.int64(2), cols=np.int32(3))
         assert array.v_th.shape == (2, 3)
@@ -139,9 +143,8 @@ class TestSchemes:
             ArrayState(CFG, "modified", **grids)
 
     def test_constructor_checks_slope_factor_once(self):
-        cfg = replace(CFG, n_slope=5.2)
         with pytest.raises(ValueError, match="n_slope"):
-            ArrayState.fresh(cfg, rows=2, cols=3)
+            ArrayState.fresh(replace(CFG, n_slope=5.2), rows=2, cols=3)
 
     @pytest.mark.parametrize("current", [float("nan"), float("inf"), 0.0, -1e-9])
     def test_set_cell_current_rejects_bad_current(self, current):
@@ -327,7 +330,7 @@ class TestPersistence:
         array = ArrayState.fresh(CFG, rows=1, cols=1)
         path = tmp_path / "array.txt"
         array.save(path)
-        other = calibrate(ModelConfig(seed=4242))
+        other = ModelConfig(seed=4242)
         with pytest.raises(ValueError, match="config"):
             ArrayState.load(path, other)
 

@@ -19,15 +19,13 @@ from flashvmm.cell import (
     subthreshold_current,
     vth_for_standard_current,
 )
-from flashvmm.config import DEFAULT_CONFIG, ModelConfig, NoiseParams, calibrate
+from flashvmm.config import DEFAULT_CONFIG, ModelConfig, NoiseParams
 from flashvmm.constants import K_B, Q_E, thermal_voltage
 
 CFG = DEFAULT_CONFIG
-QUIET_CFG = calibrate(
-    ModelConfig(
-        noise=NoiseParams(sigma_low=0.0, sigma_high=0.0),
-        pulse=replace(ModelConfig().pulse, variability_sigma=0.0),
-    )
+QUIET_CFG = ModelConfig(
+    noise=NoiseParams(sigma_low=0.0, sigma_high=0.0),
+    pulse=replace(ModelConfig().pulse, variability_sigma=0.0),
 )
 
 
@@ -254,9 +252,7 @@ class TestRetention:
         assert retention_hold(cell, 86400.0, 358.15, CFG) is cell
 
     def test_random_walk_bounded_by_noise_envelope(self):
-        cfg = calibrate(
-            ModelConfig(retention=replace(ModelConfig().retention, random_walk=True))
-        )
+        cfg = ModelConfig(retention=replace(ModelConfig().retention, random_walk=True))
         worst = 0.0
         for seed in range(50):
             cell = fresh_cell(cfg, seed=seed, v_th=vth_for_standard_current(1e-8, cfg))
@@ -283,6 +279,5 @@ class TestStateHelpers:
             CellState(float("inf"), 1)
 
     def test_fresh_cell_checks_slope_factor(self):
-        cfg = replace(CFG, n_slope=4.9)
         with pytest.raises(ValueError, match="n_slope"):
-            fresh_cell(cfg)
+            fresh_cell(replace(CFG, n_slope=4.9))

@@ -9,14 +9,14 @@ import pytest
 import yaml
 
 from flashvmm.cli import main
-from flashvmm.config import load_config
+from flashvmm.config import DEFAULT_CONFIG, load_config
 
 
 def test_calibrate_writes_loadable_config(tmp_path):
     out = tmp_path / "cal.yaml"
     assert main(["calibrate", "--out", str(out)]) == 0
     cfg = load_config(out)
-    assert cfg.calibrated
+    assert cfg == DEFAULT_CONFIG
     # idempotent: calibrating the calibrated file reproduces it
     out2 = tmp_path / "cal2.yaml"
     assert main(["calibrate", "--config", str(out), "--out", str(out2)]) == 0
@@ -103,6 +103,16 @@ def test_state_init_and_info(tmp_path, capsys):
     assert main(["state", "info", str(state)]) == 0
     out = capsys.readouterr().out
     assert "3x4 modified array" in out
+
+
+def test_seed_override_resolves_the_slope_factor_range(tmp_path):
+    # --seed replaces the file's seed before n_slope is resolved from it
+    base = tmp_path / "base.yaml"
+    base.write_text("seed: 12345\nn_slope: [5.0, 5.1]\n")
+    state = tmp_path / "arr.txt"
+    argv = ["state", "init", "--config", str(base), "--seed", "5", "--rows", "2", "--cols", "3"]
+    assert main(argv + ["--out", str(state)]) == 0
+    assert "config_hash=73fbe4e2e6f1" in state.read_text().splitlines()[2]
 
 
 def test_state_info_on_truncated_file_fails(tmp_path, capsys):

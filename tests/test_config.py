@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from flashvmm.config import (
     DEFAULT_CONFIG,
     CalibrationError,
+    InhibitionParams,
     ModelConfig,
     NoiseParams,
-    calibrate,
+    PulseDefaults,
+    RetentionParams,
     config_from_dict,
     config_hash,
     load_config,
@@ -56,47 +60,89 @@ def test_calibration_resolves_slope_factor_in_range():
 
 
 def test_calibration_idempotent():
-    once = calibrate(ModelConfig())
-    twice = calibrate(once)
+    once = ModelConfig()
+    twice = replace(once)  # rebuilt from the resolved slope factor
     assert once == twice
     assert config_hash(once) == config_hash(twice)
+
+
+def test_default_config_is_a_built_config():
+    assert ModelConfig() == DEFAULT_CONFIG
+    assert config_hash(DEFAULT_CONFIG) == "5ab6d51e7a77"
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1, 2**63 - 1])
+def test_seed_replace_keeps_slope_factor_and_calibration(seed):
+    cfg = replace(DEFAULT_CONFIG, seed=seed)
+    assert cfg.n == DEFAULT_CONFIG.n
+    assert cfg.calibration == DEFAULT_CONFIG.calibration
+
+
+def test_replace_rederives_calibration():
+    slow = replace(DEFAULT_CONFIG, traversal_pulses=30)
+    assert slow.calibration.dv_program_nominal == pytest.approx(0.03989, abs=1e-5)
+    assert slow.calibration.dv_program_nominal == slow.calibration.window_width / 30
+    narrow = replace(DEFAULT_CONFIG, current_window=(1e-9, 1e-6))
+    assert narrow.calibration.v_th_max == pytest.approx(4.295, abs=1e-3)
+    assert narrow.calibration.v_th_min == DEFAULT_CONFIG.calibration.v_th_min
 
 
 def test_calibration_rejects_infeasible_prefactor():
     # i0 = 0.1 mA keeps the window valid but the 1 nA warm-up ratio at ~6.9x
     with pytest.raises(CalibrationError, match="temperature-ratio"):
-        calibrate(ModelConfig(i0=1e-4))
+        ModelConfig(i0=1e-4)
     with pytest.raises(CalibrationError, match="prefactor regime"):
-        calibrate(ModelConfig(i0=1e-8, current_window=(1e-12, 1e-8), i_sat=1e-8))
+        ModelConfig(i0=1e-8, current_window=(1e-12, 1e-8), i_sat=1e-8)
 
 
 def test_calibration_rejects_traversal_outside_design_range():
     with pytest.raises(CalibrationError, match="traversal"):
-        calibrate(ModelConfig(traversal_pulses=5))
-
-
-def test_unresolved_slope_factor_blocks_use():
-    cfg = ModelConfig()
-    with pytest.raises(ValueError, match="resolved"):
-        _ = cfg.n
-    with pytest.raises(ValueError, match="calibrated"):
-        cfg.require_calibration()
+        ModelConfig(traversal_pulses=5)
 
 
 def test_yaml_roundtrip(tmp_path):
-    cfg = calibrate(ModelConfig(seed=777, traversal_pulses=30))
+    cfg = ModelConfig(seed=777, traversal_pulses=30)
     path = tmp_path / "cfg.yaml"
     save_config(cfg, path)
     loaded = load_config(path)
     assert loaded == cfg
     assert config_hash(loaded) == config_hash(cfg)
     text = path.read_text()
-    assert "derived by calibrate()" in text  # provenance comment survives
+    assert "derived from the keys above" in text  # provenance comment survives
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda cal: cal.update(v_th_max=cal["v_th_max"] + 1e-12), id="value"),
+        pytest.param(lambda cal: cal.pop("dv_erase_nominal"), id="missing_key"),
+        pytest.param(lambda cal: cal.update(dv_program_nominal=math.nan), id="nan"),
+    ],
+)
+def test_edited_calibration_block_rejected(tmp_path, edit):
+    path = tmp_path / "cfg.yaml"
+    save_config(DEFAULT_CONFIG, path)
+    raw = yaml.safe_load(path.read_text())
+    edit(raw["calibration"])
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ValueError, match="calibration"):
+        load_config(path)
+
+
+def test_stale_calibration_block_rejected(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    save_config(DEFAULT_CONFIG, path)
+    text = path.read_text().replace("traversal_pulses: 20", "traversal_pulses: 30")
+    path.write_text(text)
+    with pytest.raises(ValueError, match="calibration"):
+        load_config(path)
+    path.write_text(text.split("calibration:")[0])  # without the block it loads
+    assert load_config(path) == replace(DEFAULT_CONFIG, traversal_pulses=30)
 
 
 def test_config_hash_tracks_parameters():
-    base = calibrate(ModelConfig())
-    other = calibrate(ModelConfig(seed=999))
+    base = ModelConfig()
+    other = ModelConfig(seed=999)
     assert config_hash(base) != config_hash(other)
 
 
@@ -108,10 +154,39 @@ def test_current_window_validation():
 
 
 @pytest.mark.parametrize("name", ["i0", "i_sat", "temperature_ref"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, "1e-3"])
 def test_non_finite_or_negative_scalars_rejected_naming_field(name, value):
     with pytest.raises(ValueError, match=name):
         ModelConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    [
+        (ModelConfig, "wl_on_threshold", math.nan),
+        (ModelConfig, "wl_on_threshold", -math.inf),
+        (ModelConfig, "n_slope", math.nan),
+        (ModelConfig, "n_slope", 4.9),
+        (ModelConfig, "n_slope", (5.1, 5.0)),
+        (ModelConfig, "n_slope", "steep"),
+        (ModelConfig, "n_slope", None),
+        (PulseDefaults, "program_amplitude", math.nan),
+        (PulseDefaults, "erase_amplitude", math.inf),
+        (PulseDefaults, "program_duration", math.nan),
+        (PulseDefaults, "erase_duration", 0.0),
+        (PulseDefaults, "variability_sigma", math.nan),
+        (PulseDefaults, "variability_sigma", -0.1),
+        (InhibitionParams, "program_bl_inhibit", math.nan),
+        (InhibitionParams, "erase_cg_inhibit", math.inf),
+        (InhibitionParams, "erase_eg_off", math.nan),
+        (RetentionParams, "sigma_scale", math.nan),
+        (RetentionParams, "sigma_scale", -1.0),
+    ],
+    ids=repr,
+)
+def test_bad_block_value_rejected_naming_field(cls, name, value):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: value})
 
 
 @pytest.mark.parametrize(

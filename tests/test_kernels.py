@@ -35,7 +35,7 @@ from flashvmm.cell import (
     stream_normals,
     subthreshold_current,
 )
-from flashvmm.config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, calibrate
+from flashvmm.config import DEFAULT_CONFIG, InhibitionParams, ModelConfig
 from flashvmm.constants import K_B, Q_E, T_25C, T_85C, T_MAX, T_MIN, V_CG_READ, thermal_voltage
 from flashvmm.vmm import (
     differential_drift,
@@ -49,11 +49,9 @@ from flashvmm.vmm import (
 FLOORS = (1e-4, 1e-3, 1e-2)
 SIGMAS = (0.3, 0.0)
 CONFIGS = {
-    (floor, sigma): calibrate(
-        ModelConfig(
-            inhibition=InhibitionParams(floor=floor),
-            pulse=replace(ModelConfig().pulse, variability_sigma=sigma),
-        )
+    (floor, sigma): ModelConfig(
+        inhibition=InhibitionParams(floor=floor),
+        pulse=replace(ModelConfig().pulse, variability_sigma=sigma),
     )
     for floor in FLOORS
     for sigma in SIGMAS
@@ -661,7 +659,7 @@ def oracle_multiply(array, inputs, temperature, samples, rng):
     """Noisy multiply as first written: a per-row peripheral loop, the
     readout law with its array wrappers, and ``.mean(axis=0)``."""
     cfg = array.cfg
-    cal = cfg.require_calibration()
+    cal = cfg.calibration
     v_per = []
     for r in range(array.rows):
         pc = array.peripheral_col_for_row(r)

@@ -7,7 +7,7 @@ import yaml
 
 from flashvmm.array import ArrayState
 from flashvmm.cell import PulseKind
-from flashvmm.config import DEFAULT_CONFIG, ModelConfig, NoiseParams, calibrate
+from flashvmm.config import DEFAULT_CONFIG, ModelConfig, NoiseParams
 from flashvmm.constants import thermal_voltage
 from flashvmm.tuning import (
     TuneTarget,
@@ -22,11 +22,9 @@ from flashvmm.tuning import (
 )
 
 CFG = DEFAULT_CONFIG
-QUIET_CFG = calibrate(
-    ModelConfig(
-        noise=NoiseParams(sigma_low=0.0, sigma_high=0.0),
-        pulse=replace(ModelConfig().pulse, variability_sigma=0.0),
-    )
+QUIET_CFG = ModelConfig(
+    noise=NoiseParams(sigma_low=0.0, sigma_high=0.0),
+    pulse=replace(ModelConfig().pulse, variability_sigma=0.0),
 )
 
 
@@ -223,6 +221,13 @@ class TestCampaignFiles:
             ("initial: half\n", "initial"),
             ("rows: 2\npulses: 10\n", "campaign key.*pulses"),
             ("- 1\n- 2\n", "campaign must be a mapping"),
+            ("targets: {kind: uniform}\n", "targets of kind uniform take key.*current"),
+            ("targets: {kind: ramp, lo: 1.0e-10}\n", "targets of kind ramp take key.*hi"),
+            ("targets: {kind: explicit}\n", "targets of kind explicit take key.*cells"),
+            ("targets: {cells: [[0, 1, 1.0e-9]], current: 1.0e-9}\n", "explicit take key"),
+            ("targets: {kind: bogus, current: 1.0e-9}\n", "targets kind.*bogus"),
+            ("targets: {kind: [1]}\n", "targets kind"),
+            ("targets: [1, 2]\n", "targets must be a mapping"),
         ],
     )
     def test_bad_campaign_rejected_naming_field(self, tmp_path, text, message):

@@ -12,7 +12,7 @@ from flashvmm.cell import (
     fresh_cell,
     gate_voltage,
 )
-from flashvmm.config import DEFAULT_CONFIG, ModelConfig, NoiseParams, calibrate
+from flashvmm.config import DEFAULT_CONFIG, ModelConfig, NoiseParams
 from flashvmm.constants import T_25C, T_85C, thermal_voltage
 from flashvmm.tuning import tune_array
 from flashvmm.vmm import (
@@ -35,11 +35,9 @@ from flashvmm.vmm import (
 )
 
 CFG = DEFAULT_CONFIG
-QUIET_CFG = calibrate(
-    ModelConfig(
-        noise=NoiseParams(sigma_low=0.0, sigma_high=0.0),
-        pulse=replace(ModelConfig().pulse, variability_sigma=0.0),
-    )
+QUIET_CFG = ModelConfig(
+    noise=NoiseParams(sigma_low=0.0, sigma_high=0.0),
+    pulse=replace(ModelConfig().pulse, variability_sigma=0.0),
 )
 I_REF = reference_current(CFG)
 
@@ -114,7 +112,7 @@ class TestWeightOf:
         # oracle: dv for w = 0.5 is -n kB T ln 2 / q, about -89.0 mV
         dv = -5.0 * thermal_voltage(298.15) * math.log(2.0)
         assert dv == pytest.approx(-0.08904, abs=2e-5)
-        cfg = calibrate(ModelConfig(n_slope=5.0))
+        cfg = ModelConfig(n_slope=5.0)
         p = CellState(4.0, 1)
         a = CellState(4.0 - dv, 2)
         assert weight_of(a, p, 298.15, cfg) == pytest.approx(0.5, rel=1e-12)
