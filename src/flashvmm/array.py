@@ -42,8 +42,9 @@ _MEASURE_STREAM_TAG = 0xA77A
 # variability normals computed ahead per cell, so that successive pulses
 # share one stream_normals call: enough that a refill of a pulse's rows +
 # cols - 1 drawn cells makes about 256 pairs (a call's fixed cost dominates
-# below that), and at least DRAW_AHEAD (1x4 arrays: 64; 32x34, 64x66: 8)
-DRAW_AHEAD = 8
+# below that), and at least DRAW_AHEAD, as pairs past 256 cost little
+# (1x4 arrays: 64; 32x34, 64x66: 24, the fastest 32x34 ramp tuning width)
+DRAW_AHEAD = 24
 
 STATE_FORMAT_VERSION = 2
 STATE_COLUMNS = "row,col,v_th,seed,draws"

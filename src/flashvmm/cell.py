@@ -18,14 +18,14 @@ from .config import (
     DEFAULT_CONFIG,
     InhibitionParams,
     ModelConfig,
+    check_temperature,
     require_count,
+    require_finite,
     require_positive,
 )
 from .constants import (
     K_B,
     Q_E,
-    T_MAX,
-    T_MIN,
     V_CG_READ,
     V_D_READ,
     V_EG_READ,
@@ -137,14 +137,6 @@ def subthreshold_current(v_cg, v_th, n_slope, i0, temperature, i_sat):
 def gate_voltage(current, v_th, n_slope, i0, temperature):
     """Coupling-gate voltage carrying ``current`` [V]; ``subthreshold_current`` inverted."""
     return v_th + n_slope * thermal_voltage(temperature) * np.log(current / i0)
-
-
-def check_temperature(temperature: float) -> None:
-    if not (T_MIN <= temperature <= T_MAX):
-        raise ValueError(
-            f"temperature {temperature} K outside the model window "
-            f"[{T_MIN}, {T_MAX}] K"
-        )
 
 
 def readout(v_th, bias, temperature, cfg, samples=1, rng=None):
@@ -271,6 +263,7 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+_M64 = (1 << 64) - 1
 _M32, _S32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
@@ -301,17 +294,6 @@ def _mix_rounds(steps: np.ndarray) -> list:
     return rounds
 
 
-def _limb_rows(const: int) -> np.ndarray:
-    """(4, 4) uint64: row i, column k holds 32-bit limb k - i of ``const``
-    (0 if k < i), so row 0 is its limbs, least significant first.
-
-    Limb i of x times row i puts each partial product x_i * c_j in column
-    i + j, the limb of x * const it adds to (mod 2**128).
-    """
-    c = [const >> (32 * j) & 0xFFFFFFFF for j in range(4)]
-    return np.array([[c[k - i] if k >= i else 0 for k in range(4)] for i in range(4)], np.uint64)
-
-
 # mix_entropy: 4 hashes of the entropy words, then 12 in the mixing rounds
 _ENTROPY_STEPS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
 _ENTROPY_HASH = _ENTROPY_STEPS[:, :4]
@@ -320,12 +302,15 @@ _MIX_HASH = _mix_rounds(_ENTROPY_STEPS[:, 4:])
 _STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 # pcg64_set_seed(init, seq) leaves state (inc + init) * M + inc with
 # inc = 2 * seq + 1, so the first output's state is
-# init * M**2 + seq * 2 * (M**2 + M + 1) + (M**2 + M + 1): limb rows for
-# init, then for seq, and the constant term
+# init * M**2 + seq * 2 * K1 + K1 with K1 = M**2 + M + 1: the multipliers
+# of init and seq in 64-bit halves on a (2, 1) axis, the low half's
+# 32-bit limbs, and K1's halves
 _M2 = _PCG_MULT * _PCG_MULT & _MASK128
-_M2_M_1 = (_M2 + _PCG_MULT + 1) & _MASK128
-_FIRST_STATE = np.concatenate([_limb_rows(_M2), _limb_rows(2 * _M2_M_1 & _MASK128)])[:, :, None]
-_FIRST_STATE_ADD = _limb_rows(_M2_M_1)[0, :, None]
+_K1 = (_M2 + _PCG_MULT + 1) & _MASK128
+_MULT_LO = np.array([[_M2 & _M64], [2 * _K1 & _M64]], dtype=np.uint64)
+_MULT_HI = np.array([[_M2 >> 64], [(2 * _K1 & _MASK128) >> 64]], dtype=np.uint64)
+_MULT_LO0, _MULT_LO1 = _MULT_LO & _M32, _MULT_LO >> _S32
+_K1_LO, _K1_HI = np.uint64(_K1 & _M64), np.uint64(_K1 >> 64)
 
 _STREAM_BITGEN = np.random.PCG64(0)
 _STREAM_GEN = np.random.Generator(_STREAM_BITGEN)
@@ -388,6 +373,29 @@ def _ziggurat_fast(r: np.ndarray) -> tuple:
     return out, np.flatnonzero(rabs >= ki[idx])
 
 
+def _first_output(w: np.ndarray) -> np.ndarray:
+    """PCG64's first output (uint64) after ``pcg64_set_seed`` with init =
+    w0:w1 and seq = w2:w3, high word first; ``w`` is (4, N) uint64.
+
+    A product's high half is mulhi(lo, c_lo), from 32-bit partial
+    products, plus the cross terms; the two carries out of the low half
+    (the products' sum, then K1) are found by compare.
+    """
+    hi, lo = w[0::2], w[1::2]
+    a0, a1 = lo & _M32, lo >> _S32
+    t = a1 * _MULT_LO0 + (a0 * _MULT_LO0 >> _S32)
+    mid = (t & _M32) + a0 * _MULT_LO1
+    high = a1 * _MULT_LO1 + (t >> _S32) + (mid >> _S32) + lo * _MULT_HI + hi * _MULT_LO
+    low = lo * _MULT_LO
+    sum_lo = low[0] + low[1]
+    state_lo = sum_lo + _K1_LO
+    state_hi = high[0] + high[1] + _K1_HI + (sum_lo < low[0]) + (state_lo < sum_lo)
+    # XSL-RR: the halves' xor rotated right by the top 6 bits
+    xsl = state_hi ^ state_lo
+    rot = state_hi >> np.uint64(58)
+    return xsl >> rot | xsl << (np.uint64(64) - rot & np.uint64(63))
+
+
 def stream_normals(seeds, counts) -> np.ndarray:
     """``default_rng((seed, count)).standard_normal()`` for each pair, bit for bit.
 
@@ -431,21 +439,7 @@ def stream_normals(seeds, counts) -> np.ndarray:
     words = _hashed(np.concatenate([pool, pool]), _STATE_HASH).astype(np.uint64)
     w = words[0::2] | (words[1::2] << _S32)
 
-    # first output: init = w0:w1 and seq = w2:w3 in 32-bit limbs, low
-    # first; the partial products are summed per limb before the carries
-    halves = w[[1, 0, 3, 2]]
-    x = np.stack([halves & _M32, halves >> _S32], axis=1).reshape(8, -1)
-    prod = x[:, None] * _FIRST_STATE
-    limb = (prod & _M32).sum(axis=0) + _FIRST_STATE_ADD
-    limb[1:] += (prod[:, :-1] >> _S32).sum(axis=0)
-    for k in range(3):
-        limb[k + 1] += limb[k] >> _S32
-    hi = limb[3] << _S32 | limb[2] & _M32
-    xsl = hi ^ (limb[1] << _S32 | limb[0] & _M32)
-    rot = hi >> np.uint64(58)
-    r = xsl >> rot | xsl << (np.uint64(64) - rot & np.uint64(63))
-
-    out, rejected = _ziggurat_fast(r)
+    out, rejected = _ziggurat_fast(_first_output(w))
     if rejected.size:
         state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
         pcg = state["state"]
@@ -523,8 +517,7 @@ def retention_hold(
     random-walk option is configured, v_th performs a seeded walk sized
     so the per-day relative current deviation tracks the noise envelope.
     """
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
+    require_finite("duration", duration, 0.0)
     check_temperature(temperature)
     if duration == 0.0 or not cfg.retention.random_walk:
         return cell
@@ -556,7 +549,9 @@ def standard_current(
     v_th: float, cfg: ModelConfig = DEFAULT_CONFIG, temperature: float = None
 ) -> float:
     """Readout current at the standard bias for a threshold voltage [A]."""
+    require_finite("v_th", v_th)
     t = cfg.temperature_ref if temperature is None else temperature
+    check_temperature(t)
     return float(
         subthreshold_current(V_CG_READ, v_th, cfg.n, cfg.i0, t, cfg.i_sat)
     )

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 import yaml
 
-from .constants import T_25C, T_85C, V_CG_READ, thermal_voltage
+from .constants import T_25C, T_85C, T_MAX, T_MIN, V_CG_READ, thermal_voltage
 
 
 class CalibrationError(ValueError):
@@ -39,6 +39,12 @@ def require_count(name: str, value, low: int = 1) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``low`` (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_temperature(temperature, name: str = "temperature") -> None:
+    """Raise a ValueError naming ``name`` unless ``temperature`` lies in the model window."""
+    if not (T_MIN <= temperature <= T_MAX):  # also rejects NaN
+        raise ValueError(f"{name} {temperature} K outside the model window [{T_MIN}, {T_MAX}] K")
 
 
 def known_keys(cls, raw, what: str) -> dict:
@@ -153,12 +159,6 @@ class Calibration:
     dv_program_nominal: float  # [V] per nominal program pulse
     dv_erase_nominal: float  # [V] per nominal erase pulse
 
-    def __post_init__(self):
-        if not (self.v_th_min < self.v_th_max):
-            raise ValueError("v_th window is empty")
-        if self.dv_program_nominal <= 0 or self.dv_erase_nominal <= 0:
-            raise ValueError("nominal pulse shifts must be positive")
-
     @property
     def v_th_center(self) -> float:
         return 0.5 * (self.v_th_min + self.v_th_max)
@@ -186,8 +186,10 @@ class ModelConfig:
 
     def __post_init__(self):
         require_count("seed", self.seed, 0)
+        require_count("traversal_pulses", self.traversal_pulses)
         for name in ("i0", "i_sat", "temperature_ref"):
             require_positive(name, getattr(self, name))
+        check_temperature(self.temperature_ref, "temperature_ref")
         require_finite("wl_on_threshold", self.wl_on_threshold)
         lo, hi = self.current_window
         if not (0.0 < lo < hi):
@@ -237,6 +239,8 @@ def _derive_calibration(cfg: ModelConfig) -> Calibration:
     ut = cfg.n * thermal_voltage(cfg.temperature_ref)
     v_th_max = V_CG_READ - ut * math.log(i_lo / cfg.i0)
     v_th_min = V_CG_READ - ut * math.log(i_hi / cfg.i0)
+    if not v_th_min < v_th_max:
+        raise CalibrationError(f"current_window {cfg.current_window} maps to an empty v_th window")
     if v_th_min <= V_CG_READ:
         raise CalibrationError(
             "window top current reaches the prefactor regime: raise i0 or lower "

@@ -51,19 +51,6 @@ from .vmm import differential_multiply, multiply, plan_differential, reference_c
 
 CSV_FORMAT_VERSION = 1
 
-EXPERIMENT_IDS = (
-    "fig3a",
-    "fig3b",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig9",
-    "fig10",
-    "fig11",
-    "custom",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     experiment_id: str
@@ -87,9 +74,7 @@ class ExperimentSpec:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
         return str(int(x))
     if isinstance(x, str):
         return x
@@ -468,6 +453,7 @@ _RUNNERS = {
     "fig11": _run_fig11,
     "custom": _run_custom,
 }
+EXPERIMENT_IDS = tuple(_RUNNERS)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:

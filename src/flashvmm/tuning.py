@@ -213,19 +213,42 @@ def load_campaign(path) -> TuningCampaign:
     return TuningCampaign(**known_keys(TuningCampaign, raw, "campaign"))
 
 
+def _campaign_current(name: str, value, cfg: ModelConfig) -> float:
+    """A campaign target current [A]; it must lie in the tunable window."""
+    try:
+        current = float(value)
+    except (TypeError, ValueError):
+        current = math.nan
+    lo, hi = cfg.current_window
+    if not lo <= current <= hi:  # also rejects NaN
+        raise ValueError(f"campaign targets.{name} must be a current in [{lo}, {hi}] A, got {value!r}")
+    return current
+
+
 def campaign_targets(campaign: TuningCampaign, array: ArrayState) -> list:
+    """The campaign's targets on ``array``; a bad target value is a ValueError naming it."""
     spec = campaign.targets or {"kind": "ramp", "lo": 1.0e-10, "hi": 1.0e-6}
     kind = spec.get("kind", "explicit")
     if kind == "uniform":
-        return uniform_targets(array, float(spec["current"]), campaign.precision)
+        current = _campaign_current("current", spec["current"], array.cfg)
+        return uniform_targets(array, current, campaign.precision)
     if kind == "ramp":
-        return ramp_targets(
-            array, float(spec["lo"]), float(spec["hi"]), campaign.precision
-        )
-    return [
-        TuneTarget(int(r), int(c), float(cur), campaign.precision)
-        for r, c, cur in spec["cells"]
-    ]
+        lo, hi = (_campaign_current(key, spec[key], array.cfg) for key in ("lo", "hi"))
+        return ramp_targets(array, lo, hi, campaign.precision)
+    cells = spec["cells"]
+    if not isinstance(cells, (list, tuple)):
+        raise ValueError(f"campaign targets.cells must be a list of [row, col, current], got {cells!r}")
+    targets = []
+    for k, entry in enumerate(cells):
+        r, c, current = entry if isinstance(entry, (list, tuple)) and len(entry) == 3 else (None,) * 3
+        if not all(type(i) is int and 0 <= i < n for i, n in ((r, array.rows), (c, array.cols))):
+            raise ValueError(
+                f"campaign targets.cells[{k}] must be [row, col, current] with the cell "
+                f"inside the {array.rows}x{array.cols} array, got {entry!r}"
+            )
+        current = _campaign_current(f"cells[{k}] current", current, array.cfg)
+        targets.append(TuneTarget(r, c, current, campaign.precision))
+    return targets
 
 
 def run_campaign(cfg: ModelConfig, campaign: TuningCampaign):

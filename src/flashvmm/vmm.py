@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array import ArrayState
-from .cell import CellState, check_temperature, gate_voltage, subthreshold_current
-from .config import DEFAULT_CONFIG, ModelConfig, require_count, require_positive
+from .cell import CellState, gate_voltage, subthreshold_current
+from .config import DEFAULT_CONFIG, ModelConfig, check_temperature, require_count, require_positive
 from .constants import thermal_voltage
 from .tuning import TuneTarget
 
@@ -168,6 +168,8 @@ def multiply(
 
 def weight_at_temperature(w_ref: float, t_ref: float, t: float) -> float:
     """Constant-slope-factor scaling law: ln w(t) = ln w(t_ref) * t_ref/t."""
+    for name, value in (("w_ref", w_ref), ("t_ref", t_ref), ("t", t)):
+        require_positive(name, value)
     return math.exp(math.log(w_ref) * t_ref / t)
 
 

@@ -263,9 +263,12 @@ class TestRetention:
         # walk scale is one envelope sigma per day; 50 draws stay within ~4 sigma
         assert 0.0 < worst < 4.0 * cfg.noise.sigma_at(1e-8)
 
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            retention_hold(mid_cell(), -1.0, 358.15, CFG)
+    @pytest.mark.parametrize("walk", [False, True])
+    @pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf])
+    def test_bad_duration_rejected_naming_it(self, walk, duration):
+        cfg = ModelConfig(retention=replace(ModelConfig().retention, random_walk=walk))
+        with pytest.raises(ValueError, match=r"^duration must be"):
+            retention_hold(mid_cell(cfg), duration, 358.15, cfg)
 
 
 class TestStateHelpers:
@@ -273,6 +276,14 @@ class TestStateHelpers:
         for target in (1e-10, 1e-9, 3.3e-8, 1e-6):
             vth = vth_for_standard_current(target, CFG)
             assert standard_current(vth, CFG) == pytest.approx(target, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "v_th, temperature, name",
+        [(math.nan, None, "v_th"), (math.inf, None, "v_th"), (4.0, math.nan, "temperature")],
+    )
+    def test_standard_current_rejects_non_finite_input(self, v_th, temperature, name):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            standard_current(v_th, CFG, temperature)
 
     def test_cell_state_invariants(self):
         with pytest.raises(ValueError):

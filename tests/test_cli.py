@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +221,30 @@ def test_bad_campaign_is_a_json_error(tmp_path, capsys):
     assert code == 1
     parsed = json.loads(capsys.readouterr().err.strip())
     assert parsed["error"] == "ValueError" and "campaign rows" in parsed["message"]
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        ("{cells: 5}", r"^campaign targets\.cells must be a list"),
+        ("{cells: [[0, 1]]}", r"^campaign targets\.cells\[0\] must be \[row, col, current\]"),
+        ("{cells: [[0, 1, 1.0e-9], [2, 1, 1.0e-9]]}", r"^campaign targets\.cells\[1\] .* inside the 2x3"),
+        ("{cells: [[0, 1.5, 1.0e-9]]}", r"^campaign targets\.cells\[0\]"),
+        ("{cells: [[0, 1, abc]]}", r"^campaign targets\.cells\[0\] current"),
+        ("{kind: uniform, current: abc}", r"^campaign targets\.current must be a current"),
+        ("{kind: uniform, current: .nan}", r"^campaign targets\.current"),
+        ("{kind: ramp, lo: 1.0e-10, hi: 1.0e-3}", r"^campaign targets\.hi .* got 0\.001"),
+    ],
+)
+def test_bad_campaign_target_is_a_json_error_naming_it(tmp_path, capsys, targets, message):
+    campaign = tmp_path / "campaign.yaml"
+    campaign.write_text(f"rows: 2\ncols: 3\ntargets: {targets}\n")
+    code = main(["tune", "--campaign", str(campaign), "--results", str(tmp_path / "r.csv")])
+    assert code == 1
+    parsed = json.loads(capsys.readouterr().err.strip())
+    assert parsed["error"] == "ValueError"
+    assert re.search(message, parsed["message"]), parsed["message"]
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -151,6 +151,26 @@ def test_current_window_validation():
         ModelConfig(current_window=(1e-6, 1e-10))
     with pytest.raises(ValueError):
         ModelConfig(i_sat=1e-8)  # below window top
+    # ordered, but too narrow to map onto two distinct threshold voltages
+    with pytest.raises(CalibrationError, match="current_window"):
+        ModelConfig(current_window=(1e-10, math.nextafter(1e-10, 1.0)))
+
+
+@pytest.mark.parametrize("value", [25.5, 25.0, "25", True, None], ids=repr)
+def test_traversal_pulses_must_be_an_integer(value, tmp_path):
+    with pytest.raises(ValueError, match=r"^traversal_pulses must be an integer"):
+        ModelConfig(traversal_pulses=value)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"traversal_pulses": value}))
+    with pytest.raises(ValueError, match="traversal_pulses"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", [2.5, 249.9, 400.1])
+def test_temperature_ref_outside_the_model_window_rejected(value):
+    with pytest.raises(ValueError, match=r"^temperature_ref .* outside the model window"):
+        ModelConfig(temperature_ref=value)
+    assert ModelConfig(temperature_ref=400.0).temperature_ref == 400.0
 
 
 @pytest.mark.parametrize("name", ["i0", "i_sat", "temperature_ref"])

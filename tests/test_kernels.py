@@ -276,7 +276,7 @@ def test_stream_normals_layouts_and_ziggurat_fallback():
         return bitgen.state != once.state
 
     fallback = [(12345, c) for c in range(1500) if consumed(12345, c)]
-    assert fallback  # about 1 in 150 draws
+    assert fallback  # about 1 in 70 draws
     pairs = fallback + [
         (0, 0), (0, 1), (1, 0), (2**32 - 1, 2**32 - 1), (2**32, 0), (0, 2**32),
         (2**63 - 1, 2**63 - 1), (2**40 + 3, 7), (9, 2**40 + 3),
@@ -317,6 +317,61 @@ def test_stream_normals_forced_fallback(pairs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cell_mod, "_ZIGGURAT", (np.zeros(256, dtype=np.uint64), wi))
         assert_bits_equal(stream_normals(seeds, counts), expected)
+
+
+def first_output_oracle(w0, w1, w2, w3):
+    """pcg64_set_seed(w0:w1, w2:w3) then one step and XSL-RR, in Python ints."""
+    mult, mask = cell_mod._PCG_MULT, (1 << 128) - 1
+    inc = ((w2 << 64 | w3) << 1 | 1) & mask
+    state = inc  # one step from state 0
+    state = ((state + (w0 << 64 | w1)) * mult + inc) & mask  # add initstate, step
+    state = (state * mult + inc) & mask  # the first output's step
+    hi, lo = state >> 64, state & (1 << 64) - 1
+    xsl, rot = hi ^ lo, hi >> 58
+    return (xsl >> rot | xsl << (64 - rot)) & (1 << 64) - 1
+
+
+def test_first_output_carries_against_oracle():
+    # crafted words reach every carry of the 64-bit halves, which hashed
+    # words rarely do: all-ones low words, products whose low halves
+    # overflow when summed, and a sum that overflows only when K1 is added
+    top = (1 << 64) - 1
+    m2_lo, k1_lo = cell_mod._M2 & top, cell_mod._K1 & top
+
+    def init_for(low):  # init low word whose product with M**2 has this low half
+        return low * pow(m2_lo, -1, 1 << 64) & top
+
+    def seq_for(low):  # seq low word whose product with 2 * K1 has this (even) low half
+        return (low >> 1) * pow(k1_lo, -1, 1 << 64) & top
+
+    words = [
+        (0, 0, 0, 0), (top, top, top, top), (0, top, 0, top), (5, top, 7, top),
+        (1, init_for(top), 2, seq_for(2)),  # the sum carries, K1 does not
+        (3, init_for(top), 4, seq_for(top - 1)),  # both carry
+        (6, init_for((1 << 64) - k1_lo), 8, 0),  # only K1 carries
+        (9, init_for((1 << 64) - k1_lo - 1), 10, 0),  # neither, one below
+        (top, init_for(top), top, seq_for(top - 1)),
+    ]
+    rng = np.random.default_rng(16)
+    words += [tuple(int(x) for x in rng.integers(0, 1 << 64, 4, dtype=np.uint64)) for _ in range(50)]
+    low = [(w1 * m2_lo & top, w3 * 2 * k1_lo & top) for _, w1, _, w3 in words]
+    assert any(a + b > top and (a + b) % (1 << 64) + k1_lo <= top for a, b in low)
+    assert any(a + b > top and (a + b) % (1 << 64) + k1_lo > top for a, b in low)
+    assert any(a + b <= top and a + b + k1_lo > top for a, b in low)
+    out = cell_mod._first_output(np.array(words, dtype=np.uint64).T)
+    assert out.tolist() == [first_output_oracle(*w) for w in words]
+    # the oracle is NumPy's PCG64 seeded with the same words
+    bitgen = np.random.PCG64(0)
+    for w0, w1, w2, w3 in words[:9]:
+        inc = ((w2 << 64 | w3) << 1 | 1) & (1 << 128) - 1
+        state = ((inc + (w0 << 64 | w1)) * cell_mod._PCG_MULT + inc) & (1 << 128) - 1
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        assert int(bitgen.random_raw()) == first_output_oracle(w0, w1, w2, w3)
 
 
 def test_ziggurat_tables_reproduce_every_index():
@@ -368,14 +423,34 @@ def block_width(rows, cols):
 
 @pytest.mark.parametrize(
     "shape, width",
-    [((1, 4), 64), ((5, 7), 24), ((32, 34), 8), ((64, 66), 8)],
-    ids=["1x4", "5x7", "32x34", "64x66"],
+    [((1, 4), 64), ((3, 5), 37), ((32, 34), 24), ((64, 66), 24)],
+    ids=["1x4", "3x5", "32x34", "64x66"],
 )
 def test_draw_ahead_width_follows_drawn_cells_per_pulse(shape, width):
     array = ArrayState.fresh(DEFAULT_CONFIG, rows=shape[0], cols=shape[1], initial="center")
     assert array._ahead is None  # made by the first drawing pulse
     array.pulse_cell(0, 1, PulseSpec.program(DEFAULT_CONFIG))
     assert array._ahead.shape[1] == block_width(*shape) == width
+
+
+def test_draw_ahead_width_leaves_a_ramp_campaign_unchanged(monkeypatch):
+    # the width only decides when blocks are refilled: a 32x34 ramp
+    # campaign ends in the same state under two widths, bit for bit
+    def campaign(width):
+        monkeypatch.setattr(array_mod, "DRAW_AHEAD", width)
+        array = ArrayState.fresh(DEFAULT_CONFIG, rows=32, cols=34)
+        targets = tuning_mod.ramp_targets(array, 1.0e-10, 1.0e-6, 0.05)
+        results, _ = tuning_mod.tune_array(array, targets[::4], 100)
+        assert array._ahead.shape[1] == width
+        return array, [(r.converged, r.final_current) for r in results]
+
+    (a, results_a), (b, results_b) = campaign(8), campaign(24)
+    assert results_a == results_b
+    assert_bits_equal(a.v_th, b.v_th)
+    assert_bits_equal(a.rng_counts, b.rng_counts)
+    assert_bits_equal(a.disturb.cumulative_dvth, b.disturb.cumulative_dvth)
+    for role in ROLES:
+        assert_bits_equal(a.disturb.counts[role], b.disturb.counts[role])
 
 
 def pulse_sequence(cfg, targets):

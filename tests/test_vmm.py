@@ -125,6 +125,19 @@ class TestWeightOf:
         assert math.log(w2) == pytest.approx(math.log(w1) * T_25C / T_85C, rel=1e-6)
         assert w2 == pytest.approx(weight_at_temperature(w1, T_25C, T_85C), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((math.nan, 300.0, 320.0), "w_ref"),
+            ((0.0, 300.0, 320.0), "w_ref"),
+            ((0.5, math.nan, 320.0), "t_ref"),
+            ((0.5, 300.0, math.inf), "t"),
+        ],
+    )
+    def test_weight_at_temperature_rejects_bad_input(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            weight_at_temperature(*args)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf, 200.0, 450.0])
     def test_temperature_outside_model_window_rejected(self, t):
         with pytest.raises(ValueError, match="temperature"):
