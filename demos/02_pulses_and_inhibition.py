@@ -4,7 +4,6 @@ Run: python3 demos/02_pulses_and_inhibition.py
 """
 
 from flashvmm import ArrayState, DEFAULT_CONFIG, PulseSpec
-from flashvmm.array import ROLES
 from flashvmm.cell import BiasCondition, apply_pulse, fresh_cell, standard_current
 from flashvmm.cell import program_select_factor
 
@@ -32,12 +31,12 @@ print("\nArray-scale disturb accounting: 60 program pulses into one cell")
 array = ArrayState.fresh(cfg, rows=4, cols=6, initial="center")
 start = {(r, c): array.read_cell(r, c) for r in range(4) for c in range(6)}
 for _ in range(60):
-    delta = array.pulse_cell(2, 3, PulseSpec.program(cfg))
+    array.pulse_cell(2, 3, PulseSpec.program(cfg))
 print("  role            pulses   worst |dI/I|")
 for role in ("row_half", "col_half", "unselected"):
     worst = 0.0
     for (r, c), i0 in start.items():
-        if ROLES[delta.roles[r, c]] == role:
+        if array.disturb.counts[role][r, c]:  # every pulse hit (r, c) in this role
             worst = max(worst, abs(array.read_cell(r, c) / i0 - 1.0))
     count = int(array.disturb.counts[role].max())
     print(f"  {role:<14}  {count:5d}    {worst:.2e}")

@@ -5,9 +5,7 @@ Run: python3 demos/04_vector_multiply.py
 
 import numpy as np
 
-from flashvmm import ArrayState, DEFAULT_CONFIG, multiply, tune_array
-from flashvmm.tuning import TuneTarget
-from flashvmm.vmm import reference_current
+from flashvmm import ArrayState, DEFAULT_CONFIG, WeightMatrix, multiply, tune_array
 
 cfg = DEFAULT_CONFIG
 rng = np.random.default_rng(4)
@@ -22,14 +20,7 @@ print("weights (row = input, column = output):")
 print(weights)
 
 array = ArrayState.fresh(cfg, rows=rows, cols=cols + 2)
-i_ref = reference_current(cfg)
-targets = [
-    TuneTarget(r, array.peripheral_col_for_row(r), i_ref, 0.01) for r in range(rows)
-] + [
-    TuneTarget(r, c, float(i_ref * weights[r, k]), 0.01)
-    for r in range(rows)
-    for k, c in enumerate(array.array_cols)
-]
+targets = WeightMatrix(weights).tune_targets(array, 0.01)
 results, summary = tune_array(array, targets, budget=200)
 print(f"tuned {summary['converged']}/{summary['targets']} cells, "
       f"max error {summary['rel_error_max']*100:.2f}%")

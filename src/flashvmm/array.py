@@ -32,10 +32,16 @@ from .cell import (
     stream_normals,
     vth_for_standard_current,
 )
-from .config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, config_hash, require_count
+from .config import (
+    DEFAULT_CONFIG, InhibitionParams, ModelConfig, config_hash, require_count, require_finite
+)
 
 # role classes in table order: index 2 * (row not selected) + (column not selected)
 ROLES = ("selected", "row_half", "col_half", "unselected")
+
+# erase-gate routing of an array and the window bound its cells start at
+TOPOLOGIES = ("modified", "original")
+INITIAL_STATES = ("programmed", "erased", "center")
 
 _MEASURE_STREAM_TAG = 0xA77A
 
@@ -176,20 +182,13 @@ class DisturbDelta:
     kind: PulseKind
     dvth: np.ndarray  # signed v_th change of every cell
 
-    @property
-    def roles(self) -> np.ndarray:
-        """Role index into ``ROLES`` of every cell."""
-        row, col = self.target
-        rows, cols = self.dvth.shape
-        return 2 * (np.arange(rows)[:, None] != row) + (np.arange(cols) != col)
-
 
 class ArrayState:
     """Grid of cell states plus line topology and measurement stream."""
 
     def __init__(self, cfg, topology, v_th, seeds, counts):
-        if topology not in ("modified", "original"):
-            raise ValueError("topology must be 'modified' or 'original'")
+        if topology not in TOPOLOGIES:
+            raise ValueError(f"topology must be one of {', '.join(TOPOLOGIES)}, got {topology!r}")
         cal = cfg.calibration
         if not np.all((v_th >= cal.v_th_min) & (v_th <= cal.v_th_max)):  # also rejects NaN
             raise ValueError(f"v_th must lie in [{cal.v_th_min!r}, {cal.v_th_max!r}] V")
@@ -224,14 +223,10 @@ class ArrayState:
         """
         require_count("rows", rows)
         require_count("cols", cols)
-        if initial not in ("programmed", "erased", "center"):
-            raise ValueError(f"initial must be programmed, erased or center, got {initial!r}")
+        if initial not in INITIAL_STATES:
+            raise ValueError(f"initial must be one of {', '.join(INITIAL_STATES)}, got {initial!r}")
         cal = cfg.calibration
-        start = {
-            "programmed": cal.v_th_max,
-            "erased": cal.v_th_min,
-            "center": cal.v_th_center,
-        }[initial]
+        start = dict(zip(INITIAL_STATES, (cal.v_th_max, cal.v_th_min, cal.v_th_center)))[initial]
         seed_gen = np.random.default_rng(int(cfg.seed))
         seeds = seed_gen.integers(0, 2**63 - 1, size=(rows, cols), dtype=np.int64)
         return cls(
@@ -267,6 +262,10 @@ class ArrayState:
         return self.peripheral_cols[0] if row % 2 == 0 else self.peripheral_cols[1]
 
     def _check_target(self, row: int, col: int) -> None:
+        """A ValueError naming a non-integer row or col; an IndexError outside the array."""
+        if type(row) is not int or type(col) is not int:
+            require_count("row", row, -math.inf)
+            require_count("col", col, -math.inf)
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise IndexError(f"cell ({row}, {col}) outside {self.rows}x{self.cols}")
 
@@ -281,7 +280,7 @@ class ArrayState:
         )
 
     def set_cell_current(self, row: int, col: int, current: float) -> None:
-        """Place a cell's v_th to read ``current`` at standard bias (clamped)."""
+        """Place a cell's v_th to read ``current`` (in the current window) at standard bias."""
         self._check_target(row, col)
         cal = self.cfg.calibration
         v = vth_for_standard_current(current, self.cfg)
@@ -366,9 +365,8 @@ class ArrayState:
     ) -> float:
         """Standard-bias readout [A]; never mutates any cell state."""
         self._check_target(row, col)
-        v_th = float(self.v_th[row, col])
-        if not math.isfinite(v_th):
-            raise ValueError("v_th must be finite")
+        v_th = self.v_th.item(row, col)
+        require_finite("v_th", v_th)
         t = self.cfg.temperature_ref if temperature is None else temperature
         rng = self.measure_rng if noisy else None
         return readout(v_th, READOUT_BIAS, t, self.cfg, samples, rng)
@@ -417,7 +415,7 @@ class ArrayState:
             raise error(1, f"unsupported state version {version}")
         geometry = header(
             1,
-            r"# rows=([1-9]\d*) cols=([1-9]\d*) topology=(modified|original)",
+            rf"# rows=([1-9]\d*) cols=([1-9]\d*) topology=({'|'.join(TOPOLOGIES)})",
             "malformed geometry line",
         )
         saved_hash = header(2, r"# config_hash=(\S+)", "malformed config hash line")[1]

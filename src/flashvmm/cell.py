@@ -21,11 +21,12 @@ from .config import (
     check_temperature,
     require_count,
     require_finite,
-    require_positive,
+    require_in,
 )
 from .constants import (
     K_B,
     Q_E,
+    TINY,
     V_CG_READ,
     V_D_READ,
     V_EG_READ,
@@ -60,11 +61,7 @@ class BiasCondition:
 
     def __post_init__(self):
         for name in ("v_wl", "v_cg", "v_d", "v_s", "v_eg"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite")
-            if abs(v) > V_MAX_ABS:
-                raise ValueError(f"|{name}| = {abs(v):.3f} V exceeds {V_MAX_ABS} V")
+            require_in(name, getattr(self, name), -V_MAX_ABS, V_MAX_ABS)
 
 
 READOUT_BIAS = BiasCondition(V_WL_READ, V_CG_READ, V_D_READ, V_S_READ, V_EG_READ)
@@ -77,13 +74,10 @@ class PulseSpec:
     duration: float  # [s]
 
     def __post_init__(self):
-        for name in ("amplitude", "duration"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"pulse {name} must be finite")
-        if self.duration < 0:
-            raise ValueError("pulse duration must be >= 0")
-        if not (0 < self.amplitude <= V_MAX_ABS):
-            raise ValueError("pulse amplitude must be in (0, 12] V")
+        if type(self.kind) is not PulseKind:
+            raise ValueError(f"kind must be a PulseKind, got {self.kind!r}")
+        require_in("amplitude", self.amplitude, TINY, V_MAX_ABS)
+        require_finite("duration", self.duration, 0.0)
 
     @classmethod
     def program(cls, cfg: ModelConfig = DEFAULT_CONFIG, duration: float = None):
@@ -105,17 +99,19 @@ class CellState:
     rng_count: int = 0  # stochastic draws consumed so far
 
     def __post_init__(self):
-        if not math.isfinite(self.v_th):
-            raise ValueError("v_th must be finite")
+        require_finite("v_th", self.v_th)
+        require_count("rng_seed", self.rng_seed, 0)
+        require_count("rng_count", self.rng_count, 0)
 
 
 def fresh_cell(
     cfg: ModelConfig = DEFAULT_CONFIG, seed: int = 0, v_th: float = None
 ) -> CellState:
-    """New cell at the given threshold (default: fully programmed)."""
+    """New cell at the given threshold, clamped to the window (default: fully programmed)."""
+    require_count("seed", seed, 0)
     cal = cfg.calibration
-    if v_th is None:
-        v_th = cal.v_th_max
+    v_th = cal.v_th_max if v_th is None else v_th
+    require_finite("v_th", v_th)
     v_th = min(max(v_th, cal.v_th_min), cal.v_th_max)
     return CellState(v_th=v_th, rng_seed=int(seed))
 
@@ -158,7 +154,7 @@ def readout(v_th, bias, temperature, cfg, samples=1, rng=None):
     sigma = cfg.noise.sigma_at(ideal)
     if sigma == 0.0:
         return ideal
-    mean = ideal * ((1.0 + sigma * rng.standard_normal(samples)).sum() / samples)  # as .mean()
+    mean = ideal * float((1.0 + sigma * rng.standard_normal(samples)).sum() / samples)  # as .mean()
     return max(mean, 1.0e-6 * ideal)
 
 
@@ -539,9 +535,10 @@ def retention_hold(
 def vth_for_standard_current(
     current: float, cfg: ModelConfig = DEFAULT_CONFIG, temperature: float = None
 ) -> float:
-    """Threshold voltage that reads ``current`` at the standard bias [V]."""
-    require_positive("current", current)
+    """Threshold voltage that reads ``current`` (in the current window) at the standard bias [V]."""
+    require_in("current", current, *cfg.current_window)
     t = cfg.temperature_ref if temperature is None else temperature
+    check_temperature(t)
     return V_CG_READ - cfg.n * thermal_voltage(t) * math.log(current / cfg.i0)
 
 

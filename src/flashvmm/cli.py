@@ -10,19 +10,11 @@ import json
 import sys
 from dataclasses import replace as dc_replace
 
-from .array import ArrayState
+from .array import INITIAL_STATES, TOPOLOGIES, ArrayState
 from .config import DEFAULT_CONFIG, config_hash, load_config, save_config
 from .experiments import EXPERIMENT_IDS, ExperimentSpec, run_experiment, write_csv
 from .tuning import load_campaign, results_to_csv, run_campaign, tune_array
-from .vmm import (
-    load_weights_csv,
-    multiply,
-    differential_multiply,
-    plan_differential,
-    read_matrix_csv,
-    reference_current,
-)
-from .tuning import TuneTarget
+from .vmm import differential_multiply, load_weights_csv, multiply, plan_differential, read_matrix_csv
 
 
 def _load_cfg(args):
@@ -68,18 +60,10 @@ def _cmd_multiply(args):
 
     n_array_cols = logical if args.mode == "single" else 2 * logical
     array = ArrayState.fresh(cfg, rows=rows, cols=n_array_cols + 2)
-    i_ref = reference_current(cfg)
 
     if args.mode == "single":
         plan = None
-        targets = [
-            TuneTarget(r, array.peripheral_col_for_row(r), i_ref, args.precision)
-            for r in range(rows)
-        ] + [
-            TuneTarget(r, c, float(i_ref * weights.values[r, k]), args.precision)
-            for r in range(rows)
-            for k, c in enumerate(array.array_cols)
-        ]
+        targets = weights.tune_targets(array, args.precision)
     else:
         plan = plan_differential(weights, tuple(args.temp_range), array)
         if args.plan_out:
@@ -94,18 +78,13 @@ def _cmd_multiply(args):
     if args.state_out:
         array.save(args.state_out)
 
+    read = dict(temperature=args.temperature, noisy=args.noisy, samples=args.samples)
     out_rows = []
     for k, vec in enumerate(inputs):
-        if args.mode == "single":
-            out = multiply(
-                array, vec, temperature=args.temperature, noisy=args.noisy,
-                samples=args.samples,
-            )
+        if plan is None:
+            out = multiply(array, vec, **read)
         else:
-            out = differential_multiply(
-                array, plan, vec, temperature=args.temperature, noisy=args.noisy,
-                samples=args.samples,
-            )
+            out = differential_multiply(array, plan, vec, **read)
         out_rows.append((k, *out))
     columns = ("input_index",) + tuple(f"out_{i}" for i in range(logical))
     write_csv(args.out, cfg, cfg.seed, columns, out_rows)
@@ -224,10 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--seed", type=int)
     pi.add_argument("--rows", type=int, default=10)
     pi.add_argument("--cols", type=int, default=12)
-    pi.add_argument("--topology", choices=("modified", "original"), default="modified")
-    pi.add_argument(
-        "--initial", choices=("programmed", "erased", "center"), default="programmed"
-    )
+    pi.add_argument("--topology", choices=TOPOLOGIES, default="modified")
+    pi.add_argument("--initial", choices=INITIAL_STATES, default="programmed")
     pi.add_argument("--out", required=True)
     pi.set_defaults(func=_cmd_state, action="init")
     pn = state_sub.add_parser("info", help="summarize a saved array")

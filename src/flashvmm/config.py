@@ -1,21 +1,28 @@
-"""Model configuration: parameter blocks, YAML round-trip, calibration.
+"""Model configuration: parameter blocks, YAML round-trip, calibration,
+and the field checks every public entry point validates its inputs with.
 
 Building a ``ModelConfig`` resolves its slope factor and derives its
 ``Calibration`` block (threshold-voltage window and nominal per-pulse
 shifts) from the other fields, verifying the feasibility targets. Every
 config is therefore calibrated, and ``replace`` re-derives the block.
+
+A field check accepts a real (``require_count``: an integer), numpy
+scalars included; NaN, +-inf, bool, str and None are a ValueError naming
+the field. A float (an int) takes an exact-type fast path before the ABC
+check.
 """
 
 import hashlib
 import json
 import math
 import numbers
+import re
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
 
-from .constants import T_25C, T_85C, T_MAX, T_MIN, V_CG_READ, thermal_voltage
+from .constants import T_25C, T_85C, T_MAX, T_MIN, TINY, V_CG_READ, thermal_voltage
 
 
 class CalibrationError(ValueError):
@@ -23,28 +30,53 @@ class CalibrationError(ValueError):
 
 
 def require_positive(name: str, value) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is finite and > 0."""
-    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):  # also rejects NaN
+    """Raise a ValueError naming ``name`` unless ``value`` is a finite real > 0."""
+    real = type(value) is float or type(value) is not bool and isinstance(value, (int, numbers.Real))
+    if not (real and 0.0 < value < math.inf):  # also rejects NaN
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def require_finite(name: str, value, low: float = -math.inf) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is a finite real >= ``low``."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= low):
+    real = type(value) is float or type(value) is not bool and isinstance(value, (int, numbers.Real))
+    if not (real and low <= value < math.inf and value != -math.inf):
         bound = "" if low == -math.inf else f" >= {low}"
         raise ValueError(f"{name} must be a finite number{bound}, got {value!r}")
 
 
-def require_count(name: str, value, low: int = 1) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``low`` (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def require_count(name: str, value, low: float = 1) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``low``."""
+    whole = type(value) is int or type(value) is not bool and isinstance(value, (int, np.integer))
+    if not (whole and value >= low):
+        bound = "" if low == -math.inf else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def require_in(name: str, value, lo: float, hi: float) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a real in [``lo``, ``hi``]."""
+    real = type(value) is float or type(value) is not bool and isinstance(value, (int, numbers.Real))
+    if not (real and lo <= value <= hi):  # also rejects NaN
+        raise ValueError(f"{name} must lie in the window [{lo!r}, {hi!r}], got {value!r}")
 
 
 def check_temperature(temperature, name: str = "temperature") -> None:
     """Raise a ValueError naming ``name`` unless ``temperature`` lies in the model window."""
-    if not (T_MIN <= temperature <= T_MAX):  # also rejects NaN
-        raise ValueError(f"{name} {temperature} K outside the model window [{T_MIN}, {T_MAX}] K")
+    real = type(temperature) is float or (
+        type(temperature) is not bool and isinstance(temperature, (int, numbers.Real))
+    )
+    if not (real and T_MIN <= temperature <= T_MAX):  # also rejects NaN
+        raise ValueError(f"{name} {temperature!r} K outside the model window [{T_MIN}, {T_MAX}] K")
+
+
+def read_yaml(path):
+    """The YAML document at ``path`` as plain data, ``{}`` when empty. A number
+    in exponent form without a dot (``1e-3``), a string in YAML 1.1, is a float."""
+    loader = type("Loader", (yaml.SafeLoader,), {})
+    loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float", re.compile(r"[-+]?[0-9][0-9_]*[eE][-+]?[0-9]+$"), list("-+0123456789")
+    )
+    with open(path, "r", encoding="utf-8") as fh:
+        return yaml.load(fh, Loader=loader) or {}
 
 
 def known_keys(cls, raw, what: str) -> dict:
@@ -71,12 +103,12 @@ class NoiseParams:
     i_high_anchor: float = 1.0e-8  # [A]
 
     def __post_init__(self):
-        if not (0.0 <= self.sigma_high <= self.sigma_low <= 0.10):
-            raise ValueError(
-                "noise sigmas must satisfy 0 <= sigma_high <= sigma_low <= 0.10"
-            )
-        if not (0.0 < self.i_low_anchor < self.i_high_anchor):
-            raise ValueError("noise anchors must be positive and ordered")
+        for name in ("sigma_low", "sigma_high"):
+            require_in(name, getattr(self, name), 0.0, 0.10)
+        for name in ("i_low_anchor", "i_high_anchor"):
+            require_positive(name, getattr(self, name))
+        if not (self.sigma_high <= self.sigma_low and self.i_low_anchor < self.i_high_anchor):
+            raise ValueError("noise needs sigma_high <= sigma_low and i_low_anchor < i_high_anchor")
 
     def sigma_at(self, current):
         """Relative r.m.s. at the given current, constant outside the anchors.
@@ -130,8 +162,7 @@ class InhibitionParams:
     def __post_init__(self):
         for f in fields(self):
             require_finite(f.name, getattr(self, f.name))
-        if not (0.0 < self.floor < 1.0):
-            raise ValueError("inhibition floor must be in (0, 1)")
+        require_in("floor", self.floor, TINY, math.nextafter(1.0, 0.0))  # (0, 1)
 
 
 @dataclass(frozen=True)
@@ -187,13 +218,19 @@ class ModelConfig:
     def __post_init__(self):
         require_count("seed", self.seed, 0)
         require_count("traversal_pulses", self.traversal_pulses)
-        for name in ("i0", "i_sat", "temperature_ref"):
+        for name in ("i0", "i_sat"):
             require_positive(name, getattr(self, name))
         check_temperature(self.temperature_ref, "temperature_ref")
         require_finite("wl_on_threshold", self.wl_on_threshold)
-        lo, hi = self.current_window
-        if not (0.0 < lo < hi):
-            raise ValueError("current_window must be positive and ordered")
+        window = self.current_window
+        if not (isinstance(window, (tuple, list)) and len(window) == 2):
+            raise ValueError(f"current_window must be a (lo, hi) pair, got {window!r}")
+        lo, hi = window
+        require_positive("current_window", lo)
+        require_positive("current_window", hi)
+        if not lo < hi:
+            raise ValueError("current_window must be ordered: lo < hi")
+        object.__setattr__(self, "current_window", (lo, hi))
         if self.i_sat < hi:
             raise ValueError("i_sat must be at or above the current window top")
         n = _resolve_n_slope(self.n_slope, self.seed)
@@ -212,9 +249,11 @@ def _resolve_n_slope(n_slope, seed: int) -> float:
     if isinstance(n_slope, numbers.Real):
         return float(n_slope)
     try:
-        lo, hi = (float(v) for v in n_slope)
+        lo, hi = n_slope
     except (TypeError, ValueError):
         raise CalibrationError(f"n_slope must be a number or a (lo, hi) pair, got {n_slope!r}") from None
+    require_finite("n_slope", lo)
+    require_finite("n_slope", hi)
     if not (lo <= hi):
         raise CalibrationError("n_slope range must be ordered")
     u = np.random.default_rng((int(seed), 0x6E)).random()
@@ -283,8 +322,7 @@ def config_hash(cfg: ModelConfig) -> str:
 def load_config(path, seed: int = None) -> ModelConfig:
     """Config from a YAML file; ``seed``, when given, replaces the file's
     seed before an ``n_slope`` range is resolved from it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+    raw = read_yaml(path)
     if seed is not None:
         raw = dict(known_keys(ModelConfig, raw, "config"), seed=seed)
     return config_from_dict(raw)
@@ -305,8 +343,6 @@ def config_from_dict(raw: dict) -> ModelConfig:
     ):
         if kwargs.get(key) is not None:
             kwargs[key] = cls(**known_keys(cls, kwargs[key], key))
-    if "current_window" in kwargs:
-        kwargs["current_window"] = tuple(kwargs["current_window"])
     cfg = ModelConfig(**kwargs)
     if saved is not None and known_keys(Calibration, saved, "calibration") != asdict(cfg.calibration):
         raise ValueError("calibration block differs from the one derived from the config")

@@ -17,6 +17,8 @@ V_EG_READ = 0.0  # [V]
 
 V_MAX_ABS = 12.0  # largest allowed terminal voltage magnitude [V]
 
+TINY = 5e-324  # least positive float: the window [TINY, hi] is (0, hi] over the floats
+
 T_MIN = 250.0  # model validity window [K]
 T_MAX = 400.0
 

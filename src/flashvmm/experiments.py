@@ -39,7 +39,6 @@ from .cell import (
 from .config import DEFAULT_CONFIG, ModelConfig, config_hash, require_count
 from .constants import K_B, Q_E, T_25C, T_85C
 from .tuning import (
-    TuneTarget,
     load_campaign,
     ramp_targets,
     results_to_csv,
@@ -47,7 +46,7 @@ from .tuning import (
     tune_array,
     uniform_targets,
 )
-from .vmm import differential_multiply, multiply, plan_differential, reference_current
+from .vmm import WeightMatrix, differential_multiply, multiply, plan_differential
 
 CSV_FORMAT_VERSION = 1
 
@@ -340,12 +339,7 @@ def _run_fig10(spec, seed, out_dir):
     weights = np.array([0.25, 1.0, 0.5, 0.125])
     freqs = np.array([1.0 / 8.0, 1.0 / 36.0, 1.0 / 180.0, 1.0 / 360.0])
     array = ArrayState.fresh(cfg, rows=4, cols=3)
-    i_ref = reference_current(cfg)
-    col = array.array_cols[0]
-
-    targets = [
-        TuneTarget(r, array.peripheral_col_for_row(r), i_ref, 0.01) for r in range(4)
-    ] + [TuneTarget(r, col, float(i_ref * weights[r]), 0.01) for r in range(4)]
+    targets = WeightMatrix(weights[:, None]).tune_targets(array, 0.01)
     results, summary = tune_array(array, targets, 200)
 
     lo, hi = cfg.current_window

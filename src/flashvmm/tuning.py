@@ -11,16 +11,16 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
-import yaml
 
-from .array import ArrayState
+from .array import INITIAL_STATES, ArrayState
 from .cell import PulseSpec
-from .config import ModelConfig, known_keys, require_count, require_positive
-from .constants import thermal_voltage
+from .config import ModelConfig, known_keys, read_yaml, require_count, require_in, require_positive
+from .constants import TINY, thermal_voltage
 
 VERIFY_SAMPLES = 128  # deciding readout averaging
 TRACK_SAMPLES = 8  # intermediate readout averaging
 MIN_SCALE = 1.0 / 64.0  # duration scaling floor
+PRECISION_WINDOW = (TINY, 0.5)  # a target's relative tolerance, in (0, 0.5]
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,10 @@ class TuneTarget:
     precision: float  # relative tolerance
 
     def __post_init__(self):
+        require_count("row", self.row, 0)
+        require_count("col", self.col, 0)
         require_positive("target_current", self.target_current)
-        if not (0.0 < self.precision <= 0.5):
-            raise ValueError("precision must lie in (0, 0.5]")
+        require_in("precision", self.precision, *PRECISION_WINDOW)
 
 
 @dataclass
@@ -60,11 +61,7 @@ def tune_cell(array: ArrayState, target: TuneTarget, budget: int) -> TuneResult:
     require_count("budget", budget)
     cfg = array.cfg
     cal = cfg.calibration
-    lo, hi = cfg.current_window
-    if not (lo <= target.target_current <= hi):
-        raise ValueError(
-            f"target {target.target_current:.3e} A outside the tunable window"
-        )
+    require_in("target_current", target.target_current, *cfg.current_window)
     row, col = target.row, target.col
     goal = target.target_current
     ut = cfg.n * thermal_voltage(cfg.temperature_ref)
@@ -183,11 +180,12 @@ class TuningCampaign:
     def __post_init__(self):
         for name in ("rows", "cols", "budget"):
             require_count(f"campaign {name}", getattr(self, name))
-        if not (0.0 < self.precision <= 0.5):  # also rejects NaN
-            raise ValueError(f"campaign precision must lie in (0, 0.5], got {self.precision!r}")
-        if self.initial not in ("programmed", "erased", "center"):
+        require_in("campaign precision", self.precision, *PRECISION_WINDOW)
+        if self.seed is not None:
+            require_count("campaign seed", self.seed, 0)
+        if self.initial not in INITIAL_STATES:
             raise ValueError(
-                f"campaign initial must be programmed, erased or center, got {self.initial!r}"
+                f"campaign initial must be one of {', '.join(INITIAL_STATES)}, got {self.initial!r}"
             )
         if self.targets:
             if not isinstance(self.targets, dict):
@@ -208,33 +206,22 @@ class TuningCampaign:
 
 
 def load_campaign(path) -> TuningCampaign:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+    raw = read_yaml(path)
     return TuningCampaign(**known_keys(TuningCampaign, raw, "campaign"))
-
-
-def _campaign_current(name: str, value, cfg: ModelConfig) -> float:
-    """A campaign target current [A]; it must lie in the tunable window."""
-    try:
-        current = float(value)
-    except (TypeError, ValueError):
-        current = math.nan
-    lo, hi = cfg.current_window
-    if not lo <= current <= hi:  # also rejects NaN
-        raise ValueError(f"campaign targets.{name} must be a current in [{lo}, {hi}] A, got {value!r}")
-    return current
 
 
 def campaign_targets(campaign: TuningCampaign, array: ArrayState) -> list:
     """The campaign's targets on ``array``; a bad target value is a ValueError naming it."""
     spec = campaign.targets or {"kind": "ramp", "lo": 1.0e-10, "hi": 1.0e-6}
     kind = spec.get("kind", "explicit")
+    window = array.cfg.current_window
+    if kind in ("uniform", "ramp"):
+        for key in _TARGET_KEYS[kind]:
+            require_in(f"campaign targets.{key}", spec[key], *window)
     if kind == "uniform":
-        current = _campaign_current("current", spec["current"], array.cfg)
-        return uniform_targets(array, current, campaign.precision)
+        return uniform_targets(array, spec["current"], campaign.precision)
     if kind == "ramp":
-        lo, hi = (_campaign_current(key, spec[key], array.cfg) for key in ("lo", "hi"))
-        return ramp_targets(array, lo, hi, campaign.precision)
+        return ramp_targets(array, spec["lo"], spec["hi"], campaign.precision)
     cells = spec["cells"]
     if not isinstance(cells, (list, tuple)):
         raise ValueError(f"campaign targets.cells must be a list of [row, col, current], got {cells!r}")
@@ -246,7 +233,7 @@ def campaign_targets(campaign: TuningCampaign, array: ArrayState) -> list:
                 f"campaign targets.cells[{k}] must be [row, col, current] with the cell "
                 f"inside the {array.rows}x{array.cols} array, got {entry!r}"
             )
-        current = _campaign_current(f"cells[{k}] current", current, array.cfg)
+        require_in(f"campaign targets.cells[{k}] current", current, *window)
         targets.append(TuneTarget(r, c, current, campaign.precision))
     return targets
 

@@ -15,7 +15,9 @@ import numpy as np
 
 from .array import ArrayState
 from .cell import CellState, gate_voltage, subthreshold_current
-from .config import DEFAULT_CONFIG, ModelConfig, check_temperature, require_count, require_positive
+from .config import (
+    DEFAULT_CONFIG, ModelConfig, check_temperature, require_count, require_in, require_positive
+)
 from .constants import thermal_voltage
 from .tuning import TuneTarget
 
@@ -51,6 +53,21 @@ class WeightMatrix:
     @property
     def shape(self):
         return self.values.shape
+
+    def tune_targets(self, array: ArrayState, precision: float) -> list:
+        """Single-ended targets: each row's peripheral cell at the reference
+        current, then, row-major, array column k of row j at its current times
+        weight [j, k]."""
+        cols = array.array_cols
+        if self.shape != (array.rows, len(cols)):
+            raise ValueError(f"weights of shape {self.shape} do not fit {array.rows}x{len(cols)} cells")
+        i_ref = reference_current(array.cfg)
+        rows = range(array.rows)
+        return [TuneTarget(r, array.peripheral_col_for_row(r), i_ref, precision) for r in rows] + [
+            TuneTarget(r, c, float(i_ref * self.values[r, k]), precision)
+            for r in rows
+            for k, c in enumerate(cols)
+        ]
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -89,12 +106,7 @@ def input_gate_voltage(
 ) -> float:
     """Coupling-gate voltage at which the peripheral cell carries the input [V]."""
     check_temperature(temperature)
-    lo, hi = cfg.current_window
-    if not (lo <= input_current <= hi):
-        raise ValueError(
-            f"input current {input_current:.3e} A outside the validity window "
-            f"[{lo:.0e}, {hi:.0e}] A"
-        )
+    require_in("input_current", input_current, *cfg.current_window)
     return float(gate_voltage(input_current, peripheral.v_th, cfg.n, cfg.i0, temperature))
 
 
@@ -149,7 +161,7 @@ def multiply(
         raise ValueError(f"expected {array.rows} input currents, got {inputs.shape}")
     lo, hi = cfg.current_window
     if not (lo <= inputs.min() and inputs.max() <= hi):  # NaN fails too
-        raise ValueError("input currents outside the validity window")
+        raise ValueError(f"inputs must lie in the window [{lo!r}, {hi!r}]")
     v_gate = gate_voltage(inputs, _check_peripherals(array), cfg.n, cfg.i0, t)
     currents = subthreshold_current(
         v_gate[:, None], array.v_th[:, array.io_layout[2]], cfg.n, cfg.i0, t, cfg.i_sat
@@ -173,17 +185,19 @@ def weight_at_temperature(w_ref: float, t_ref: float, t: float) -> float:
     return math.exp(math.log(w_ref) * t_ref / t)
 
 
-def _check_drift_scan(temp_range, reference, step: float = 1.0) -> None:
-    """Raise a ValueError naming the field unless the temperatures and the
-    step are finite and positive and the range is ordered."""
+def _check_drift_scan(temp_range, reference, step: float = 1.0) -> float:
+    """The drift's reference temperature, ``reference`` or by default the
+    range's low end; a ValueError names the field unless the temperatures
+    and the step are finite and positive and the range is ordered."""
     t_lo, t_hi = temp_range
     require_positive("temp_range", t_lo)
     require_positive("temp_range", t_hi)
     if not t_lo < t_hi:
         raise ValueError("temperature range must be ordered")
-    if reference is not None:
-        require_positive("reference", reference)
+    t0 = t_lo if reference is None else reference
+    require_positive("reference", t0)
     require_positive("step", step)
+    return t0
 
 
 def _drift_temps(temp_range, step: float = 1.0) -> np.ndarray:
@@ -220,8 +234,8 @@ def differential_drift_grid(
     """``differential_drift`` of each (w_plus, w_minus) pair, as one array."""
     if not (np.all(np.greater(w_plus, w_minus)) and np.all(np.greater(w_minus, 0.0))):
         raise ValueError("w_plus must exceed w_minus, and w_minus must be > 0")
-    _check_drift_scan(temp_range, reference, step)
-    return _drift(w_plus, w_minus, _drift_temps(temp_range, step), reference)
+    t0 = _check_drift_scan(temp_range, reference, step)
+    return _drift(w_plus, w_minus, _drift_temps(temp_range, step), t0)
 
 
 def differential_drift(
@@ -264,11 +278,9 @@ def optimize_bias_weight(
     w_minus realizable within the tunable window; a w in (0, ``W_MIN``)
     has no feasible bias weight.
     """
-    if not (0.0 <= w < 1.0):
-        raise ValueError("differential construction requires 0 <= w < 1")
-    _check_drift_scan(temp_range, reference)
+    require_in("w", w, 0.0, 1.0)
+    t0 = _check_drift_scan(temp_range, reference)
     require_positive("w_floor", w_floor)
-    t0 = temp_range[0] if reference is None else reference
     if w == 0.0:
         return 0.5, 0.0
 
@@ -372,12 +384,9 @@ def plan_differential(
     that cannot be realized (w = 1 leaves no room for the pair, or
     w_minus would fall below the window) are reported together.
     """
-    if isinstance(weights, WeightMatrix):
-        wvals = weights.values
-    else:
-        wvals = np.asarray(weights, dtype=float)
-        if wvals.ndim != 2:
-            raise ValueError("weights must be a 2-D matrix")
+    wvals = np.asarray(getattr(weights, "values", weights), dtype=float)
+    if wvals.ndim != 2:
+        raise ValueError("weights must be a 2-D matrix")
     cfg = array.cfg
     rows, logical = wvals.shape
     if rows != array.rows:
@@ -388,15 +397,13 @@ def plan_differential(
             f"{logical} logical columns need {2 * logical} array columns, "
             f"have {len(cols)}"
         )
-    lo_cur, hi_cur = cfg.current_window
     i_ref = reference_current(cfg)
     if w_floor is None:
-        w_floor = lo_cur / i_ref
+        w_floor = cfg.current_window[0] / i_ref
     # bad arguments fail here, naming the field, not as infeasible entries
-    _check_drift_scan(temp_range, reference)
+    t0 = _check_drift_scan(temp_range, reference)
     require_positive("w_floor", w_floor)
 
-    t0 = temp_range[0] if reference is None else reference
     w_b = np.zeros_like(wvals)
     drift = np.zeros_like(wvals)
     bad = []

@@ -67,10 +67,19 @@ class TestSchemes:
         row_half = bias_at(array, PulseKind.ERASE, 3, 0, 3, 5)
         assert row_half.v_eg == 0.0 and row_half.v_cg == 0.0
 
+    def test_string_kind_is_rejected_not_applied_as_an_erase(self):
+        # a string kind used to take the erase biases
+        array = ArrayState.fresh(CFG, rows=2, cols=3, initial="center")
+        with pytest.raises(ValueError, match="^kind must be a PulseKind"):
+            array.pulse_cell(0, 1, PulseSpec("program", 4.5, 1e-5))
+        assert array.disturb.pulses == 0
+        array.pulse_cell(0, 1, PulseSpec(PulseKind.PROGRAM, 4.5, 1e-5))
+        assert array.v_th[0, 1] > CFG.calibration.v_th_center
+
     def test_one_by_one_array(self):
         array = ArrayState.fresh(CFG, rows=1, cols=1)
-        delta = array.pulse_cell(0, 0, PulseSpec.program(CFG))
-        assert delta.roles.tolist() == [[ROLES.index("selected")]]
+        array.pulse_cell(0, 0, PulseSpec.program(CFG))
+        assert array.disturb.counts["selected"].tolist() == [[1]]
         program = bias_at(array, PulseKind.PROGRAM, 0, 0, 0, 0)
         assert program.v_s == 4.5 and program.v_d == 0.5
         erase = bias_at(array, PulseKind.ERASE, 0, 0, 0, 0)
@@ -99,25 +108,6 @@ class TestSchemes:
         assert np.array_equal(array.v_th, vth)
         assert np.array_equal(array.rng_counts, counts)
         assert array.disturb.pulses == 0 and not array.disturb.cumulative_dvth.any()
-
-    @pytest.mark.parametrize("field", ["rows", "cols"])
-    def test_nan_size_rejected_naming_field(self, field):
-        with pytest.raises(ValueError, match=field):
-            ArrayState.fresh(CFG, **{field: float("nan")})
-
-    @pytest.mark.parametrize("field", ["rows", "cols"])
-    def test_float_size_rejected_naming_field(self, field):
-        with pytest.raises(ValueError, match=field):
-            ArrayState.fresh(CFG, **{field: 3.0})
-
-    @pytest.mark.parametrize("field", ["rows", "cols"])
-    def test_bool_size_rejected_naming_field(self, field):
-        with pytest.raises(ValueError, match=field):
-            ArrayState.fresh(CFG, **{field: True})
-
-    def test_unknown_initial_rejected_naming_field(self):
-        with pytest.raises(ValueError, match="initial must be programmed, erased or center"):
-            ArrayState.fresh(CFG, rows=2, cols=3, initial="bogus")
 
     def test_numpy_integer_size_accepted(self):
         array = ArrayState.fresh(CFG, rows=np.int64(2), cols=np.int32(3))
@@ -236,16 +226,8 @@ class TestReadout:
             with pytest.raises(ValueError, match="temperature"):
                 array.read_cell(0, 0, temperature=t)
         array.v_th[0, 0] = float("nan")
-        with pytest.raises(ValueError, match="v_th must be finite"):
+        with pytest.raises(ValueError, match="^v_th must be a finite number"):
             array.read_cell(0, 0)
-
-    @pytest.mark.parametrize("samples", [0, -2, 2.5, True, np.float64(8.0)])
-    def test_bad_samples_rejected_naming_field(self, samples):
-        array = ArrayState.fresh(CFG, rows=3, cols=4, initial="center")
-        with pytest.raises(ValueError, match="samples"):
-            array.read_cell(0, 0, noisy=True, samples=samples)
-        with pytest.raises(ValueError, match="samples"):
-            readout_noisy(array.cell_at(0, 0), READOUT_BIAS, CFG.temperature_ref, samples, cfg=CFG)
 
     def test_reads_are_pure(self):
         array = ArrayState.fresh(CFG, rows=3, cols=4, initial="center")

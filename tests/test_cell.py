@@ -160,6 +160,16 @@ class TestPulses:
         pulse = PulseSpec(PulseKind.ERASE, 11.5, 0.0)
         assert apply_pulse(cell, pulse, full_select_erase(), CFG) is cell
 
+    def test_string_kind_is_rejected_not_applied_as_an_erase(self):
+        # PulseSpec("program", ...) used to build and then erase the cell
+        cell = mid_cell()
+        with pytest.raises(ValueError, match="^kind must be a PulseKind, got 'program'"):
+            apply_pulse(cell, PulseSpec("program", 4.5, 1e-5), full_select_program(), CFG)
+        programmed = apply_pulse(
+            cell, PulseSpec(PulseKind.PROGRAM, 4.5, 1e-5), full_select_program(), CFG
+        )
+        assert programmed.v_th > cell.v_th
+
     @pytest.mark.parametrize("field", ["duration", "amplitude"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_pulse_rejected(self, field, value):
@@ -288,6 +298,26 @@ class TestStateHelpers:
     def test_cell_state_invariants(self):
         with pytest.raises(ValueError):
             CellState(float("inf"), 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected_naming_it(self, seed):
+        # -1 used to fail inside numpy at the first pulse, 1.5 to become seed 1
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            fresh_cell(CFG, seed=seed)
+        with pytest.raises(ValueError, match="^rng_seed must be an integer >= 0"):
+            CellState(4.0, seed)
+        assert fresh_cell(CFG, seed=np.int64(7)).rng_seed == 7
+
+    @pytest.mark.parametrize("temperature", [math.nan, 1000.0])
+    def test_vth_for_standard_current_checks_temperature(self, temperature):
+        # a NaN temperature used to return NaN, 1000 K a number
+        with pytest.raises(ValueError, match="^temperature"):
+            vth_for_standard_current(1e-8, CFG, temperature)
+
+    @pytest.mark.parametrize("current", [1e-11, 1e-5])
+    def test_vth_for_standard_current_checks_the_current_window(self, current):
+        with pytest.raises(ValueError, match=r"^current must lie in the window \[1e-10, 1e-06\]"):
+            vth_for_standard_current(current, CFG)
 
     def test_fresh_cell_checks_slope_factor(self):
         with pytest.raises(ValueError, match="n_slope"):

@@ -24,6 +24,14 @@ def test_calibrate_writes_loadable_config(tmp_path):
     assert out.read_text() == out2.read_text()
 
 
+def test_calibrate_reads_exponent_only_numbers(tmp_path):
+    # current_window: [1e-10, 1e-6] used to end in a bare TypeError
+    config = tmp_path / "cfg.yaml"
+    config.write_text("current_window: [1e-10, 1e-6]\ni0: 1e-3\n")
+    assert main(["calibrate", "--config", str(config), "--out", str(tmp_path / "out.yaml")]) == 0
+    assert load_config(tmp_path / "out.yaml") == DEFAULT_CONFIG
+
+
 def test_tune_campaign_end_to_end(tmp_path):
     campaign = {
         "rows": 2,
@@ -232,7 +240,7 @@ def test_bad_campaign_is_a_json_error(tmp_path, capsys):
         ("{cells: [[0, 1, 1.0e-9], [2, 1, 1.0e-9]]}", r"^campaign targets\.cells\[1\] .* inside the 2x3"),
         ("{cells: [[0, 1.5, 1.0e-9]]}", r"^campaign targets\.cells\[0\]"),
         ("{cells: [[0, 1, abc]]}", r"^campaign targets\.cells\[0\] current"),
-        ("{kind: uniform, current: abc}", r"^campaign targets\.current must be a current"),
+        ("{kind: uniform, current: abc}", r"^campaign targets\.current must lie in the window"),
         ("{kind: uniform, current: .nan}", r"^campaign targets\.current"),
         ("{kind: ramp, lo: 1.0e-10, hi: 1.0e-3}", r"^campaign targets\.hi .* got 0\.001"),
     ],

@@ -292,30 +292,6 @@ class TestBiasWeightOptimization:
         with pytest.raises(ValueError, match="feasible"):
             optimize_bias_weight(0.999, (T_25C, T_85C))
 
-    def test_nan_reference_rejected_naming_field(self):
-        with pytest.raises(ValueError, match="reference"):
-            optimize_bias_weight(0.5, (T_25C, T_85C), reference=math.nan)
-        with pytest.raises(ValueError, match="reference"):
-            optimize_bias_weight(0.0, (T_25C, T_85C), reference=math.nan)
-
-    def test_nan_w_floor_rejected_naming_field(self):
-        with pytest.raises(ValueError, match="w_floor"):
-            optimize_bias_weight(0.5, (T_25C, T_85C), w_floor=math.nan)
-
-    @pytest.mark.parametrize(
-        "temp_range", [(T_25C, math.inf), (-math.inf, T_85C), (math.nan, T_85C)]
-    )
-    def test_non_finite_temp_range_rejected_naming_field(self, temp_range):
-        with pytest.raises(ValueError, match="temp_range"):
-            optimize_bias_weight(0.5, temp_range)
-        with pytest.raises(ValueError, match="temp_range"):
-            differential_drift(0.6, 0.2, temp_range, T_25C)
-
-    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
-    def test_bad_drift_step_rejected_naming_field(self, step):
-        with pytest.raises(ValueError, match="step"):
-            differential_drift(0.6, 0.2, (T_25C, T_85C), T_25C, step=step)
-
     @pytest.mark.parametrize(
         "pair", [(0.5, 0.5), (0.4, 0.5), (0.5, 0.0), (0.5, -0.1), (math.nan, 0.2), (0.5, math.nan)]
     )
@@ -350,6 +326,22 @@ class TestBiasWeightOptimization:
         assert fx == pytest.approx(1.0, abs=1e-9)
 
 
+class TestSingleEndedTargets:
+    def test_peripherals_first_then_weights_row_major(self):
+        array = centered_array(rows=2, cols=4)
+        i_ref = reference_current(CFG)
+        targets = WeightMatrix([[0.5, 0.25], [1.0, 0.125]]).tune_targets(array, 0.01)
+        assert [(t.row, t.col, t.target_current) for t in targets] == [
+            (0, 0, i_ref), (1, 3, i_ref),
+            (0, 1, i_ref * 0.5), (0, 2, i_ref * 0.25), (1, 1, i_ref), (1, 2, i_ref * 0.125),
+        ]
+        assert {t.precision for t in targets} == {0.01}
+
+    def test_shape_must_fit_the_array(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            WeightMatrix([[0.5, 0.25, 0.1]]).tune_targets(centered_array(rows=1, cols=4), 0.01)
+
+
 class TestDifferentialPlan:
     def test_pair_split_exact(self):
         array = centered_array(rows=1, cols=4)
@@ -375,18 +367,6 @@ class TestDifferentialPlan:
         with pytest.raises(PlanInfeasibleError) as err:
             plan_differential(weights, (T_25C, T_85C), array)
         assert set(err.value.entries) == {(0, 1), (1, 0)}
-
-    def test_bad_arguments_rejected_naming_field(self):
-        # a NaN reference or floor is a bad argument, not an infeasible entry
-        array = centered_array(rows=1, cols=4)
-        weights = np.array([[0.5]])
-        with pytest.raises(ValueError, match="reference") as err:
-            plan_differential(weights, (T_25C, T_85C), array, reference=math.nan)
-        assert not isinstance(err.value, PlanInfeasibleError)
-        with pytest.raises(ValueError, match="w_floor"):
-            plan_differential(weights, (T_25C, T_85C), array, w_floor=math.nan)
-        with pytest.raises(ValueError, match="temp_range"):
-            plan_differential(weights, (T_25C, math.inf), array)
 
     def test_roundtrip_plan_tune_multiply(self):
         # end-to-end oracle: noiseless, deterministic pulses, tight precision
