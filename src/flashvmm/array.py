@@ -33,7 +33,8 @@ from .cell import (
     vth_for_standard_current,
 )
 from .config import (
-    DEFAULT_CONFIG, InhibitionParams, ModelConfig, config_hash, require_count, require_finite
+    DEFAULT_CONFIG, InhibitionParams, ModelConfig, config_hash, require_count, require_finite,
+    require_flag,
 )
 
 # role classes in table order: index 2 * (row not selected) + (column not selected)
@@ -45,12 +46,11 @@ INITIAL_STATES = ("programmed", "erased", "center")
 
 _MEASURE_STREAM_TAG = 0xA77A
 
-# variability normals computed ahead per cell, so that successive pulses
-# share one stream_normals call: enough that a refill of a pulse's rows +
-# cols - 1 drawn cells makes about 256 pairs (a call's fixed cost dominates
-# below that), and at least DRAW_AHEAD, as pairs past 256 cost little
-# (1x4 arrays: 64; 32x34, 64x66: 24, the fastest 32x34 ramp tuning width)
-DRAW_AHEAD = 24
+# variability normals kept ahead per drawn cell, as a ring that a refill
+# tops up (see ArrayState._normals). Of the widths 24, 32, 48, 64 and 96 in
+# 30 s tune-ramp runs, 64 and 96 were the fastest, within run-to-run
+# spread; 64 has the lower tail and peak RSS.
+DRAW_AHEAD = 64
 
 STATE_FORMAT_VERSION = 2
 STATE_COLUMNS = "row,col,v_th,seed,draws"
@@ -291,31 +291,38 @@ class ArrayState:
     def _normals(self, cells: np.ndarray) -> tuple:
         """Next variability normal and draw count of each cell.
 
-        ``cells`` are row-major flat indices. A cell's draw-ahead block
-        holds the normals of draws base .. base + width - 1 of the seed it
-        was made from (width: see ``DRAW_AHEAD``). If any cell's block does
-        not cover its current seed and draw count, every cell of ``cells``
-        is refilled from its current count in one ``stream_normals`` call,
-        so the pulses that follow on the same target need no call. The
-        block is a pure function of (seed, count) and is not saved.
+        ``cells`` are row-major flat indices. Each cell keeps a ring of
+        ``width`` normals (``DRAW_AHEAD``) of the seed it was drawn from:
+        slot ``count % width`` holds draw ``count`` while base <= count <
+        base + width. When any cell of ``cells`` is stale, one
+        ``stream_normals`` call tops each of them up to draws count ..
+        count + width - 1. A cell whose ring covers its count draws only
+        base + width .. count + width - 1, any other cell its whole ring;
+        then base = count. So the next pulses on the same target need no
+        call, and no normal is drawn twice unless ``rng_counts`` is edited.
+        The rings are a pure function of (seed, count) and are not saved.
         """
         if self._ahead is None:
-            width = max(DRAW_AHEAD, math.ceil(256 / (self.rows + self.cols - 1)))
-            self._ahead = np.empty((self.rows * self.cols, width))
+            self._ahead = np.empty((self.rows * self.cols, DRAW_AHEAD))
             self._ahead_base = np.zeros(self.rows * self.cols, dtype=np.int64)
             self._ahead_seed = np.full(self.rows * self.cols, -1, dtype=np.int64)
         width = self._ahead.shape[1]
         seeds, counts = self.rng_seeds.take(cells), self.rng_counts.take(cells)
         offset = counts - self._ahead_base.take(cells)
         # a negative offset wraps past the width as uint64
-        if ((seeds != self._ahead_seed.take(cells)) | (offset.view(np.uint64) >= width)).any():
-            block = counts.astype(np.uint64)[:, None] + np.arange(width, dtype=np.uint64)
-            normals = stream_normals(np.repeat(seeds, width), block)
-            self._ahead[cells] = normals.reshape(-1, width)
+        covered = (seeds == self._ahead_seed.take(cells)) & (offset.view(np.uint64) < width)
+        if np.count_nonzero(covered) < covered.size:  # a third of .all()'s cost per pulse
+            # each cell's n missing draws, count + width - n .. count + width - 1,
+            # one run after another; in uint64, which a count near 2**63 fits
+            n = np.where(covered, offset, width)
+            ends = n.cumsum()
+            runs = (counts + width - ends).view(np.uint64).repeat(n)
+            draws = np.arange(ends[-1], dtype=np.uint64) + runs
+            slots = (cells * width).view(np.uint64).repeat(n) + draws % width
+            self._ahead.reshape(-1)[slots] = stream_normals(seeds.repeat(n), draws)
             self._ahead_base[cells] = counts
             self._ahead_seed[cells] = seeds
-            return self._ahead[cells, 0], counts
-        return self._ahead[cells, offset], counts
+        return self._ahead[cells, counts % width], counts
 
     def pulse_cell(self, row: int, col: int, pulse: PulseSpec) -> DisturbDelta:
         """Apply one pulse to the target; every cell sees its class's bias.
@@ -341,7 +348,7 @@ class ArrayState:
         magnitude = step * sf
         if drawn:
             z, counts = self._normals(cells[:drawn])
-            magnitude[:drawn] *= [math.exp(x) for x in (sigma * z).tolist()]
+            magnitude[:drawn] *= np.fromiter(map(math.exp, (sigma * z).tolist()), float, drawn)
             self.rng_counts.put(cells[:drawn], counts + 1)
         old = self.v_th.copy()
         line = old.take(cells) + sign * magnitude
@@ -365,6 +372,7 @@ class ArrayState:
     ) -> float:
         """Standard-bias readout [A]; never mutates any cell state."""
         self._check_target(row, col)
+        require_flag("noisy", noisy)
         v_th = self.v_th.item(row, col)
         require_finite("v_th", v_th)
         t = self.cfg.temperature_ref if temperature is None else temperature

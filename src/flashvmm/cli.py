@@ -11,7 +11,9 @@ import sys
 from dataclasses import replace as dc_replace
 
 from .array import INITIAL_STATES, TOPOLOGIES, ArrayState
-from .config import DEFAULT_CONFIG, config_hash, load_config, save_config
+from .config import (
+    DEFAULT_CONFIG, check_temperature, config_hash, load_config, require_count, save_config
+)
 from .experiments import EXPERIMENT_IDS, ExperimentSpec, run_experiment, write_csv
 from .tuning import load_campaign, results_to_csv, run_campaign, tune_array
 from .vmm import differential_multiply, load_weights_csv, multiply, plan_differential, read_matrix_csv
@@ -50,6 +52,11 @@ def _cmd_tune(args):
 
 def _cmd_multiply(args):
     cfg = _load_cfg(args)
+    # the read options multiply checks, refused before any tuning
+    if args.temperature is not None:
+        check_temperature(args.temperature)
+    if args.noisy:
+        require_count("samples", args.samples)
     weights = load_weights_csv(args.weights)
     inputs = read_matrix_csv(args.inputs)
     rows, logical = weights.shape

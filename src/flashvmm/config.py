@@ -52,6 +52,12 @@ def require_count(name: str, value, low: float = 1) -> None:
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def require_flag(name: str, value) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a bool (numpy's too)."""
+    if not (type(value) is bool or isinstance(value, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
 def require_in(name: str, value, lo: float, hi: float) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is a real in [``lo``, ``hi``]."""
     real = type(value) is float or type(value) is not bool and isinstance(value, (int, numbers.Real))

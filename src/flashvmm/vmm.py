@@ -16,7 +16,8 @@ import numpy as np
 from .array import ArrayState
 from .cell import CellState, gate_voltage, subthreshold_current
 from .config import (
-    DEFAULT_CONFIG, ModelConfig, check_temperature, require_count, require_in, require_positive
+    DEFAULT_CONFIG, ModelConfig, check_temperature, require_count, require_flag, require_in,
+    require_positive,
 )
 from .constants import thermal_voltage
 from .tuning import TuneTarget
@@ -154,6 +155,7 @@ def multiply(
     cfg = array.cfg
     t = cfg.temperature_ref if temperature is None else temperature
     check_temperature(t)
+    require_flag("noisy", noisy)
     if noisy:
         require_count("samples", samples)
     inputs = np.asarray(inputs, dtype=float)

@@ -5,12 +5,12 @@ module-level public functions and classes, or a CLI subcommand): how to
 call it, the state it acts on, and its checked parameters with their
 windows. ``test_boundary_contract`` feeds each parameter NaN, +-inf, a
 bool, a string, None, a float where an integer is needed and values just
-outside the window, and expects a ValueError whose message names the
-parameter, with any array the call acts on left untouched. The CLI's
-own parser rejects a non-number with exit 2 before any of this, so a
-CLI row is fed the values that parse, and expects exit 1 with the JSON
-error line. Draws inside the window, numpy scalars included, must
-return finite results.
+outside the window (a flag: numbers, strings and None), and expects a
+ValueError whose message names the parameter, with any array the call
+acts on left untouched. The CLI's own parser rejects a non-number with
+exit 2 before any of this, so a CLI row is fed the values that parse,
+and expects exit 1 with the JSON error line. Draws inside the window,
+numpy scalars included, must return finite results.
 """
 
 import argparse
@@ -45,9 +45,10 @@ class Param:
     """A checked parameter: its window, and where in-window draws come from.
 
     ``kind`` is real, count, temperature, choice, index (a cell row or
-    column: an IndexError outside the array) or pair (each element a
-    real). ``draw`` narrows the draws to where the call can succeed
-    (feasibility and cross-field checks are not this table's business).
+    column: an IndexError outside the array), pair (each element a real)
+    or flag (a bool, numpy's too). ``draw`` narrows the draws to where
+    the call can succeed (feasibility and cross-field checks are not this
+    table's business).
     """
 
     name: str
@@ -73,6 +74,8 @@ class Param:
             bad += [float(self.lo + 1), np.float64(self.lo + 1)]
         if self.kind == "choice":
             bad = ["bogus", None, 1]
+        elif self.kind == "flag":
+            bad = ["no", "", None, 0, 1, 1.0, math.nan, np.int64(1)]
         elif self.kind in ("count", "index"):
             bad += [self.lo - 1] + ([self.hi + 1] if self.hi < math.inf else [])
         else:
@@ -90,6 +93,8 @@ class Param:
         """In-window values, numpy scalars among them."""
         if self.kind == "choice":
             return st.sampled_from(self.choices)
+        if self.kind == "flag":
+            return st.sampled_from((True, False, np.True_, np.False_))
         lo, hi = self.draw or (self.lo, self.hi)
         if self.kind in ("count", "index"):
             ints = st.integers(int(lo), int(hi))
@@ -211,7 +216,9 @@ def cli_out(result):
 
 VOLTS = {name: Param(name, lo=-12.0, hi=12.0) for name in ("v_wl", "v_cg", "v_d", "v_s", "v_eg")}
 PAIR_T = dict(kind="pair", lo=0.0, open_lo=True, draw=(T_MIN, T_MAX))
-READ_PARAMS = (temperature(optional=True), count("samples", 1, draw=(1, 16)))
+READ_PARAMS = (
+    temperature(optional=True), count("samples", 1, draw=(1, 16)), Param("noisy", "flag")
+)
 
 TABLE = [
     # cell
@@ -308,10 +315,9 @@ TABLE = [
           (count("rows", 1), count("cols", 1), Param("topology", "choice", choices=TOPOLOGIES),
            Param("initial", "choice", choices=INITIAL_STATES)),
           dict(rows=2, cols=3), lambda a: a.v_th),
-    Entry("ArrayState", "ArrayState.read_cell", lambda s, **kw: s.read_cell(noisy=True, **kw),
-          (index("row", 2), index("col", 4), temperature(optional=True),
-           count("samples", 1, draw=(1, 16))),
-          dict(row=0, col=1, temperature=None, samples=8), None, center_array),
+    Entry("ArrayState", "ArrayState.read_cell", lambda s, **kw: s.read_cell(**kw),
+          (index("row", 2), index("col", 4)) + READ_PARAMS,
+          dict(row=0, col=1, temperature=None, samples=8, noisy=True), None, center_array),
     Entry("ArrayState", "ArrayState.pulse_cell",
           lambda s, **kw: s.pulse_cell(pulse=PulseSpec.program(CFG), **kw),
           (index("row", 2), index("col", 4)), dict(row=0, col=1), lambda d: d.dvth, center_array),
@@ -328,11 +334,12 @@ TABLE = [
           dict(input_current=1e-8, temperature=T_25C)),
     Entry("weight_of", "weight_of", lambda s, **kw: flashvmm.weight_of(cell(), cell(), cfg=CFG, **kw),
           (temperature(),), dict(temperature=T_25C)),
-    Entry("multiply", "multiply", lambda s, **kw: flashvmm.multiply(s, [1e-8, 5e-8], noisy=True, **kw),
-          READ_PARAMS, dict(temperature=None, samples=8), None, center_array),
+    Entry("multiply", "multiply", lambda s, **kw: flashvmm.multiply(s, [1e-8, 5e-8], **kw),
+          READ_PARAMS, dict(temperature=None, samples=8, noisy=True), None, center_array),
     Entry("differential_multiply", "differential_multiply",
-          lambda s, **kw: flashvmm.differential_multiply(s, plan(), [5e-8], noisy=True, **kw),
-          READ_PARAMS, dict(temperature=None, samples=8), None, lambda: center_array(1, 4)),
+          lambda s, **kw: flashvmm.differential_multiply(s, plan(), [5e-8], **kw),
+          READ_PARAMS, dict(temperature=None, samples=8, noisy=True), None,
+          lambda: center_array(1, 4)),
     Entry("optimize_bias_weight", "optimize_bias_weight",
           lambda s, **kw: flashvmm.optimize_bias_weight(**kw),
           (Param("w", lo=0.0, hi=1.0, draw=(1e-3, 0.9)), Param("temp_range", **PAIR_T),

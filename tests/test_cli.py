@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from flashvmm import cli
 from flashvmm.cli import main
 from flashvmm.config import DEFAULT_CONFIG, load_config
 
@@ -204,6 +205,28 @@ def test_multiply_zero_budget_is_a_json_error(tmp_path, capsys):
     assert code == 1
     parsed = json.loads(capsys.readouterr().err.strip())
     assert parsed["error"] == "ValueError" and "budget" in parsed["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "option, field",
+    [
+        pytest.param(["--temperature", "nan"], "temperature", id="temperature_nan"),
+        pytest.param(["--noisy", "--samples", "0"], "samples", id="zero_samples"),
+    ],
+)
+def test_multiply_checks_read_options_before_tuning(tmp_path, capsys, monkeypatch, option, field):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tune_array called")
+
+    monkeypatch.setattr(cli, "tune_array", no_tuning)
+    (tmp_path / "w.csv").write_text("0.5,0.25\n0.8,0.4\n")
+    (tmp_path / "in.csv").write_text("5e-8,1e-8\n")
+    argv = ["multiply", "--weights", str(tmp_path / "w.csv"), "--inputs", str(tmp_path / "in.csv"),
+            "--out", str(tmp_path / "out.csv")]
+    assert main(argv + option) == 1
+    parsed = json.loads(capsys.readouterr().err.strip())
+    assert parsed["error"] == "ValueError" and field in parsed["message"]
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -415,14 +415,14 @@ def test_ziggurat_tables_reproduce_every_index():
 # ------------------------------------------------------------- draw-ahead
 
 def block_width(rows, cols):
-    """Normals drawn ahead per cell: about 256 pairs per refill of a
-    pulse's rows + cols - 1 drawn cells, and at least DRAW_AHEAD."""
-    return max(DRAW_AHEAD, math.ceil(256 / (rows + cols - 1)))
+    """Normals kept ahead per cell of a rows x cols array: DRAW_AHEAD on
+    every array, since a wide ring serves even a 1x4 array's pulses."""
+    return DRAW_AHEAD
 
 
 @pytest.mark.parametrize(
     "shape, width",
-    [((1, 4), 64), ((3, 5), 37), ((32, 34), 24), ((64, 66), 24)],
+    [((1, 4), 64), ((3, 5), 64), ((32, 34), 64), ((64, 66), 64)],
     ids=["1x4", "3x5", "32x34", "64x66"],
 )
 def test_draw_ahead_width_follows_drawn_cells_per_pulse(shape, width):
@@ -597,6 +597,64 @@ def test_draw_ahead_is_not_saved(tmp_path):
         whole.pulse_cell(row, col, pulse)
     assert_bits_equal(resumed.v_th, whole.v_th)
     assert_bits_equal(resumed.rng_counts, whole.rng_counts)
+
+
+def ring_steps():
+    """Runs of pulses on a 5x7 array: (row, col, program or erase, length)."""
+    return st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 6), st.booleans(), st.integers(1, 9)),
+        min_size=1,
+        max_size=6,
+    )
+
+
+@pytest.mark.parametrize("width", [5, DRAW_AHEAD])
+def test_top_up_interleaving_matches_oracle(monkeypatch, width):
+    # (2, 3) uses part of its ring; pulses on (2, 5) and (4, 3) use part of
+    # it on row 2 and column 3 and top the rest up; the return to (2, 3)
+    # finds its line partly used; then drawn runs of targets and kinds.
+    # Counts start a few ring turns in, so top-ups wrap past slot 0.
+    monkeypatch.setattr(array_mod, "DRAW_AHEAD", width)
+    cfg = DEFAULT_CONFIG
+    prefix = [(2, 3, True, 4), (2, 5, False, 3), (4, 3, True, 2), (2, 3, False, 3)]
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(start=st.integers(0, 3 * width), steps=ring_steps())
+    def run(start, steps):
+        fast = ArrayState.fresh(cfg, rows=5, cols=7, initial="center")
+        slow = ArrayState.fresh(cfg, rows=5, cols=7, initial="center")
+        fast.rng_counts[...] = slow.rng_counts[...] = start + np.arange(35).reshape(5, 7) % 11
+        tally = new_tally(slow)
+        for row, col, program, n in prefix + steps:
+            make = PulseSpec.program if program else PulseSpec.erase
+            pulse = make(cfg, duration=make(cfg).duration / 2)
+            run_both(fast, slow, [(row, col, pulse)] * n, tally)
+        assert_same_state(fast, slow, tally)
+        assert fast._ahead.shape[1] == width
+
+    run()
+
+
+def test_top_up_draws_each_normal_once(monkeypatch):
+    # a cell's rings cover its draws 0 .. base + width - 1, each drawn once:
+    # a 32x34 ramp campaign passes stream_normals the draws it consumes
+    # plus the unused tail of each ring, at most width per cell touched
+    pairs = []
+
+    def counting(seeds, counts):
+        pairs.append(len(seeds))
+        return stream_normals(seeds, counts)
+
+    monkeypatch.setattr(array_mod, "stream_normals", counting)
+    array = ArrayState.fresh(DEFAULT_CONFIG, rows=32, cols=34)
+    targets = tuning_mod.ramp_targets(array, 1.0e-10, 1.0e-6, 0.05)
+    tuning_mod.tune_array(array, targets[::4], 100)
+    width = array._ahead.shape[1]
+    touched = array._ahead_seed >= 0
+    consumed = int(array.rng_counts.sum())
+    tails = array._ahead_base[touched] + width - array.rng_counts.ravel()[touched]
+    assert sum(pairs) == consumed + int(tails.sum())
+    assert sum(pairs) <= consumed + width * int(touched.sum())
 
 
 # ------------------------------------------------------------ drift scan
