@@ -1,15 +1,15 @@
 """Submission gate: every workload runs clean and every seeded output is unchanged.
 
-    python3 scripts/gate.py 1903 1904            # 30 s per workload and seed
-    python3 scripts/gate.py 1903 1904 --seconds 5
+    python3 scripts/gate.py 1903 1904    # two or more seeds
 
 For each workload of ``bench/run.py`` and each seed given, the gate runs
-the benchmark for ``--seconds`` and fails on a non-zero exit or on any
-failed op. It then runs each workload at seeds 1 and 7311 past its
-checkpoint and compares the checkpoint digest with the value pinned in
-``PINNED``: a change meant only to speed up the simulator leaves these
-unchanged. Exit code 0 when every check passes, 1 otherwise. Run it from
-any directory; it is not part of the test suite.
+the benchmark for 30 s, the benchmark's own run length, and fails on a
+non-zero exit or on any failed op. It then runs each workload at seeds 1
+and 7311 past its checkpoint and compares the checkpoint digest with the
+value pinned in ``PINNED``: a change meant only to speed up the simulator
+leaves these unchanged. A run that ends before its checkpoint fails as
+such. Exit code 0 when every check passes, 1 otherwise. Run it from any
+directory; it is not part of the test suite.
 """
 
 import argparse
@@ -30,6 +30,7 @@ PINNED = {
     ("mvm-noisy", 7311): "c053208652099ed6e48e6d1bda36860c648ffdd54d3ea729389a3b18d869c469",
     ("diff-program", 7311): "ee8696178ddf407280441bd4a3cf94854c4bc803d8403074ddb59ce66b77e5de",
 }
+RUN_SECONDS = 30.0
 # op seconds that pass every workload's checkpoint (256 mvm-noisy ops take about 2 s)
 CHECKPOINT_SECONDS = 5.0
 
@@ -50,14 +51,15 @@ def bench(workload, seed, seconds):
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("seeds", type=int, nargs="+", help="benchmark seeds of the timed runs")
-    p.add_argument("--seconds", type=float, default=30.0, help="op seconds of each timed run")
+    p.add_argument("seeds", type=int, nargs="+", help="two or more benchmark seeds")
     args = p.parse_args(argv)
+    if len(set(args.seeds)) < 2:
+        p.error("give two or more distinct seeds")
 
     faults = []
     for workload in WORKLOADS:
         for seed in args.seeds:
-            code, result, _ = bench(workload, seed, args.seconds)
+            code, result, _ = bench(workload, seed, RUN_SECONDS)
             failed, attempted = result.get("failed"), result.get("attempted")
             ops = result.get("metrics", {}).get("ops_per_s", {}).get("value", float("nan"))
             print(f"{workload:13s} seed {seed:6d}: exit {code}, {failed}/{attempted} ops failed, "
@@ -67,10 +69,15 @@ def main(argv=None):
     for (workload, seed), pinned in PINNED.items():
         _, _, prov = bench(workload, seed, CHECKPOINT_SECONDS)
         digest = prov.get("checkpoint", {}).get("sha256")
-        same = digest == pinned
-        print(f"{workload:13s} seed {seed:6d}: checkpoint {digest} {'ok' if same else 'DIFFERS'}")
-        if not same:
-            faults.append(f"{workload} seed {seed}: checkpoint {digest}, pinned {pinned}")
+        if digest is None:
+            fault = f"checkpoint not reached in {CHECKPOINT_SECONDS:g} s"
+        elif digest != pinned:
+            fault = f"checkpoint {digest}, pinned {pinned}"
+        else:
+            fault = None
+        print(f"{workload:13s} seed {seed:6d}: checkpoint {digest} {'FAIL' if fault else 'ok'}")
+        if fault:
+            faults.append(f"{workload} seed {seed}: {fault}")
     for fault in faults:
         print("FAIL " + fault)
     print("gate " + ("failed" if faults else "passed"))

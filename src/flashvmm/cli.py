@@ -11,12 +11,13 @@ import sys
 from dataclasses import replace as dc_replace
 
 from .array import INITIAL_STATES, TOPOLOGIES, ArrayState
-from .config import (
-    DEFAULT_CONFIG, check_temperature, config_hash, load_config, require_count, save_config
-)
+from .config import DEFAULT_CONFIG, config_hash, load_config, save_config
 from .experiments import EXPERIMENT_IDS, ExperimentSpec, run_experiment, write_csv
 from .tuning import load_campaign, results_to_csv, run_campaign, tune_array
-from .vmm import differential_multiply, load_weights_csv, multiply, plan_differential, read_matrix_csv
+from .vmm import (
+    check_read, differential_multiply, load_weights_csv, multiply, plan_differential,
+    read_matrix_csv,
+)
 
 
 def _load_cfg(args):
@@ -52,11 +53,8 @@ def _cmd_tune(args):
 
 def _cmd_multiply(args):
     cfg = _load_cfg(args)
-    # the read options multiply checks, refused before any tuning
-    if args.temperature is not None:
-        check_temperature(args.temperature)
-    if args.noisy:
-        require_count("samples", args.samples)
+    read = dict(temperature=args.temperature, noisy=args.noisy, samples=args.samples)
+    check_read(cfg, **read)  # refused before any tuning
     weights = load_weights_csv(args.weights)
     inputs = read_matrix_csv(args.inputs)
     rows, logical = weights.shape
@@ -85,7 +83,6 @@ def _cmd_multiply(args):
     if args.state_out:
         array.save(args.state_out)
 
-    read = dict(temperature=args.temperature, noisy=args.noisy, samples=args.samples)
     out_rows = []
     for k, vec in enumerate(inputs):
         if plan is None:

@@ -138,6 +138,20 @@ def _check_peripherals(array: ArrayState) -> np.ndarray:
     return v
 
 
+def check_read(
+    cfg: ModelConfig, temperature: float = None, noisy: bool = False, samples: int = 1
+) -> float:
+    """Read temperature [K] of ``multiply``'s read options: ``temperature``
+    or by default ``cfg.temperature_ref``. A ValueError names the first
+    option out of range; ``samples`` counts only when ``noisy``."""
+    t = cfg.temperature_ref if temperature is None else temperature
+    check_temperature(t)
+    require_flag("noisy", noisy)
+    if noisy:
+        require_count("samples", samples)
+    return t
+
+
 def multiply(
     array: ArrayState,
     inputs,
@@ -153,11 +167,7 @@ def multiply(
     come from ``rng`` or, when omitted, the array's measurement stream.
     """
     cfg = array.cfg
-    t = cfg.temperature_ref if temperature is None else temperature
-    check_temperature(t)
-    require_flag("noisy", noisy)
-    if noisy:
-        require_count("samples", samples)
+    t = check_read(cfg, temperature, noisy, samples)
     inputs = np.asarray(inputs, dtype=float)
     if inputs.shape != (array.rows,):
         raise ValueError(f"expected {array.rows} input currents, got {inputs.shape}")

@@ -414,22 +414,17 @@ def test_ziggurat_tables_reproduce_every_index():
 
 # ------------------------------------------------------------- draw-ahead
 
-def block_width(rows, cols):
-    """Normals kept ahead per cell of a rows x cols array: DRAW_AHEAD on
-    every array, since a wide ring serves even a 1x4 array's pulses."""
-    return DRAW_AHEAD
-
-
 @pytest.mark.parametrize(
     "shape, width",
     [((1, 4), 64), ((3, 5), 64), ((32, 34), 64), ((64, 66), 64)],
     ids=["1x4", "3x5", "32x34", "64x66"],
 )
 def test_draw_ahead_width_follows_drawn_cells_per_pulse(shape, width):
+    # one ring width for every array, however few cells a pulse draws
     array = ArrayState.fresh(DEFAULT_CONFIG, rows=shape[0], cols=shape[1], initial="center")
     assert array._ahead is None  # made by the first drawing pulse
     array.pulse_cell(0, 1, PulseSpec.program(DEFAULT_CONFIG))
-    assert array._ahead.shape[1] == block_width(*shape) == width
+    assert array._ahead.shape == (shape[0] * shape[1], width)
 
 
 def test_draw_ahead_width_leaves_a_ramp_campaign_unchanged(monkeypatch):
@@ -481,7 +476,7 @@ def test_one_stream_call_per_pulse(monkeypatch):
 
     monkeypatch.setattr(array_mod, "stream_normals", counting)
     array = ArrayState.fresh(DEFAULT_CONFIG, rows=5, cols=7, initial="center")
-    width = block_width(5, 7)
+    width = DRAW_AHEAD
     targets = [(2, 3)] * (width + 2) + [(0, 0), (4, 6), (2, 0)]
     per_pulse = []
     for row, col, pulse in pulse_sequence(DEFAULT_CONFIG, targets):
@@ -515,7 +510,7 @@ def test_new_target_refills_all_drawn_cells(monkeypatch):
     run_both(fast, slow, pulse_sequence(cfg, [(2, 3)] * 3 + [(4, 5)] * 2), tally)
     assert len(calls) == 2
     per_pulse = []
-    width = block_width(5, 7)
+    width = DRAW_AHEAD
     for step in pulse_sequence(cfg, [(1, 5)] * (width + 1)):
         calls.clear()
         run_both(fast, slow, [step], tally)
@@ -529,7 +524,7 @@ def test_draw_ahead_over_many_pulses_on_one_cell(topology):
     cfg = DEFAULT_CONFIG
     fast = ArrayState.fresh(cfg, rows=3, cols=4, topology=topology, initial="center")
     slow = ArrayState.fresh(cfg, rows=3, cols=4, topology=topology, initial="center")
-    width = block_width(3, 4)
+    width = DRAW_AHEAD
     targets = [(1, 2)] * (2 * width + 3) + [(0, 1), (2, 3), (1, 2)]
     tally = new_tally(slow)
     run_both(fast, slow, pulse_sequence(cfg, targets), tally)
@@ -586,7 +581,7 @@ def test_draw_ahead_is_not_saved(tmp_path):
     whole = ArrayState.fresh(cfg, rows=3, cols=4, initial="center")
     first = ArrayState.fresh(cfg, rows=3, cols=4, initial="center")
     slow = ArrayState.fresh(cfg, rows=3, cols=4, initial="center")
-    targets = [(0, 1)] * 3 + [(2, 2)] * (block_width(3, 4) + 1) + [(0, 1)] * 2
+    targets = [(0, 1)] * 3 + [(2, 2)] * (DRAW_AHEAD + 1) + [(0, 1)] * 2
     pulses = pulse_sequence(cfg, targets)
     cut = 5
     run_both(first, slow, pulses[:cut])
