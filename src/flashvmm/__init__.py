@@ -3,7 +3,7 @@
 Subpackages:
 
 - ``cell``: compact model of one cell (readout, pulses, noise, retention)
-- ``array``: array topology, bias schemes, pulses with disturb accounting
+- ``array``: column-routed erase array, bias schemes, pulses with disturb accounting
 - ``tuning``: closed-loop write-verify tuning to target currents
 - ``vmm``: gate-coupled multiplication and differential drift compensation
 - ``experiments``: deterministic CSV-producing experiment campaigns

@@ -40,8 +40,7 @@ from .config import (
 # role classes in table order: index 2 * (row not selected) + (column not selected)
 ROLES = ("selected", "row_half", "col_half", "unselected")
 
-# erase-gate routing of an array and the window bound its cells start at
-TOPOLOGIES = ("modified", "original")
+# the window bound an array's cells start at
 INITIAL_STATES = ("programmed", "erased", "center")
 
 _MEASURE_STREAM_TAG = 0xA77A
@@ -110,7 +109,7 @@ class DisturbLog:
 
 
 def _class_bias(
-    kind: PulseKind, topology: str, inh: InhibitionParams, row_sel: bool, col_sel: bool
+    kind: PulseKind, inh: InhibitionParams, row_sel: bool, col_sel: bool
 ) -> BiasCondition:
     """Bias of a cell whose row / column is (not) the target's.
 
@@ -119,11 +118,9 @@ def _class_bias(
     voltage (bit line 0.5 V, erase gate 4.5 V) while unselected columns
     keep that voltage negative with bit lines at 2.5 V.
 
-    Erase, modified routing: the selected column's erase-gate line gets
-    the 11.5 V pulse, the selected row's coupling-gate line is grounded
-    and unselected rows are held at +8 V to inhibit tunneling. With the
-    original row-routed erase gates the pulse necessarily hits the whole
-    target row and no coupling-gate gating exists.
+    Erase: the selected column's erase-gate line gets the 11.5 V pulse,
+    the selected row's coupling-gate line is grounded and unselected rows
+    are held at +8 V to inhibit tunneling.
     """
     if kind is PulseKind.PROGRAM:
         return BiasCondition(
@@ -131,34 +128,34 @@ def _class_bias(
             v_cg=0.0,
             v_d=inh.program_bl_full if col_sel else 2.5,
             v_s=inh.program_sl_full if row_sel else inh.program_sl_off,
-            v_eg=4.5 if col_sel and topology == "modified" else 0.0,
+            v_eg=4.5 if col_sel else 0.0,
         )
-    if topology == "modified":
-        v_cg = inh.erase_cg_full if row_sel else inh.erase_cg_inhibit
-        eg_sel = col_sel
-    else:
-        v_cg = 0.0
-        eg_sel = row_sel
-    v_eg = inh.erase_eg_full if eg_sel else inh.erase_eg_off
-    return BiasCondition(v_wl=0.0, v_cg=v_cg, v_d=0.0, v_s=0.0, v_eg=v_eg)
+    return BiasCondition(
+        v_wl=0.0,
+        v_cg=inh.erase_cg_full if row_sel else inh.erase_cg_inhibit,
+        v_d=0.0,
+        v_s=0.0,
+        v_eg=inh.erase_eg_full if col_sel else inh.erase_eg_off,
+    )
 
 
 @functools.lru_cache(maxsize=None)
-def bias_table(kind: PulseKind, topology: str, inh: InhibitionParams) -> tuple:
+def bias_table(kind: PulseKind, inh: InhibitionParams) -> tuple:
     """(bias, select factor) of each role class, in ``ROLES`` order."""
     table = []
     for row_sel, col_sel in ((True, True), (True, False), (False, True), (False, False)):
-        bias = _class_bias(kind, topology, inh, row_sel, col_sel)
+        bias = _class_bias(kind, inh, row_sel, col_sel)
         table.append((bias, select_factor(kind, bias, inh)))
     return tuple(table)
 
 
 @functools.lru_cache(maxsize=16)
-def _pulse_cells(rows, cols, row, col, kind, topology, inh, draws) -> tuple:
+def _pulse_cells(rows, cols, row, col, kind, inh, draws) -> tuple:
     """Row-major flat indices of the target's row and column (of every cell
-    if the unselected class draws; ``draws`` is sigma > 0), drawing cells
+    if the unselected class draws, as when ``inh.floor`` lifts its select
+    factor to ``SF_DRAW_MIN``; ``draws`` is sigma > 0), drawing cells
     first; their select factors; how many draw; the unselected factor."""
-    factors = [sf for _, sf in bias_table(kind, topology, inh)]
+    factors = [sf for _, sf in bias_table(kind, inh)]
     drawn = np.array([draws and sf >= SF_DRAW_MIN for sf in factors])
     if drawn[3]:
         cells = np.arange(rows * cols)
@@ -184,11 +181,9 @@ class DisturbDelta:
 
 
 class ArrayState:
-    """Grid of cell states plus line topology and measurement stream."""
+    """Grid of cell states plus measurement stream."""
 
-    def __init__(self, cfg, topology, v_th, seeds, counts):
-        if topology not in TOPOLOGIES:
-            raise ValueError(f"topology must be one of {', '.join(TOPOLOGIES)}, got {topology!r}")
+    def __init__(self, cfg, v_th, seeds, counts):
         cal = cfg.calibration
         if not np.all((v_th >= cal.v_th_min) & (v_th <= cal.v_th_max)):  # also rejects NaN
             raise ValueError(f"v_th must lie in [{cal.v_th_min!r}, {cal.v_th_max!r}] V")
@@ -199,7 +194,6 @@ class ArrayState:
                 raise ValueError(f"{name} must be >= 0")
         self.cfg = cfg
         self.rows, self.cols = v_th.shape
-        self.topology = topology
         self.v_th = v_th
         self.rng_seeds = seeds
         self.rng_counts = counts
@@ -213,7 +207,6 @@ class ArrayState:
         cfg: ModelConfig = DEFAULT_CONFIG,
         rows: int = 10,
         cols: int = 12,
-        topology: str = "modified",
         initial: str = "programmed",
     ) -> "ArrayState":
         """New array with all cells at a window boundary.
@@ -231,7 +224,6 @@ class ArrayState:
         seeds = seed_gen.integers(0, 2**63 - 1, size=(rows, cols), dtype=np.int64)
         return cls(
             cfg=cfg,
-            topology=topology,
             v_th=np.full((rows, cols), start, dtype=float),
             seeds=seeds,
             counts=np.zeros((rows, cols), dtype=np.int64),
@@ -342,8 +334,7 @@ class ArrayState:
         step, sign, limit = pulse_law(pulse, self.cfg)
         clamp = np.minimum if sign > 0 else np.maximum
         cells, sf, drawn, sf_unselected = _pulse_cells(
-            self.rows, self.cols, row, col, pulse.kind, self.topology, self.cfg.inhibition,
-            sigma > 0.0,
+            self.rows, self.cols, row, col, pulse.kind, self.cfg.inhibition, sigma > 0.0
         )
         magnitude = step * sf
         if drawn:
@@ -385,9 +376,8 @@ class ArrayState:
         """Plain-text state dump, one record per cell, versioned header."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# flashvmm-array v{STATE_FORMAT_VERSION}\n")
-            fh.write(
-                f"# rows={self.rows} cols={self.cols} topology={self.topology}\n"
-            )
+            # the erase routing is always column-wise; the literal keeps the v2 format
+            fh.write(f"# rows={self.rows} cols={self.cols} topology=modified\n")
             fh.write(f"# config_hash={config_hash(self.cfg)}\n")
             fh.write(STATE_COLUMNS + "\n")
             for r in range(self.rows):
@@ -423,7 +413,7 @@ class ArrayState:
             raise error(1, f"unsupported state version {version}")
         geometry = header(
             1,
-            rf"# rows=([1-9]\d*) cols=([1-9]\d*) topology=({'|'.join(TOPOLOGIES)})",
+            r"# rows=([1-9]\d*) cols=([1-9]\d*) topology=modified",
             "malformed geometry line",
         )
         saved_hash = header(2, r"# config_hash=(\S+)", "malformed config hash line")[1]
@@ -458,4 +448,4 @@ class ArrayState:
                 if not 0 <= value < 2**63:
                     raise error(lineno, f"{name} {value} outside [0, 2**63)")
             v_th[r, c], seeds[r, c], counts[r, c] = v, seed, draws
-        return cls(cfg, geometry[3], v_th, seeds, counts)
+        return cls(cfg, v_th, seeds, counts)

@@ -10,7 +10,7 @@ import json
 import sys
 from dataclasses import replace as dc_replace
 
-from .array import INITIAL_STATES, TOPOLOGIES, ArrayState
+from .array import INITIAL_STATES, ArrayState
 from .config import DEFAULT_CONFIG, config_hash, load_config, save_config
 from .experiments import EXPERIMENT_IDS, ExperimentSpec, run_experiment, write_csv
 from .tuning import load_campaign, results_to_csv, run_campaign, tune_array
@@ -122,13 +122,7 @@ def _cmd_experiment(args):
 def _cmd_state(args):
     cfg = _load_cfg(args)
     if args.action == "init":
-        array = ArrayState.fresh(
-            cfg,
-            rows=args.rows,
-            cols=args.cols,
-            topology=args.topology,
-            initial=args.initial,
-        )
+        array = ArrayState.fresh(cfg, rows=args.rows, cols=args.cols, initial=args.initial)
         array.save(args.out)
         print(f"{args.rows}x{args.cols} array saved to {args.out}")
     else:  # info
@@ -139,7 +133,7 @@ def _cmd_state(args):
             for c in range(array.cols)
         ]
         print(
-            f"{array.rows}x{array.cols} {array.topology} array, "
+            f"{array.rows}x{array.cols} array, "
             f"currents {min(currents):.3e}..{max(currents):.3e} A, "
             f"config hash {config_hash(cfg)}"
         )
@@ -207,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--seed", type=int)
     pi.add_argument("--rows", type=int, default=10)
     pi.add_argument("--cols", type=int, default=12)
-    pi.add_argument("--topology", choices=TOPOLOGIES, default="modified")
     pi.add_argument("--initial", choices=INITIAL_STATES, default="programmed")
     pi.add_argument("--out", required=True)
     pi.set_defaults(func=_cmd_state, action="init")

@@ -158,13 +158,12 @@ def multiply(
     temperature: float = None,
     noisy: bool = False,
     samples: int = 1,
-    rng: np.random.Generator = None,
 ) -> np.ndarray:
     """Output current per array column [A].
 
     ``inputs`` holds one current per row. With ``noisy`` each cell current
-    receives its relative noise draw (averaged over ``samples``); draws
-    come from ``rng`` or, when omitted, the array's measurement stream.
+    receives its relative noise draw (averaged over ``samples``) from the
+    array's measurement stream.
     """
     cfg = array.cfg
     t = check_read(cfg, temperature, noisy, samples)
@@ -179,11 +178,11 @@ def multiply(
         v_gate[:, None], array.v_th[:, array.io_layout[2]], cfg.n, cfg.i0, t, cfg.i_sat
     )
     if noisy:
-        if rng is None:
-            rng = array.measure_rng
         sigma = cfg.noise.sigma_at(currents)
         # sum / samples: the same float operations as .mean(axis=0)
-        eps_mean = rng.standard_normal((samples,) + currents.shape).sum(axis=0) / samples
+        eps_mean = (
+            array.measure_rng.standard_normal((samples,) + currents.shape).sum(axis=0) / samples
+        )
         currents = np.maximum(currents * (1.0 + sigma * eps_mean), 0.0)
     return currents.sum(axis=0)
 
@@ -459,7 +458,6 @@ def differential_multiply(
     temperature: float = None,
     noisy: bool = False,
     samples: int = 1,
-    rng: np.random.Generator = None,
 ) -> np.ndarray:
     """Paired-column outputs: O_logical = O_plus - O_minus [A]."""
     rows, logical = plan.weights.shape
@@ -469,8 +467,6 @@ def differential_multiply(
     for cp, cm in plan.column_pairs:
         if cp not in cols or cm not in cols:
             raise ValueError(f"plan pair ({cp}, {cm}) not among array columns")
-    outputs = multiply(
-        array, inputs, temperature=temperature, noisy=noisy, samples=samples, rng=rng
-    )
+    outputs = multiply(array, inputs, temperature=temperature, noisy=noisy, samples=samples)
     k = cols.start
     return np.array([outputs[cp - k] - outputs[cm - k] for cp, cm in plan.column_pairs])

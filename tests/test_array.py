@@ -14,7 +14,7 @@ CFG = DEFAULT_CONFIG
 
 def bias_at(array, kind, r, c, row, col):
     """Bias of cell (r, c) during a ``kind`` pulse on (row, col)."""
-    table = bias_table(kind, array.topology, array.cfg.inhibition)
+    table = bias_table(kind, array.cfg.inhibition)
     return table[2 * (r != row) + (c != col)][0]
 
 
@@ -87,12 +87,11 @@ class TestSchemes:
 
     def test_all_protocol_voltages_in_bounds(self):
         # BiasCondition construction enforces the 12 V bound; every role
-        # class of both kinds and topologies is built here
+        # class of both kinds is built here
         for kind in PulseKind:
-            for topology in ("modified", "original"):
-                for bias, _ in bias_table(kind, topology, CFG.inhibition):
-                    for name in ("v_wl", "v_cg", "v_d", "v_s", "v_eg"):
-                        assert abs(getattr(bias, name)) <= V_MAX_ABS
+            for bias, _ in bias_table(kind, CFG.inhibition):
+                for name in ("v_wl", "v_cg", "v_d", "v_s", "v_eg"):
+                    assert abs(getattr(bias, name)) <= V_MAX_ABS
 
     def test_out_of_bounds_target(self):
         array = ArrayState.fresh(CFG, rows=3, cols=4, initial="center")
@@ -130,7 +129,7 @@ class TestSchemes:
         grids = {"v_th": array.v_th, "seeds": array.rng_seeds, "counts": array.rng_counts}
         edit(grids)
         with pytest.raises(ValueError, match=field):
-            ArrayState(CFG, "modified", **grids)
+            ArrayState(CFG, **grids)
 
     def test_constructor_checks_slope_factor_once(self):
         with pytest.raises(ValueError, match="n_slope"):
@@ -250,27 +249,17 @@ class TestReadout:
         assert rel.std() == pytest.approx(CFG.noise.sigma_at(1e-7), rel=0.1)
 
 
-class TestTopologyRegression:
-    def test_original_topology_erases_whole_row_only(self):
-        cfg = CFG
-        modified = ArrayState.fresh(cfg, rows=3, cols=4, initial="center")
-        original = ArrayState.fresh(cfg, rows=3, cols=4, topology="original", initial="center")
-        for array in (modified, original):
-            array.pulse_cell(1, 2, PulseSpec.erase(cfg))
-
-        full_shift = cfg.calibration.dv_erase_nominal
-        # modified routing: only the target moved appreciably
-        moved = np.abs(modified.v_th - cfg.calibration.v_th_center) > 0.2 * full_shift
-        assert moved[1, 2] and moved.sum() == 1
-        # original routing: the whole row moved, nothing else
-        moved = np.abs(original.v_th - cfg.calibration.v_th_center) > 0.2 * full_shift
-        assert moved[1].all() and moved.sum() == original.cols
-
-    def test_original_topology_still_programs_individually(self):
-        cfg = CFG
-        array = ArrayState.fresh(cfg, rows=3, cols=4, topology="original", initial="center")
-        array.pulse_cell(1, 2, PulseSpec.program(cfg))
-        moved = np.abs(array.v_th - cfg.calibration.v_th_center) > 0.2 * cfg.calibration.dv_program_nominal
+class TestSelectivity:
+    @pytest.mark.parametrize("make", [PulseSpec.erase, PulseSpec.program], ids=["erase", "program"])
+    def test_pulse_moves_only_the_target(self, make):
+        # the column-routed erase gate and the row-selected program each
+        # reach one cell at full strength; its row and column stay inhibited
+        cal = CFG.calibration
+        array = ArrayState.fresh(CFG, rows=3, cols=4, initial="center")
+        pulse = make(CFG)
+        array.pulse_cell(1, 2, pulse)
+        full_shift = cal.dv_erase_nominal if pulse.kind is PulseKind.ERASE else cal.dv_program_nominal
+        moved = np.abs(array.v_th - cal.v_th_center) > 0.2 * full_shift
         assert moved[1, 2] and moved.sum() == 1
 
 
@@ -300,7 +289,6 @@ class TestPersistence:
         assert np.array_equal(loaded.v_th, array.v_th)
         assert np.array_equal(loaded.rng_seeds, array.rng_seeds)
         assert np.array_equal(loaded.rng_counts, array.rng_counts)
-        assert loaded.topology == array.topology
 
     def test_header_versioned(self, tmp_path):
         array = ArrayState.fresh(CFG, rows=1, cols=1)
@@ -377,6 +365,10 @@ class TestPersistence:
             pytest.param(
                 lambda ls: [ls[0], "# rows=2 cols=x topology=modified", *ls[2:]], 2,
                 "malformed geometry line", id="malformed_geometry",
+            ),
+            pytest.param(
+                lambda ls: [ls[0], "# rows=2 cols=2 topology=original", *ls[2:]], 2,
+                "malformed geometry line", id="original_topology",
             ),
             pytest.param(
                 lambda ls: [*ls[:3], "row,col,v_th,draws,seed", *ls[4:]], 4,

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 import flashvmm
 from flashvmm import cli, config, tuning, vmm
-from flashvmm.array import INITIAL_STATES, TOPOLOGIES, ArrayState
+from flashvmm.array import INITIAL_STATES, ArrayState
 from flashvmm.cell import READOUT_BIAS, CellState, PulseKind, PulseSpec
 from flashvmm.constants import T_25C, T_85C, T_MAX, T_MIN
 
@@ -312,8 +312,7 @@ TABLE = [
           {}, lambda c: c.precision),
     # array
     Entry("ArrayState", "ArrayState.fresh", lambda s, **kw: ArrayState.fresh(CFG, **kw),
-          (count("rows", 1), count("cols", 1), Param("topology", "choice", choices=TOPOLOGIES),
-           Param("initial", "choice", choices=INITIAL_STATES)),
+          (count("rows", 1), count("cols", 1), Param("initial", "choice", choices=INITIAL_STATES)),
           dict(rows=2, cols=3), lambda a: a.v_th),
     Entry("ArrayState", "ArrayState.read_cell", lambda s, **kw: s.read_cell(**kw),
           (index("row", 2), index("col", 4)) + READ_PARAMS,

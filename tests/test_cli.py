@@ -112,7 +112,7 @@ def test_state_init_and_info(tmp_path, capsys):
     assert main(["state", "init", "--rows", "3", "--cols", "4", "--out", str(state)]) == 0
     assert main(["state", "info", str(state)]) == 0
     out = capsys.readouterr().out
-    assert "3x4 modified array" in out
+    assert "3x4 array," in out
 
 
 def test_seed_override_resolves_the_slope_factor_range(tmp_path):

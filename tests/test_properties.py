@@ -64,27 +64,24 @@ def test_noiseless_multiply_equals_dense_weight_product(data):
 def test_save_load_round_trips_bit_for_bit(data):
     rows = data.draw(st.integers(1, 4), label="rows")
     cols = data.draw(st.integers(1, 5), label="cols")
-    topology = data.draw(st.sampled_from(["modified", "original"]), label="topology")
-    array = ArrayState.fresh(CFG, rows=rows, cols=cols, topology=topology, initial="center")
+    array = ArrayState.fresh(CFG, rows=rows, cols=cols, initial="center")
     for row, col, pulse in data.draw(pulse_runs(rows, cols, max_pulses=12)):
         array.pulse_cell(row, col, pulse)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "array.txt"
         array.save(path)
         loaded = ArrayState.load(path, CFG)
-    assert loaded.topology == topology
     for name in ("v_th", "rng_seeds", "rng_counts"):
         before, after = getattr(array, name), getattr(loaded, name)
         assert before.dtype == after.dtype and before.tobytes() == after.tobytes()
 
 
-@pytest.mark.parametrize("topology", ["modified", "original"])
 @pytest.mark.parametrize("shape", COUNT_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(data=st.data())
-def test_derived_counts_equal_an_explicit_tally(shape, topology, data):
+def test_derived_counts_equal_an_explicit_tally(shape, data):
     rows, cols = shape
-    array = ArrayState.fresh(CFG, rows=rows, cols=cols, topology=topology, initial="center")
+    array = ArrayState.fresh(CFG, rows=rows, cols=cols, initial="center")
     tally = {role: np.zeros((rows, cols), dtype=np.int64) for role in ROLES}
     pulses = data.draw(pulse_runs(rows, cols))
     for row, col, pulse in pulses:

@@ -217,13 +217,14 @@ class TestMultiply:
             multiply(array, [1e-9, float("nan")])
 
     def test_noisy_deterministic_under_seeded_rng(self):
-        array = centered_array(rows=2, cols=4)
-        set_weights(array, np.full((2, 2), 0.5))
+        # two arrays built from the same config seed read the same noise
+        arrays = [centered_array(rows=2, cols=4) for _ in range(2)]
+        for array in arrays:
+            set_weights(array, np.full((2, 2), 0.5))
         inputs = [1e-8, 2e-8]
-        a = multiply(array, inputs, noisy=True, samples=4, rng=np.random.default_rng(3))
-        b = multiply(array, inputs, noisy=True, samples=4, rng=np.random.default_rng(3))
+        a, b = (multiply(array, inputs, noisy=True, samples=4) for array in arrays)
         np.testing.assert_array_equal(a, b)
-        c = multiply(array, inputs)
+        c = multiply(arrays[0], inputs)
         assert not np.array_equal(a, c)
 
 
