@@ -11,16 +11,25 @@ leaves these unchanged. A run that ends before its checkpoint fails as
 such. Exit code 0 when every check passes, 1 otherwise. Run it from any
 directory; it is not part of the test suite.
 
-When a ``diff-program`` run fails ops, the gate replays that seed in
-process and prints each failing (op, w) among the ops with w below
-``TAIL_W``, the known noise tail near w = 0.1. The run still fails; a
-replay that finds no such op says the failure is not that tail.
+When a ``diff-program`` run fails ops, the gate replays that seed and
+prints each failing (op, w) among the ops with w below ``TAIL_W``, the
+known noise tail near w = 0.1. It then replays those ops at the parent
+commit, built from ``git archive`` in a temporary directory so that the
+working tree is not touched: ``HEAD`` while ``src/`` has uncommitted
+changes, ``HEAD~1`` otherwise. An op that the parent fails with the same
+digest is labelled ``inherited``, any other ``new``. The run still
+fails either way; a replay that finds no such op says the failure is not
+that tail.
 """
 
 import argparse
+import hashlib
+import io
 import json
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,28 +65,76 @@ def bench(workload, seed, seconds):
     return proc.returncode, result, prov
 
 
-def replay_tail(seed, attempted):
-    """(op, w) of each of the first ``attempted`` diff-program ops with
-    w < ``TAIL_W`` that fails its check, at ``seed``.
+def replay_ops(seed, attempted, only=None):
+    """[op, w, passed, digest] of diff-program ops at ``seed``: the ops
+    listed in ``only``, or else each of the first ``attempted`` ops with
+    w < ``TAIL_W``. Runs in this process on the ``flashvmm`` and
+    ``workloads`` modules that ``sys.path`` finds.
 
-    Builds the workload from ``bench/workloads.py`` in process and draws
-    every op's input in order, but runs only the ops below ``TAIL_W``
-    (about 2 s for a 30 s run's ops). Each op tunes a fresh array, so its
-    result does not depend on the ops skipped.
+    Every op's input is drawn in order, but only the chosen ops run (about
+    2 s for a 30 s run's ops). Each op tunes a fresh array, so its result
+    does not depend on the ops skipped; its digest is the workload's
+    digest of that op alone.
     """
-    for path in (ROOT / "src", ROOT / "bench"):
-        if str(path) not in sys.path:
-            sys.path.insert(0, str(path))
     import flashvmm
     from workloads import DiffProgram
 
     wl = DiffProgram(flashvmm, seed)
-    failing = []
+    out = []
     for i in range(attempted):
         inp = wl.next_input(i)
-        if inp[0] < TAIL_W and not wl.check(inp, wl.op(inp)):
-            failing.append((i, inp[0]))
-    return failing
+        if (i in only) if only is not None else inp[0] < TAIL_W:
+            wl.outputs = hashlib.sha256()  # the digest of this op only
+            passed = wl.check(inp, wl.op(inp))
+            out.append([i, inp[0], passed, wl.digest()])
+    return out
+
+
+def replay(root, seed, attempted, only=None):
+    """``replay_ops`` in a fresh process, on the ``src`` and ``bench`` of
+    the tree at ``root``."""
+    code = (
+        "import json, sys; sys.path[:0] = sys.argv[1:4]; import gate; "
+        "print(json.dumps(gate.replay_ops(*json.loads(sys.argv[4]))))"
+    )
+    paths = [str(Path(root) / "src"), str(Path(root) / "bench"), str(ROOT / "scripts")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *paths, json.dumps([seed, attempted, only])],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def parent_rev():
+    """The commit a change is measured against: ``HEAD`` while ``src/``
+    has uncommitted changes, ``HEAD~1`` otherwise."""
+    status = subprocess.run(
+        ["git", "status", "--porcelain", "--", "src"], cwd=ROOT,
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return "HEAD" if status.strip() else "HEAD~1"
+
+
+def label_tail(seed, attempted):
+    """Prints each failing diff-program op with w < ``TAIL_W`` at ``seed``,
+    labelled ``inherited`` when the parent commit fails it with the same
+    digest and ``new`` otherwise."""
+    failing = [r for r in replay(ROOT, seed, attempted) if not r[2]]
+    if not failing:
+        print(f"{'':13s} replay: no op with w < {TAIL_W} fails, "
+              "so the failure is not the known noise tail")
+        return
+    rev = parent_rev()
+    archive = subprocess.run(
+        ["git", "archive", rev, "src", "bench"], cwd=ROOT, capture_output=True, check=True
+    ).stdout
+    with tempfile.TemporaryDirectory() as parent:
+        tarfile.open(fileobj=io.BytesIO(archive)).extractall(parent, filter="data")
+        there = replay(parent, seed, attempted, [op for op, *_ in failing])
+    at_parent = {op: (passed, digest) for op, _, passed, digest in there}
+    for op, w, _, digest in failing:
+        label = "inherited" if at_parent.get(op) == (False, digest) else "new"
+        print(f"{'':13s} replay: op {op} fails at w = {w:.4f}, {label} (parent {rev})")
 
 
 def main(argv=None):
@@ -98,12 +155,7 @@ def main(argv=None):
             if code != 0 or failed != 0:
                 faults.append(f"{workload} seed {seed}: exit {code}, {failed} failed ops")
             if workload == "diff-program" and failed:
-                tail = replay_tail(seed, attempted)
-                for i, w in tail:
-                    print(f"{'':13s} replay: op {i} fails at w = {w:.4f}")
-                if not tail:
-                    print(f"{'':13s} replay: no op with w < {TAIL_W} fails, "
-                          "so the failure is not the known noise tail")
+                label_tail(seed, attempted)
     for (workload, seed), pinned in PINNED.items():
         _, _, prov = bench(workload, seed, CHECKPOINT_SECONDS)
         digest = prov.get("checkpoint", {}).get("sha256")

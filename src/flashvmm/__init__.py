@@ -20,7 +20,7 @@ from .cell import (
     apply_pulse,
     drain_current,
     fresh_cell,
-    readout_noisy,
+    readout,
     retention_hold,
     standard_current,
     vth_for_standard_current,
@@ -40,7 +40,6 @@ from .vmm import (
     PlanInfeasibleError,
     WeightMatrix,
     differential_multiply,
-    input_gate_voltage,
     multiply,
     optimize_bias_weight,
     plan_differential,

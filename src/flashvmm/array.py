@@ -34,7 +34,7 @@ from .cell import (
 )
 from .config import (
     DEFAULT_CONFIG, InhibitionParams, ModelConfig, config_hash, require_count, require_finite,
-    require_flag,
+    require_flag, write_rows,
 )
 
 # role classes in table order: index 2 * (row not selected) + (column not selected)
@@ -99,13 +99,10 @@ class DisturbLog:
 
     def to_csv(self, path) -> None:
         counts = self.counts
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("row,col,cumulative_dvth," + ",".join(ROLES) + "\n")
-            rows, cols = self.cumulative_dvth.shape
-            for r in range(rows):
-                for c in range(cols):
-                    line = ",".join(str(int(counts[k][r, c])) for k in ROLES)
-                    fh.write(f"{r},{c},{float(self.cumulative_dvth[r, c])!r},{line}\n")
+        write_rows(path, ("row", "col", "cumulative_dvth") + ROLES, (
+            (r, c, dv, *(counts[k][r, c] for k in ROLES))
+            for (r, c), dv in np.ndenumerate(self.cumulative_dvth)
+        ))
 
 
 def _class_bias(
@@ -169,15 +166,6 @@ def _pulse_cells(rows, cols, row, col, kind, inh, draws) -> tuple:
     cells, sf = cells[order], np.array(factors).take(roles[order])
     cells.flags.writeable = sf.flags.writeable = False
     return cells, sf, int(draw.sum()), factors[3]
-
-
-@dataclass
-class DisturbDelta:
-    """Per-pulse disturb record returned by ``pulse_cell``."""
-
-    target: tuple
-    kind: PulseKind
-    dvth: np.ndarray  # signed v_th change of every cell
 
 
 class ArrayState:
@@ -316,8 +304,9 @@ class ArrayState:
             self._ahead_seed[cells] = seeds
         return self._ahead[cells, counts % width], counts
 
-    def pulse_cell(self, row: int, col: int, pulse: PulseSpec) -> DisturbDelta:
+    def pulse_cell(self, row: int, col: int, pulse: PulseSpec) -> np.ndarray:
         """Apply one pulse to the target; every cell sees its class's bias.
+        Returns the signed v_th change of every cell.
 
         The unselected class takes one whole-array shift. The target's row
         and column, or every cell when the unselected class draws, are
@@ -328,7 +317,7 @@ class ArrayState:
         self._check_target(row, col)
         if pulse.duration == 0.0:
             # no-op pulse: neither state nor disturb accounting moves
-            return DisturbDelta((row, col), pulse.kind, np.zeros((self.rows, self.cols)))
+            return np.zeros((self.rows, self.cols))
 
         sigma = self.cfg.pulse.variability_sigma
         step, sign, limit = pulse_law(pulse, self.cfg)
@@ -349,7 +338,7 @@ class ArrayState:
         self.v_th.put(cells, line)
         dvth = self.v_th - old
         self.disturb.record(row, col, dvth)
-        return DisturbDelta((row, col), pulse.kind, dvth)
+        return dvth
 
     # ----------------------------------------------------------- readout
 
@@ -374,18 +363,16 @@ class ArrayState:
 
     def save(self, path) -> None:
         """Plain-text state dump, one record per cell, versioned header."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# flashvmm-array v{STATE_FORMAT_VERSION}\n")
+        header = (
+            f"# flashvmm-array v{STATE_FORMAT_VERSION}\n"
             # the erase routing is always column-wise; the literal keeps the v2 format
-            fh.write(f"# rows={self.rows} cols={self.cols} topology=modified\n")
-            fh.write(f"# config_hash={config_hash(self.cfg)}\n")
-            fh.write(STATE_COLUMNS + "\n")
-            for r in range(self.rows):
-                for c in range(self.cols):
-                    fh.write(
-                        f"{r},{c},{float(self.v_th[r, c])!r},"
-                        f"{int(self.rng_seeds[r, c])},{int(self.rng_counts[r, c])}\n"
-                    )
+            f"# rows={self.rows} cols={self.cols} topology=modified\n"
+            f"# config_hash={config_hash(self.cfg)}"
+        )
+        write_rows(path, STATE_COLUMNS.split(","), (
+            (r, c, v, self.rng_seeds[r, c], self.rng_counts[r, c])
+            for (r, c), v in np.ndenumerate(self.v_th)
+        ), header)
 
     @classmethod
     def load(cls, path, cfg: ModelConfig = DEFAULT_CONFIG) -> "ArrayState":

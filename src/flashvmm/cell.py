@@ -41,8 +41,6 @@ from .constants import (
 # variability draw is consumed (keeps doubly-unselected pulses cheap)
 SF_DRAW_MIN = 1.0e-6
 
-_READ_STREAM_TAG = 0x5EAD
-
 
 class PulseKind(Enum):
     PROGRAM = "program"
@@ -166,26 +164,6 @@ def drain_current(
 ) -> float:
     """Deterministic readout current [A]; zero when the word line is off."""
     return readout(cell.v_th, bias, temperature, cfg)
-
-
-def readout_noisy(
-    cell: CellState,
-    bias: BiasCondition,
-    temperature: float,
-    samples: int,
-    rng: np.random.Generator = None,
-    cfg: ModelConfig = DEFAULT_CONFIG,
-) -> float:
-    """Mean of ``samples`` noisy current draws [A] (see ``readout``).
-
-    Without an explicit generator the draws come from a stream derived
-    from the cell's seed and draw counter, so repeated calls on an
-    unchanged cell repeat; pass a live generator for evolving
-    measurements.
-    """
-    if rng is None:
-        rng = np.random.default_rng((cell.rng_seed, _READ_STREAM_TAG, cell.rng_count))
-    return readout(cell.v_th, bias, temperature, cfg, samples, rng)
 
 
 # ------------------------------------------------------------- pulses
@@ -532,23 +510,16 @@ def retention_hold(
 
 # ------------------------------------------------------- state helpers
 
-def vth_for_standard_current(
-    current: float, cfg: ModelConfig = DEFAULT_CONFIG, temperature: float = None
-) -> float:
-    """Threshold voltage that reads ``current`` (in the current window) at the standard bias [V]."""
+def vth_for_standard_current(current: float, cfg: ModelConfig = DEFAULT_CONFIG) -> float:
+    """Threshold voltage that reads ``current`` (in the current window) at
+    the standard bias and ``cfg.temperature_ref`` [V]."""
     require_in("current", current, *cfg.current_window)
-    t = cfg.temperature_ref if temperature is None else temperature
-    check_temperature(t)
-    return V_CG_READ - cfg.n * thermal_voltage(t) * math.log(current / cfg.i0)
+    ut = cfg.n * thermal_voltage(cfg.temperature_ref)
+    return V_CG_READ - ut * math.log(current / cfg.i0)
 
 
-def standard_current(
-    v_th: float, cfg: ModelConfig = DEFAULT_CONFIG, temperature: float = None
-) -> float:
-    """Readout current at the standard bias for a threshold voltage [A]."""
+def standard_current(v_th: float, cfg: ModelConfig = DEFAULT_CONFIG) -> float:
+    """Readout current at the standard bias and ``cfg.temperature_ref`` [A]."""
     require_finite("v_th", v_th)
-    t = cfg.temperature_ref if temperature is None else temperature
-    check_temperature(t)
-    return float(
-        subthreshold_current(V_CG_READ, v_th, cfg.n, cfg.i0, t, cfg.i_sat)
-    )
+    t = cfg.temperature_ref
+    return float(subthreshold_current(V_CG_READ, v_th, cfg.n, cfg.i0, t, cfg.i_sat))

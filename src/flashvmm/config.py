@@ -325,6 +325,27 @@ def config_hash(cfg: ModelConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _fmt(x) -> str:
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
+        return str(int(x))
+    if isinstance(x, str):
+        return x
+    return repr(float(x))
+
+
+def write_rows(path, columns, rows, header: str = None) -> None:
+    """CSV of ``rows`` under a ``columns`` line, after the ``header`` line
+    when given. Integers and bools are written as integers, strings as
+    they are, any other value as ``repr(float(x))``, which reads back
+    exactly."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
 def load_config(path, seed: int = None) -> ModelConfig:
     """Config from a YAML file; ``seed``, when given, replaces the file's
     seed before an ``n_slope`` range is resolved from it."""

@@ -31,12 +31,12 @@ from .cell import (
     drain_current,
     fresh_cell,
     gate_voltage,
-    readout_noisy,
+    readout,
     retention_hold,
     subthreshold_current,
     vth_for_standard_current,
 )
-from .config import DEFAULT_CONFIG, ModelConfig, config_hash, require_count
+from .config import DEFAULT_CONFIG, ModelConfig, config_hash, require_count, write_rows
 from .constants import K_B, Q_E, T_25C, T_85C
 from .tuning import (
     load_campaign,
@@ -72,24 +72,10 @@ class ExperimentSpec:
             raise ValueError(f"experiment {self.experiment_id} reads no parameter {unknown[0]!r}")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_, int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return repr(float(x))
-
-
 def write_csv(path, cfg: ModelConfig, seed: int, columns, rows) -> None:
     """CSV with the provenance header every artifact carries."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# flashvmm-csv v{CSV_FORMAT_VERSION} "
-            f"config_hash={config_hash(cfg)} seed={seed}\n"
-        )
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    header = f"# flashvmm-csv v{CSV_FORMAT_VERSION} config_hash={config_hash(cfg)} seed={seed}"
+    write_rows(path, columns, rows, header)
 
 
 def extract_slope_factor(v_cg, current, temperature: float) -> float:
@@ -213,9 +199,7 @@ def _run_fig5(spec, seed, out_dir):
             if ti > 0:
                 cell = retention_hold(cell, step, T_85C, cfg)
                 cells[k] = cell
-            mean = readout_noisy(
-                cell, READOUT_BIAS, cfg.temperature_ref, 128, rng=rng, cfg=cfg
-            )
+            mean = readout(cell.v_th, READOUT_BIAS, cfg.temperature_ref, cfg, 128, rng)
             rows.append((float(t_now), k, float(mean)))
             if ti == 0:
                 first[k] = mean

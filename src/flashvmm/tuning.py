@@ -14,7 +14,9 @@ import numpy as np
 
 from .array import INITIAL_STATES, ArrayState
 from .cell import PulseSpec
-from .config import ModelConfig, known_keys, read_yaml, require_count, require_in, require_positive
+from .config import (
+    ModelConfig, known_keys, read_yaml, require_count, require_in, require_positive, write_rows,
+)
 from .constants import TINY, thermal_voltage
 
 VERIFY_SAMPLES = 128  # deciding readout averaging
@@ -107,22 +109,26 @@ def tune_cell(array: ArrayState, target: TuneTarget, budget: int) -> TuneResult:
         else:
             pulse = PulseSpec.erase(cfg, duration=cfg.pulse.erase_duration * scale)
             pulses["erase"] += 1
-        delta = array.pulse_cell(row, col, pulse)
-        last_clamped = delta.dvth[row, col] == 0.0
+        last_clamped = array.pulse_cell(row, col, pulse)[row, col] == 0.0
         last_sign = sign
         used += 1
 
 
 def tune_array(array: ArrayState, targets, budget: int):
-    """Tune the listed cells one by one; returns (results, summary stats)."""
+    """Tune the listed cells one by one; returns (results, summary stats).
+
+    Every target is checked before the first pulse, as ``tune_cell``
+    would check it, so a bad one leaves the array unchanged.
+    """
     require_count("budget", budget)
     targets = list(targets)
-    seen = {}
+    seen = set()
     for t in targets:
-        key = (t.row, t.col)
-        if key in seen:
-            raise ValueError(f"conflicting targets for cell {key}")
-        seen[key] = t
+        require_in("target_current", t.target_current, *array.cfg.current_window)
+        array._check_target(t.row, t.col)
+        if (t.row, t.col) in seen:
+            raise ValueError(f"conflicting targets for cell {(t.row, t.col)}")
+        seen.add((t.row, t.col))
     results = [tune_cell(array, t, budget) for t in targets]
     errors = [r.relative_error for r in results]
     summary = {
@@ -139,6 +145,7 @@ def tune_array(array: ArrayState, targets, budget: int):
 
 def uniform_targets(array: ArrayState, current: float, precision: float) -> list:
     """One target per non-peripheral cell, row-major."""
+    require_in("current", current, *array.cfg.current_window)
     return [
         TuneTarget(r, c, current, precision)
         for r in range(array.rows)
@@ -148,6 +155,8 @@ def uniform_targets(array: ArrayState, current: float, precision: float) -> list
 
 def ramp_targets(array: ArrayState, lo: float, hi: float, precision: float) -> list:
     """Geometric current ramp over the cell number, row-major."""
+    require_in("lo", lo, *array.cfg.current_window)
+    require_in("hi", hi, *array.cfg.current_window)
     cols = array.array_cols
     count = array.rows * len(cols)
     if count < 2:
@@ -251,10 +260,9 @@ def run_campaign(cfg: ModelConfig, campaign: TuningCampaign):
 
 
 def results_to_csv(results, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row,col,target,final,rel_error,pulses,converged\n")
-        for r in results:
-            fh.write(
-                f"{r.row},{r.col},{r.target_current!r},{r.final_current!r},"
-                f"{r.relative_error!r},{r.pulses_total},{int(r.converged)}\n"
-            )
+    columns = ("row", "col", "target", "final", "rel_error", "pulses", "converged")
+    write_rows(path, columns, (
+        (r.row, r.col, r.target_current, r.final_current, r.relative_error, r.pulses_total,
+         r.converged)
+        for r in results
+    ))

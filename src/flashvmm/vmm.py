@@ -17,7 +17,7 @@ from .array import ArrayState
 from .cell import CellState, gate_voltage, subthreshold_current
 from .config import (
     DEFAULT_CONFIG, ModelConfig, check_temperature, require_count, require_flag, require_in,
-    require_positive,
+    require_positive, write_rows,
 )
 from .constants import thermal_voltage
 from .tuning import TuneTarget
@@ -98,18 +98,6 @@ def load_weights_csv(path) -> WeightMatrix:
 
 
 # ------------------------------------------------------- basic operations
-
-def input_gate_voltage(
-    peripheral: CellState,
-    input_current: float,
-    temperature: float,
-    cfg: ModelConfig = DEFAULT_CONFIG,
-) -> float:
-    """Coupling-gate voltage at which the peripheral cell carries the input [V]."""
-    check_temperature(temperature)
-    require_in("input_current", input_current, *cfg.current_window)
-    return float(gate_voltage(input_current, peripheral.v_th, cfg.n, cfg.i0, temperature))
-
 
 def weight_of(
     array_cell: CellState,
@@ -196,23 +184,21 @@ def weight_at_temperature(w_ref: float, t_ref: float, t: float) -> float:
     return math.exp(math.log(w_ref) * t_ref / t)
 
 
-def _check_drift_scan(temp_range, reference, step: float = 1.0) -> float:
-    """The drift's reference temperature, ``reference`` or by default the
-    range's low end; a ValueError names the field unless the temperatures
-    and the step are finite and positive and the range is ordered."""
+def _check_drift_scan(temp_range) -> float:
+    """The drift's reference temperature, the range's low end; a
+    ValueError names ``temp_range`` unless both ends are finite and
+    positive and the range is ordered."""
     t_lo, t_hi = temp_range
     require_positive("temp_range", t_lo)
     require_positive("temp_range", t_hi)
     if not t_lo < t_hi:
         raise ValueError("temperature range must be ordered")
-    t0 = t_lo if reference is None else reference
-    require_positive("reference", t0)
-    require_positive("step", step)
-    return t0
+    return t_lo
 
 
-def _drift_temps(temp_range, step: float = 1.0) -> np.ndarray:
-    return np.arange(temp_range[0], temp_range[1] + step / 2, step)
+def _drift_temps(temp_range) -> np.ndarray:
+    """The 1 K grid from the range's low end to its high end."""
+    return np.arange(temp_range[0], temp_range[1] + 0.5, 1.0)
 
 
 def _drift(w_plus, w_minus, temps, reference):
@@ -239,21 +225,13 @@ def _drift(w_plus, w_minus, temps, reference):
     return out.max(axis=-1)
 
 
-def differential_drift_grid(
-    w_plus, w_minus, temp_range, reference: float, step: float = 1.0
-) -> np.ndarray:
-    """``differential_drift`` of each (w_plus, w_minus) pair, as one array."""
-    if not (np.all(np.greater(w_plus, w_minus)) and np.all(np.greater(w_minus, 0.0))):
+def differential_drift(w_plus: float, w_minus: float, temp_range) -> float:
+    """Worst-case relative drift of w+ - w- over the interval, against its
+    value at the range's low end, on a 1 K grid (analytic)."""
+    if not (w_plus > w_minus and w_minus > 0.0):
         raise ValueError("w_plus must exceed w_minus, and w_minus must be > 0")
-    t0 = _check_drift_scan(temp_range, reference, step)
-    return _drift(w_plus, w_minus, _drift_temps(temp_range, step), t0)
-
-
-def differential_drift(
-    w_plus: float, w_minus: float, temp_range, reference: float, step: float = 1.0
-) -> float:
-    """Worst-case relative drift of w+ - w- over the interval (analytic)."""
-    return float(differential_drift_grid([w_plus], [w_minus], temp_range, reference, step)[0])
+    t0 = _check_drift_scan(temp_range)
+    return float(_drift([w_plus], [w_minus], _drift_temps(temp_range), t0)[0])
 
 
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-6):
@@ -275,22 +253,17 @@ def golden_section_min(f, lo: float, hi: float, tol: float = 1e-6):
     return x, f(x)
 
 
-def optimize_bias_weight(
-    w: float,
-    temp_range,
-    reference: float = None,
-    w_floor: float = 0.01,
-):
+def optimize_bias_weight(w: float, temp_range, w_floor: float = 0.01):
     """Bias weight minimizing worst-case differential drift; returns (w_b, drift).
 
     The objective is the maximum relative deviation of w+ - w- from its
-    reference-temperature value on a 1 K grid, scanned on a coarse
+    value at the range's low end on a 1 K grid, scanned on a coarse
     bias-weight grid and refined by golden section. The floor keeps
     w_minus realizable within the tunable window; a w in (0, ``W_MIN``)
     has no feasible bias weight.
     """
     require_in("w", w, 0.0, 1.0)
-    t0 = _check_drift_scan(temp_range, reference)
+    t0 = _check_drift_scan(temp_range)
     require_positive("w_floor", w_floor)
     if w == 0.0:
         return 0.5, 0.0
@@ -337,8 +310,7 @@ class DifferentialWeightPlan:
     target_plus: np.ndarray  # standard-bias cell currents [A]
     target_minus: np.ndarray
     peripheral_target: float  # reference current of peripheral cells [A]
-    temp_range: tuple
-    reference: float
+    temp_range: tuple  # the drift is relative to its low end
 
     def tune_targets(self, array: ArrayState, precision: float) -> list:
         """Targets for every plan cell plus the used peripheral cells."""
@@ -356,23 +328,15 @@ class DifferentialWeightPlan:
         return targets
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(
-                "row,logical_col,w,w_b,w_plus,w_minus,predicted_drift,"
-                "col_plus,col_minus,target_plus,target_minus\n"
-            )
-            rows, logical = self.weights.shape
-            for m in range(logical):
-                cp, cm = self.column_pairs[m]
-                for r in range(rows):
-                    fh.write(
-                        f"{r},{m},{float(self.weights[r, m])!r},"
-                        f"{float(self.w_b[r, m])!r},"
-                        f"{float(self.w_plus[r, m])!r},{float(self.w_minus[r, m])!r},"
-                        f"{float(self.predicted_drift[r, m])!r},{cp},{cm},"
-                        f"{float(self.target_plus[r, m])!r},"
-                        f"{float(self.target_minus[r, m])!r}\n"
-                    )
+        columns = ("row", "logical_col", "w", "w_b", "w_plus", "w_minus", "predicted_drift",
+                   "col_plus", "col_minus", "target_plus", "target_minus")
+        grids = (self.weights, self.w_b, self.w_plus, self.w_minus, self.predicted_drift)
+        write_rows(path, columns, (
+            (r, m, *(g[r, m] for g in grids), cp, cm, self.target_plus[r, m],
+             self.target_minus[r, m])
+            for m, (cp, cm) in enumerate(self.column_pairs)
+            for r in range(self.weights.shape[0])
+        ))
 
 
 def reference_current(cfg: ModelConfig) -> float:
@@ -381,13 +345,7 @@ def reference_current(cfg: ModelConfig) -> float:
     return math.sqrt(lo * hi)
 
 
-def plan_differential(
-    weights,
-    temp_range,
-    array: ArrayState,
-    reference: float = None,
-    w_floor: float = None,
-) -> DifferentialWeightPlan:
+def plan_differential(weights, temp_range, array: ArrayState) -> DifferentialWeightPlan:
     """Assign column pairs and optimized (w+, w-) targets for net weights.
 
     Peripheral cells sit at the window center, so a weight w maps to a
@@ -409,11 +367,9 @@ def plan_differential(
             f"have {len(cols)}"
         )
     i_ref = reference_current(cfg)
-    if w_floor is None:
-        w_floor = cfg.current_window[0] / i_ref
-    # bad arguments fail here, naming the field, not as infeasible entries
-    t0 = _check_drift_scan(temp_range, reference)
-    require_positive("w_floor", w_floor)
+    w_floor = cfg.current_window[0] / i_ref
+    # a bad range fails here, naming the field, not as infeasible entries
+    _check_drift_scan(temp_range)
 
     w_b = np.zeros_like(wvals)
     drift = np.zeros_like(wvals)
@@ -425,9 +381,7 @@ def plan_differential(
                 bad.append((r, m))
                 continue
             try:
-                w_b[r, m], drift[r, m] = optimize_bias_weight(
-                    w, temp_range, reference=t0, w_floor=w_floor
-                )
+                w_b[r, m], drift[r, m] = optimize_bias_weight(w, temp_range, w_floor)
             except ValueError:
                 bad.append((r, m))
     if bad:
@@ -447,7 +401,6 @@ def plan_differential(
         target_minus=i_ref * w_minus,
         peripheral_target=i_ref,
         temp_range=(float(temp_range[0]), float(temp_range[1])),
-        reference=float(t0),
     )
 
 

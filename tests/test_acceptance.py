@@ -17,7 +17,7 @@ from flashvmm.cell import (
     apply_pulse,
     drain_current,
     fresh_cell,
-    readout_noisy,
+    readout,
     standard_current,
     subthreshold_current,
     vth_for_standard_current,
@@ -110,7 +110,7 @@ def test_criterion_3_noise_envelope():
             cell = fresh_cell(CFG, seed=99, v_th=vth_for_standard_current(level, CFG))
             reads = np.array(
                 [
-                    readout_noisy(cell, READOUT_BIAS, T_25C, 1, rng=rng, cfg=CFG)
+                    readout(cell.v_th, READOUT_BIAS, T_25C, CFG, 1, rng)
                     for _ in range(10_000)
                 ]
             )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flashvmm.array import ROLES, ArrayState, bias_table
-from flashvmm.cell import PulseKind, PulseSpec, drain_current, readout_noisy, READOUT_BIAS
+from flashvmm.cell import PulseKind, PulseSpec, drain_current, readout, READOUT_BIAS
 from flashvmm.config import DEFAULT_CONFIG, ModelConfig
 from flashvmm.constants import V_MAX_ABS
 
@@ -214,8 +214,8 @@ class TestReadout:
         array = ArrayState.fresh(CFG, rows=3, cols=4, initial="center")
         rng = copy.deepcopy(array.measure_rng)
         for samples in (1, 8, 128):
-            expected = readout_noisy(
-                array.cell_at(2, 1), READOUT_BIAS, CFG.temperature_ref, samples, rng=rng, cfg=CFG
+            expected = readout(
+                array.cell_at(2, 1).v_th, READOUT_BIAS, CFG.temperature_ref, CFG, samples, rng
             )
             assert array.read_cell(2, 1, noisy=True, samples=samples) == expected
 

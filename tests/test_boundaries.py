@@ -239,8 +239,9 @@ TABLE = [
     Entry("drain_current", "drain_current",
           lambda s, **kw: flashvmm.drain_current(cell(), READOUT_BIAS, cfg=CFG, **kw),
           (temperature(),), dict(temperature=T_25C)),
-    Entry("readout_noisy", "readout_noisy",
-          lambda s, **kw: flashvmm.readout_noisy(cell(), READOUT_BIAS, cfg=CFG, **kw),
+    Entry("readout", "readout",
+          lambda s, **kw: flashvmm.readout(
+              cell().v_th, READOUT_BIAS, cfg=CFG, rng=np.random.default_rng(0), **kw),
           (temperature(), count("samples", 1, draw=(1, 16))), dict(temperature=T_25C, samples=8)),
     Entry("retention_hold", "retention_hold",
           lambda s, **kw: flashvmm.retention_hold(cell(), cfg=WALK_CFG, **kw),
@@ -248,12 +249,10 @@ TABLE = [
           dict(duration=3600.0, temperature=T_85C), lambda c: c.v_th),
     Entry("standard_current", "standard_current",
           lambda s, **kw: flashvmm.standard_current(cfg=CFG, **kw),
-          (Param("v_th", draw=(0.0, 10.0)), temperature(optional=True)),
-          dict(v_th=4.0, temperature=None)),
+          (Param("v_th", draw=(0.0, 10.0)),), dict(v_th=4.0)),
     Entry("vth_for_standard_current", "vth_for_standard_current",
           lambda s, **kw: flashvmm.vth_for_standard_current(cfg=CFG, **kw),
-          (Param("current", lo=LO, hi=HI), temperature(optional=True)),
-          dict(current=1e-8, temperature=None)),
+          (Param("current", lo=LO, hi=HI),), dict(current=1e-8)),
     # config
     Entry("ModelConfig", "ModelConfig", lambda s, **kw: flashvmm.ModelConfig(**kw),
           (count("seed", draw=(0, 2**40)),
@@ -303,6 +302,14 @@ TABLE = [
           center_array),
     Entry("tune_array", "tune_array with no targets", lambda s, **kw: flashvmm.tune_array(s, [], **kw),
           (count("budget", 1),), dict(budget=4), lambda r: r[1]["rel_error_max"], center_array),
+    Entry("tuning.uniform_targets", "uniform_targets",
+          lambda s, **kw: tuning.uniform_targets(s, precision=0.05, **kw),
+          (Param("current", lo=LO, hi=HI),), dict(current=1e-8),
+          lambda ts: [t.target_current for t in ts], center_array),
+    Entry("tuning.ramp_targets", "ramp_targets",
+          lambda s, **kw: tuning.ramp_targets(s, precision=0.05, **kw),
+          (Param("lo", lo=LO, hi=HI), Param("hi", lo=LO, hi=HI)), dict(lo=1e-9, hi=1e-7),
+          lambda ts: [t.target_current for t in ts], center_array),
     Entry("tuning.TuningCampaign", "TuningCampaign", lambda s, **kw: tuning.TuningCampaign(**kw),
           (count("rows", 1, field="campaign rows"), count("cols", 1, field="campaign cols"),
            count("budget", 1, field="campaign budget"),
@@ -319,7 +326,7 @@ TABLE = [
           dict(row=0, col=1, temperature=None, samples=8, noisy=True), None, center_array),
     Entry("ArrayState", "ArrayState.pulse_cell",
           lambda s, **kw: s.pulse_cell(pulse=PulseSpec.program(CFG), **kw),
-          (index("row", 2), index("col", 4)), dict(row=0, col=1), lambda d: d.dvth, center_array),
+          (index("row", 2), index("col", 4)), dict(row=0, col=1), None, center_array),
     Entry("ArrayState", "ArrayState.cell_at", lambda s, **kw: s.cell_at(**kw),
           (index("row", 2), index("col", 4)), dict(row=0, col=1), lambda c: c.v_th, center_array),
     Entry("ArrayState", "ArrayState.set_cell_current",
@@ -327,10 +334,6 @@ TABLE = [
           (index("row", 2), index("col", 4), Param("current", lo=LO, hi=HI)),
           dict(row=0, col=1, current=1e-8), None, center_array),
     # vmm
-    Entry("input_gate_voltage", "input_gate_voltage",
-          lambda s, **kw: flashvmm.input_gate_voltage(cell(), cfg=CFG, **kw),
-          (Param("input_current", lo=LO, hi=HI), temperature()),
-          dict(input_current=1e-8, temperature=T_25C)),
     Entry("weight_of", "weight_of", lambda s, **kw: flashvmm.weight_of(cell(), cell(), cfg=CFG, **kw),
           (temperature(),), dict(temperature=T_25C)),
     Entry("multiply", "multiply", lambda s, **kw: flashvmm.multiply(s, [1e-8, 5e-8], **kw),
@@ -342,25 +345,19 @@ TABLE = [
     Entry("optimize_bias_weight", "optimize_bias_weight",
           lambda s, **kw: flashvmm.optimize_bias_weight(**kw),
           (Param("w", lo=0.0, hi=1.0, draw=(1e-3, 0.9)), Param("temp_range", **PAIR_T),
-           positive("reference", draw=(T_MIN, T_MAX), optional=True),
            positive("w_floor", draw=(1e-3, 0.05))),
-          dict(w=0.5, temp_range=(T_25C, T_85C), reference=None, w_floor=0.01)),
+          dict(w=0.5, temp_range=(T_25C, T_85C), w_floor=0.01)),
     Entry("optimize_bias_weight", "optimize_bias_weight at w = 0",
           lambda s, **kw: flashvmm.optimize_bias_weight(0.0, **kw),
-          (Param("temp_range", **PAIR_T), positive("reference", draw=(T_MIN, T_MAX), optional=True),
-           positive("w_floor", draw=(1e-3, 0.05))),
-          dict(temp_range=(T_25C, T_85C), reference=None, w_floor=0.01)),
+          (Param("temp_range", **PAIR_T), positive("w_floor", draw=(1e-3, 0.05))),
+          dict(temp_range=(T_25C, T_85C), w_floor=0.01)),
     Entry("plan_differential", "plan_differential",
           lambda s, **kw: flashvmm.plan_differential(np.array([[0.5]]), array=s, **kw),
-          (Param("temp_range", **PAIR_T), positive("reference", draw=(T_MIN, T_MAX), optional=True),
-           positive("w_floor", draw=(1e-3, 0.05), optional=True)),
-          dict(temp_range=(T_25C, T_85C), reference=None, w_floor=None), lambda p: p.w_b,
+          (Param("temp_range", **PAIR_T),), dict(temp_range=(T_25C, T_85C)), lambda p: p.w_b,
           lambda: center_array(1, 4)),
     Entry("vmm.differential_drift", "differential_drift",
           lambda s, **kw: vmm.differential_drift(0.6, 0.2, **kw),
-          (Param("temp_range", **PAIR_T), positive("reference", draw=(T_MIN, T_MAX), optional=True),
-           positive("step", draw=(0.5, 10.0))),
-          dict(temp_range=(T_25C, T_85C), reference=T_25C, step=1.0)),
+          (Param("temp_range", **PAIR_T),), dict(temp_range=(T_25C, T_85C))),
     # the CLI: every argument is a string; the field is the option's dest
     Entry("cli tune", "flashvmm tune", lambda s, **kw: cli_tune(**kw),
           (count("seed", draw=(0, 2**31)),), {}, cli_out, examples=2),

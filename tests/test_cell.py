@@ -13,7 +13,7 @@ from flashvmm.cell import (
     apply_pulse,
     drain_current,
     fresh_cell,
-    readout_noisy,
+    readout,
     retention_hold,
     standard_current,
     subthreshold_current,
@@ -116,14 +116,9 @@ class TestNoisyReadout:
         # the noise envelope is the config's
         cell = CellState(4.0, rng_seed=3)
         ideal = drain_current(cell, READOUT_BIAS, 298.15, QUIET_CFG)
-        assert readout_noisy(cell, READOUT_BIAS, 298.15, 16, cfg=QUIET_CFG) == ideal
-        assert readout_noisy(cell, READOUT_BIAS, 298.15, 16, cfg=CFG) != ideal
-
-    def test_default_stream_repeats_on_unchanged_cell(self):
-        cell = fresh_cell(CFG, seed=11, v_th=vth_for_standard_current(1e-9, CFG))
-        a = readout_noisy(cell, READOUT_BIAS, 298.15, 8, cfg=CFG)
-        b = readout_noisy(cell, READOUT_BIAS, 298.15, 8, cfg=CFG)
-        assert a == b
+        rng = np.random.default_rng(3)
+        assert readout(cell.v_th, READOUT_BIAS, 298.15, QUIET_CFG, 16, rng) == ideal
+        assert readout(cell.v_th, READOUT_BIAS, 298.15, CFG, 16, rng) != ideal
 
     def test_averaging_tightens_spread_by_sqrt_samples(self):
         # i.i.d. averaging oracle: the 128-sample mean has ~sqrt(128)
@@ -131,17 +126,17 @@ class TestNoisyReadout:
         cell = fresh_cell(CFG, seed=5, v_th=vth_for_standard_current(1e-10, CFG))
         rng = np.random.default_rng(42)
         singles = np.array(
-            [readout_noisy(cell, READOUT_BIAS, 298.15, 1, rng=rng, cfg=CFG) for _ in range(3000)]
+            [readout(cell.v_th, READOUT_BIAS, 298.15, CFG, 1, rng) for _ in range(3000)]
         )
         means = np.array(
-            [readout_noisy(cell, READOUT_BIAS, 298.15, 128, rng=rng, cfg=CFG) for _ in range(3000)]
+            [readout(cell.v_th, READOUT_BIAS, 298.15, CFG, 128, rng) for _ in range(3000)]
         )
         ratio = singles.std() / means.std()
         assert ratio == pytest.approx(math.sqrt(128.0), rel=0.15)
 
     def test_requires_at_least_one_sample(self):
         with pytest.raises(ValueError):
-            readout_noisy(mid_cell(), READOUT_BIAS, 298.15, 0, cfg=CFG)
+            readout(mid_cell().v_th, READOUT_BIAS, 298.15, CFG, 0, np.random.default_rng(0))
 
 
 def full_select_program():
@@ -287,13 +282,18 @@ class TestStateHelpers:
             vth = vth_for_standard_current(target, CFG)
             assert standard_current(vth, CFG) == pytest.approx(target, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "v_th, temperature, name",
-        [(math.nan, None, "v_th"), (math.inf, None, "v_th"), (4.0, math.nan, "temperature")],
-    )
-    def test_standard_current_rejects_non_finite_input(self, v_th, temperature, name):
+    @pytest.mark.parametrize("v_th, name", [(math.nan, "v_th"), (math.inf, "v_th")])
+    def test_standard_current_rejects_non_finite_input(self, v_th, name):
         with pytest.raises(ValueError, match=f"^{name}"):
-            standard_current(v_th, CFG, temperature)
+            standard_current(v_th, CFG)
+
+    def test_standard_current_helpers_read_at_temperature_ref(self):
+        hot = replace(CFG, temperature_ref=358.15)
+        v_th = vth_for_standard_current(1e-8, hot)
+        ut = hot.n * thermal_voltage(358.15)
+        assert v_th == pytest.approx(READOUT_BIAS.v_cg - ut * math.log(1e-8 / hot.i0), rel=1e-15)
+        assert v_th != vth_for_standard_current(1e-8, CFG)
+        assert standard_current(v_th, hot) == pytest.approx(1e-8, rel=1e-12)
 
     def test_cell_state_invariants(self):
         with pytest.raises(ValueError):
@@ -307,12 +307,6 @@ class TestStateHelpers:
         with pytest.raises(ValueError, match="^rng_seed must be an integer >= 0"):
             CellState(4.0, seed)
         assert fresh_cell(CFG, seed=np.int64(7)).rng_seed == 7
-
-    @pytest.mark.parametrize("temperature", [math.nan, 1000.0])
-    def test_vth_for_standard_current_checks_temperature(self, temperature):
-        # a NaN temperature used to return NaN, 1000 K a number
-        with pytest.raises(ValueError, match="^temperature"):
-            vth_for_standard_current(1e-8, CFG, temperature)
 
     @pytest.mark.parametrize("current", [1e-11, 1e-5])
     def test_vth_for_standard_current_checks_the_current_window(self, current):

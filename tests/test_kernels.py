@@ -5,8 +5,8 @@
 geometric role, and keeps its own per-role pulse tally.
 ``stream_normals`` draws many (seed, count) normals at once; the oracle
 is one ``default_rng((seed, count))`` per pair.
-``differential_drift_grid`` evaluates many bias weights at once; the
-oracle is the scalar drift formula evaluated one weight at a time.
+``vmm._drift`` evaluates many bias weights at once against the range's
+low end; the oracle is the scalar drift formula one weight at a time.
 Noisy ``multiply`` is pinned to a per-row restatement of its formula.
 The float branches of ``sigma_at`` and ``subthreshold_current`` are
 pinned to ``np.interp`` and to the one-element array path.
@@ -39,7 +39,6 @@ from flashvmm.config import DEFAULT_CONFIG, InhibitionParams, ModelConfig
 from flashvmm.constants import K_B, Q_E, T_25C, T_85C, T_MAX, T_MIN, V_CG_READ, thermal_voltage
 from flashvmm.vmm import (
     differential_drift,
-    differential_drift_grid,
     golden_section_min,
     multiply,
     optimize_bias_weight,
@@ -152,8 +151,7 @@ def test_pulse_cell_matches_scalar_oracle(shape, data):
     for row, col, pulse in pulses:
         delta = fast.pulse_cell(row, col, pulse)
         dvth, _ = oracle_pulse(slow, row, col, pulse, tally)
-        assert delta.target == (row, col) and delta.kind is pulse.kind
-        assert_bits_equal(delta.dvth, dvth)
+        assert_bits_equal(delta, dvth)
         assert_same_state(fast, slow, tally)
     # every applied pulse exposes every cell exactly once, under one role
     applied = sum(1 for _, _, p in pulses if p.duration > 0.0)
@@ -459,7 +457,7 @@ def run_both(fast, slow, pulses, tally=None):
     for row, col, pulse in pulses:
         delta = fast.pulse_cell(row, col, pulse)
         dvth, _ = oracle_pulse(slow, row, col, pulse, tally)
-        assert_bits_equal(delta.dvth, dvth)
+        assert_bits_equal(delta, dvth)
         assert_bits_equal(fast.v_th, slow.v_th)
         assert_bits_equal(fast.rng_counts, slow.rng_counts)
 
@@ -654,19 +652,20 @@ def test_top_up_draws_each_normal_once(monkeypatch):
 
 # ------------------------------------------------------------ drift scan
 
-def scalar_drift(w_plus, w_minus, temp_range, reference, step=1.0):
-    """The drift objective evaluated for one pair, scalar exponentials at T0."""
+def scalar_drift(w_plus, w_minus, temp_range):
+    """The drift objective evaluated for one pair on the 1 K grid, against
+    the range's low end T0, scalar exponentials at T0."""
     a, b = math.log(w_plus), math.log(w_minus)
-    temps = np.arange(temp_range[0], temp_range[1] + step / 2, step)
-    out = np.exp(a * reference / temps) - np.exp(b * reference / temps)
+    temps = np.arange(temp_range[0], temp_range[1] + 0.5, 1.0)
+    out = np.exp(a * temp_range[0] / temps) - np.exp(b * temp_range[0] / temps)
     out0 = math.exp(a) - math.exp(b)
     return float(np.max(np.abs(out / out0 - 1.0)))
 
 
-def scalar_optimize(w, temp_range, reference, w_floor=0.01):
+def scalar_optimize(w, temp_range, w_floor=0.01):
     """Coarse scan then golden section, one objective call per grid point."""
     def objective(w_b):
-        return scalar_drift(w_b + w / 2.0, w_b - w / 2.0, temp_range, reference)
+        return scalar_drift(w_b + w / 2.0, w_b - w / 2.0, temp_range)
 
     grid = np.arange(w / 2.0 + w_floor, 1.0 - w / 2.0 + 1e-12, 1e-3)
     k = int(np.argmin([objective(x) for x in grid]))
@@ -675,23 +674,22 @@ def scalar_optimize(w, temp_range, reference, w_floor=0.01):
     return float(w_b), float(drift)
 
 
+# drift intervals; the low end is the drift's reference temperature
+RANGES = ((T_25C, T_85C), (273.15, 320.0), (320.0, T_85C))
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
-@given(
-    w=st.floats(1e-3, 0.985),
-    reference=st.sampled_from([T_25C, 320.0, T_85C]),
-)
-def test_drift_grid_matches_scalar_objective(w, reference):
-    temp_range = (T_25C, T_85C)
+@given(w=st.floats(1e-3, 0.985), temp_range=st.sampled_from(RANGES))
+def test_drift_grid_matches_scalar_objective(w, temp_range):
     grid = np.arange(w / 2.0 + 0.01, 1.0 - w / 2.0 + 1e-12, 1e-3)
-    fast = differential_drift_grid(grid + w / 2.0, grid - w / 2.0, temp_range, reference)
-    oracle = np.array([scalar_drift(x + w / 2.0, x - w / 2.0, temp_range, reference) for x in grid])
+    temps = np.arange(temp_range[0], temp_range[1] + 0.5, 1.0)
+    fast = vmm_mod._drift(grid + w / 2.0, grid - w / 2.0, temps, temp_range[0])
+    oracle = np.array([scalar_drift(x + w / 2.0, x - w / 2.0, temp_range) for x in grid])
     assert_bits_equal(fast, oracle)
-    scalar = np.array(
-        [differential_drift(x + w / 2.0, x - w / 2.0, temp_range, reference) for x in grid]
-    )
+    scalar = np.array([differential_drift(x + w / 2.0, x - w / 2.0, temp_range) for x in grid])
     assert_bits_equal(fast, scalar)
-    fast_opt = optimize_bias_weight(w, temp_range, reference=reference)
-    assert_bits_equal(np.array(fast_opt), np.array(scalar_optimize(w, temp_range, reference)))
+    fast_opt = optimize_bias_weight(w, temp_range)
+    assert_bits_equal(np.array(fast_opt), np.array(scalar_optimize(w, temp_range)))
 
 
 def grid_size(w, w_floor):
@@ -713,11 +711,10 @@ def test_pruned_scan_matches_full_grid_oracle():
     assert len(SWEEP) >= 100
     assert {grid_size(w, f) for w, f in SWEEP} >= {1, 2, 3}
     assert {grid_size(w, 0.05) for w, f in SWEEP if f == 0.05} >= {1, 2, 3}
-    references = (T_25C, 320.0, T_85C)
     for k, (w, w_floor) in enumerate(SWEEP):
-        reference = references[k % 3]
-        got = optimize_bias_weight(w, (T_25C, T_85C), reference=reference, w_floor=w_floor)
-        want = scalar_optimize(w, (T_25C, T_85C), reference, w_floor)
+        temp_range = RANGES[k % 3]
+        got = optimize_bias_weight(w, temp_range, w_floor)
+        want = scalar_optimize(w, temp_range, w_floor)
         assert_bits_equal(np.array(got), np.array(want))
 
 

@@ -137,6 +137,27 @@ class TestTuneArray:
         with pytest.raises(ValueError, match="conflicting"):
             tune_array(array, targets, budget=10)
 
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (TuneTarget(5, 1, 1e-8, 0.05), IndexError, r"cell \(5, 1\) outside 3x4"),
+            (TuneTarget(1, 4, 1e-8, 0.05), IndexError, r"cell \(1, 4\) outside 3x4"),
+            (TuneTarget(1, 1, 1e-3, 0.05), ValueError, "^target_current must lie in the window"),
+        ],
+        ids=["row", "col", "current"],
+    )
+    def test_every_target_checked_before_the_first_pulse(self, bad, error, message):
+        # a bad second target used to fail only after the first cell was
+        # tuned (66 draws consumed on a 3x4 array)
+        array = ArrayState.fresh(CFG, rows=3, cols=4)
+        before = (array.v_th.copy(), array.rng_counts.copy(), array.measure_rng.bit_generator.state)
+        with pytest.raises(error, match=message):
+            tune_array(array, [TuneTarget(0, 1, 1e-8, 0.05), bad], budget=100)
+        assert np.array_equal(array.v_th, before[0])
+        assert np.array_equal(array.rng_counts, before[1])
+        assert array.measure_rng.bit_generator.state == before[2]
+        assert array.disturb.pulses == 0
+
     def test_campaign_is_replayable_from_seed(self):
         def run():
             array = ArrayState.fresh(CFG, rows=3, cols=4)
@@ -253,6 +274,18 @@ class TestCampaignFiles:
         currents = [t.target_current for t in ramp]
         ratios = [b / a for a, b in zip(currents, currents[1:])]
         assert all(r == pytest.approx(ratios[0], rel=1e-9) for r in ratios)
+
+    @pytest.mark.parametrize("lo", [0.0, 1e-12])
+    def test_builders_check_currents_against_the_window(self, lo):
+        # lo = 0 used to raise ZeroDivisionError, and lo = 1e-12 to build
+        # targets below the window
+        array = ArrayState.fresh(CFG, rows=2, cols=4)
+        with pytest.raises(ValueError, match=r"^lo must lie in the window \[1e-10, 1e-06\]"):
+            ramp_targets(array, lo, 1e-7, 0.05)
+        with pytest.raises(ValueError, match=r"^hi must lie in the window"):
+            ramp_targets(array, 1e-9, lo, 0.05)
+        with pytest.raises(ValueError, match=r"^current must lie in the window"):
+            uniform_targets(array, lo, 0.05)
 
     def test_results_csv(self, tmp_path):
         array = ArrayState.fresh(CFG, rows=2, cols=3)

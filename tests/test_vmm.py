@@ -11,6 +11,7 @@ from flashvmm.cell import (
     drain_current,
     fresh_cell,
     gate_voltage,
+    subthreshold_current,
 )
 from flashvmm.config import DEFAULT_CONFIG, ModelConfig, NoiseParams
 from flashvmm.constants import T_25C, T_85C, thermal_voltage
@@ -21,10 +22,8 @@ from flashvmm.vmm import (
     PlanInfeasibleError,
     WeightMatrix,
     differential_drift,
-    differential_drift_grid,
     differential_multiply,
     golden_section_min,
-    input_gate_voltage,
     load_weights_csv,
     multiply,
     optimize_bias_weight,
@@ -57,15 +56,26 @@ def set_weights(array, weights):
             array.set_cell_current(r, c, i_ref * weights[r, k])
 
 
+def input_array(cfg=CFG):
+    """1x3 array: one centered peripheral cell and one array cell."""
+    return ArrayState.fresh(cfg, rows=1, cols=3, initial="center")
+
+
 class TestInputGateVoltage:
+    """The row's input conversion: ``gate_voltage`` at the peripheral cell,
+    as ``multiply`` applies it."""
+
     def test_identity_at_prefactor(self):
         v_th = CFG.calibration.v_th_center
         assert gate_voltage(1e-8, v_th, CFG.n, 1e-8, 298.15) == v_th
 
     def test_follows_config_n_and_i0(self):
-        cell = fresh_cell(CFG, v_th=CFG.calibration.v_th_center)
-        want = float(gate_voltage(1e-8, cell.v_th, CFG.n, CFG.i0, 298.15))
-        assert input_gate_voltage(cell, 1e-8, 298.15, CFG) == want
+        cfg = replace(CFG, n_slope=5.07, i0=2e-3)
+        array = input_array(cfg)
+        array.v_th[0, 1] += 0.05
+        v_gate = gate_voltage(1e-8, array.v_th[0, 0], cfg.n, cfg.i0, 320.0)
+        want = subthreshold_current(v_gate, array.v_th[0, 1], cfg.n, cfg.i0, 320.0, cfg.i_sat)
+        assert multiply(array, [1e-8], temperature=320.0)[0] == want
 
     def test_roundtrip_through_forward_model(self):
         # oracle: feeding the voltage back into the readout law recovers
@@ -77,7 +87,7 @@ class TestInputGateVoltage:
             vth = cal.v_th_min + rng.random() * cal.window_width
             cell = fresh_cell(CFG, seed=int(rng.integers(2**62)), v_th=vth)
             current = lo * (hi / lo) ** rng.random()
-            v = input_gate_voltage(cell, current, 298.15, CFG)
+            v = float(gate_voltage(current, cell.v_th, CFG.n, CFG.i0, 298.15))
             bias = BiasCondition(2.5, v, 1.0, 0.0, 0.0)
             back = drain_current(cell, bias, 298.15, CFG)
             assert abs(back / current - 1.0) < 1e-12
@@ -88,17 +98,15 @@ class TestInputGateVoltage:
         assert v2 - v1 == pytest.approx(0.295797, abs=1e-5)
 
     def test_window_enforced(self):
-        cell = fresh_cell(CFG, v_th=CFG.calibration.v_th_center)
         with pytest.raises(ValueError, match="window"):
-            input_gate_voltage(cell, 1e-5, 298.15, CFG)
+            multiply(input_array(), [1e-5])
         with pytest.raises(ValueError, match="window"):
-            input_gate_voltage(cell, 1e-11, 298.15, CFG)
+            multiply(input_array(), [1e-11])
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, 200.0, 450.0])
     def test_temperature_outside_model_window_rejected(self, t):
-        cell = fresh_cell(CFG, v_th=CFG.calibration.v_th_center)
         with pytest.raises(ValueError, match="temperature"):
-            input_gate_voltage(cell, 1e-8, t, CFG)
+            multiply(input_array(), [1e-8], temperature=t)
 
 
 class TestWeightOf:
@@ -237,10 +245,10 @@ class TestBiasWeightOptimization:
         # the fine scan is the oracle for the scan+golden-section path
         w = 0.5
         grid = np.arange(0.26, 0.75, 1e-4)
-        drifts = [differential_drift(x + w / 2, x - w / 2, (T_25C, T_85C), T_25C) for x in grid]
+        drifts = [differential_drift(x + w / 2, x - w / 2, (T_25C, T_85C)) for x in grid]
         brute_wb = grid[int(np.argmin(drifts))]
         brute_drift = min(drifts)
-        w_b, drift = optimize_bias_weight(w, (T_25C, T_85C), reference=T_25C)
+        w_b, drift = optimize_bias_weight(w, (T_25C, T_85C))
         assert w_b == pytest.approx(brute_wb, abs=2e-4)
         assert drift == pytest.approx(brute_drift, rel=1e-2)
         assert drift < 0.01
@@ -274,7 +282,7 @@ class TestBiasWeightOptimization:
 
         for w in np.round(np.arange(0.1, 0.95, 0.1), 2):
             w = float(w)
-            w_b, _ = optimize_bias_weight(w, (T_25C, T_85C), reference=T_25C)
+            w_b, _ = optimize_bias_weight(w, (T_25C, T_85C))
             lo, hi = w / 2 + 0.011, 1 - w / 2
             # residual at the optimum is a small fraction of its edge scale
             edge_scale = max(abs(residual(w, lo)), abs(residual(w, hi)))
@@ -299,9 +307,7 @@ class TestBiasWeightOptimization:
     def test_drift_needs_w_plus_above_positive_w_minus(self, pair):
         # w+ == w- used to return NaN with only a RuntimeWarning
         with pytest.raises(ValueError, match="w_plus"):
-            differential_drift(*pair, (T_25C, T_85C), T_25C)
-        with pytest.raises(ValueError, match="w_plus"):
-            differential_drift_grid([0.6, pair[0]], [0.2, pair[1]], (T_25C, T_85C), T_25C)
+            differential_drift(*pair, (T_25C, T_85C))
 
     @pytest.mark.parametrize("w", [W_MIN / 10, 1e-11, 1e-15, 1e-17])
     def test_weight_below_w_min_infeasible(self, w):
@@ -396,7 +402,6 @@ class TestDifferentialPlan:
             target_minus=I_REF * np.array([[0.4], [0.6]]),
             peripheral_target=I_REF,
             temp_range=(T_25C, T_85C),
-            reference=T_25C,
         )
         for t in (T_25C, 320.0, T_85C):
             out = differential_multiply(array, plan, [1e-8, 1e-8], temperature=t)
