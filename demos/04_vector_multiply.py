@@ -27,10 +27,8 @@ print(f"tuned {summary['converged']}/{summary['targets']} cells, "
 
 print("\nnoiseless multiply vs ideal dot product:")
 print("  idx   ideal [A]          measured [A]       rel err")
-for k in range(5):
-    inputs = 10 ** rng.uniform(-8.7, -7.0, size=rows)
-    out = multiply(array, inputs)
-    ideal = weights.T @ inputs
+inputs = 10 ** rng.uniform(-8.7, -7.0, size=(5, rows))  # a batch of 5 vectors
+for k, (out, ideal) in enumerate(zip(multiply(array, inputs), inputs @ weights)):
     worst = np.max(np.abs(out / ideal - 1.0))
     print(f"  {k:3d}   {ideal[0]:.4e} ...    {out[0]:.4e} ...    {worst*100:.2f}%")
 

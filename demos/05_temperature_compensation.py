@@ -28,14 +28,9 @@ results, summary = tune_array(array, plan.tune_targets(array, 0.01), budget=200)
 print(f"  tuned {summary['converged']}/{summary['targets']} cells "
       f"(w+ = {plan.w_plus[0,0]:.4f}, w- = {plan.w_minus[0,0]:.4f})")
 
-baseline = None
 print("   T [C]   output [A]     change vs 25 C")
-for t in np.arange(T_25C, T_85C + 0.1, 10.0):
-    out = float(
-        differential_multiply(array, plan, [100e-9], temperature=float(t),
-                              noisy=True, samples=128)[0]
-    )
-    if baseline is None:
-        baseline = out
-    print(f"  {t-273.15:6.1f}   {out:.4e}    {(out/baseline-1)*100:+6.2f}%")
+sweep = np.arange(T_25C, T_85C + 0.1, 10.0)  # one read of the input at each temperature
+outs = differential_multiply(array, plan, [100e-9], temperature=sweep, noisy=True, samples=128)[:, 0]
+for t, out in zip(sweep, outs):
+    print(f"  {t-273.15:6.1f}   {out:.4e}    {(out/outs[0]-1)*100:+6.2f}%")
 print("\nThe same weight held single-ended would drift by more than 12%.")

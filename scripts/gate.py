@@ -8,8 +8,11 @@ non-zero exit or on any failed op. It then runs each workload at seeds 1
 and 7311 past its checkpoint and compares the checkpoint digest with the
 value pinned in ``PINNED``: a change meant only to speed up the simulator
 leaves these unchanged. A run that ends before its checkpoint fails as
-such. Exit code 0 when every check passes, 1 otherwise. Run it from any
-directory; it is not part of the test suite.
+such. Last, it runs CLI ``multiply`` on the working tree and on the
+parent commit (see below), single and differential, each with and
+without ``--noisy``, and fails unless every output CSV, plan and state
+file is byte-identical. Exit code 0 when every check passes, 1
+otherwise. Run it from any directory; it is not part of the test suite.
 
 When a ``diff-program`` run fails ops, the gate replays that seed and
 prints each failing (op, w) among the ops with w below ``TAIL_W``, the
@@ -23,9 +26,11 @@ that tail.
 """
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tarfile
@@ -49,6 +54,9 @@ RUN_SECONDS = 30.0
 CHECKPOINT_SECONDS = 5.0
 # every diff-program op seen failing its drift bound had w <= 0.1101
 TAIL_W = 0.125
+# the CLI multiply run compared with the parent's: 3 rows, 2 logical columns
+CLI_WEIGHTS = "0.62,0.31\n0.15,0.88\n0.47,0.205\n"
+CLI_INPUTS = "1e-8,5e-8,2e-9\n3e-8,1e-9,7e-8\n5e-9,5e-9,5e-9\n9e-8,2.5e-8,4e-9\n"
 
 
 def bench(workload, seed, seconds):
@@ -115,6 +123,47 @@ def parent_rev():
     return "HEAD" if status.strip() else "HEAD~1"
 
 
+@contextlib.contextmanager
+def parent_tree(rev):
+    """A temporary directory holding ``src`` and ``bench`` of commit ``rev``."""
+    archive = subprocess.run(
+        ["git", "archive", rev, "src", "bench"], cwd=ROOT, capture_output=True, check=True
+    ).stdout
+    with tempfile.TemporaryDirectory() as parent:
+        tarfile.open(fileobj=io.BytesIO(archive)).extractall(parent, filter="data")
+        yield parent
+
+
+def cli_outputs(root, work):
+    """{file name: bytes} of every file ``flashvmm multiply`` writes from
+    the ``src`` at ``root``: single and differential mode, each with and
+    without ``--noisy``, on ``CLI_WEIGHTS`` and the 4 ``CLI_INPUTS``
+    vectors, with ``--plan-out`` and ``--state-out``."""
+    work = Path(work)
+    (work / "w.csv").write_text(CLI_WEIGHTS)
+    (work / "x.csv").write_text(CLI_INPUTS)
+    env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
+    for mode in ("single", "differential"):
+        for noisy in ([], ["--noisy"]):
+            tag = mode + "".join(noisy).replace("--", "_")
+            cmd = [sys.executable, "-m", "flashvmm", "multiply", "--weights", "w.csv",
+                   "--inputs", "x.csv", "--out", f"{tag}.csv", "--mode", mode, "--seed", "5",
+                   "--samples", "64", "--temperature", "330", "--state-out", f"{tag}.state",
+                   *noisy, *(["--plan-out", f"{tag}.plan.csv"] if mode == "differential" else [])]
+            subprocess.run(cmd, cwd=work, env=env, capture_output=True, check=True)
+    return {f.name: f.read_bytes() for f in sorted(work.iterdir()) if f.name not in ("w.csv", "x.csv")}
+
+
+def cli_diff():
+    """Names of the CLI ``multiply`` output files that differ from the
+    parent commit's, byte for byte."""
+    rev = parent_rev()
+    with parent_tree(rev) as parent, tempfile.TemporaryDirectory() as here, \
+            tempfile.TemporaryDirectory() as there:
+        ours, theirs = cli_outputs(ROOT, here), cli_outputs(parent, there)
+    return rev, len(ours), sorted(n for n in ours.keys() | theirs.keys() if ours.get(n) != theirs.get(n))
+
+
 def label_tail(seed, attempted):
     """Prints each failing diff-program op with w < ``TAIL_W`` at ``seed``,
     labelled ``inherited`` when the parent commit fails it with the same
@@ -125,11 +174,7 @@ def label_tail(seed, attempted):
               "so the failure is not the known noise tail")
         return
     rev = parent_rev()
-    archive = subprocess.run(
-        ["git", "archive", rev, "src", "bench"], cwd=ROOT, capture_output=True, check=True
-    ).stdout
-    with tempfile.TemporaryDirectory() as parent:
-        tarfile.open(fileobj=io.BytesIO(archive)).extractall(parent, filter="data")
+    with parent_tree(rev) as parent:
         there = replay(parent, seed, attempted, [op for op, *_ in failing])
     at_parent = {op: (passed, digest) for op, _, passed, digest in there}
     for op, w, _, digest in failing:
@@ -168,6 +213,11 @@ def main(argv=None):
         print(f"{workload:13s} seed {seed:6d}: checkpoint {digest} {'FAIL' if fault else 'ok'}")
         if fault:
             faults.append(f"{workload} seed {seed}: {fault}")
+    rev, files, differ = cli_diff()
+    print(f"{'cli multiply':13s} {files} output files against {rev}: "
+          + (f"FAIL {', '.join(differ)} differ" if differ else "byte-identical"))
+    if differ:
+        faults.append(f"cli multiply: {', '.join(differ)} differ from {rev}")
     for fault in faults:
         print("FAIL " + fault)
     print("gate " + ("failed" if faults else "passed"))

@@ -521,5 +521,4 @@ def vth_for_standard_current(current: float, cfg: ModelConfig = DEFAULT_CONFIG) 
 def standard_current(v_th: float, cfg: ModelConfig = DEFAULT_CONFIG) -> float:
     """Readout current at the standard bias and ``cfg.temperature_ref`` [A]."""
     require_finite("v_th", v_th)
-    t = cfg.temperature_ref
-    return float(subthreshold_current(V_CG_READ, v_th, cfg.n, cfg.i0, t, cfg.i_sat))
+    return readout(v_th, READOUT_BIAS, cfg.temperature_ref, cfg)

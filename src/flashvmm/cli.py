@@ -83,13 +83,11 @@ def _cmd_multiply(args):
     if args.state_out:
         array.save(args.state_out)
 
-    out_rows = []
-    for k, vec in enumerate(inputs):
-        if plan is None:
-            out = multiply(array, vec, **read)
-        else:
-            out = differential_multiply(array, plan, vec, **read)
-        out_rows.append((k, *out))
+    if plan is None:
+        out = multiply(array, inputs, **read)
+    else:
+        out = differential_multiply(array, plan, inputs, **read)
+    out_rows = [(k, *vec) for k, vec in enumerate(out)]
     columns = ("input_index",) + tuple(f"out_{i}" for i in range(logical))
     write_csv(args.out, cfg, cfg.seed, columns, out_rows)
     print(

@@ -327,18 +327,13 @@ def _run_fig10(spec, seed, out_dir):
     results, summary = tune_array(array, targets, 200)
 
     lo, hi = cfg.current_window
-    rows = []
-    max_err = 0.0
-    for k in range(360):
-        inputs = 50e-9 * (1.0 + np.sin(2.0 * math.pi * k * freqs))
-        inputs = np.clip(inputs, lo, hi)
-        ideal = float(weights @ inputs)
-        measured = float(
-            multiply(array, inputs, noisy=True, samples=128)[0]
-        )
-        err = measured / ideal - 1.0
-        max_err = max(max_err, abs(err))
-        rows.append((k, *inputs, ideal, measured, err))
+    k = np.arange(360)[:, None]
+    inputs = np.clip(50e-9 * (1.0 + np.sin(2.0 * math.pi * k * freqs)), lo, hi)
+    ideal = np.array([float(weights @ x) for x in inputs])  # inputs @ weights sums in another order
+    measured = multiply(array, inputs, noisy=True, samples=128)[:, 0]
+    err = measured / ideal - 1.0
+    max_err = float(np.abs(err).max())
+    rows = [(i, *x, ideal[i], measured[i], err[i]) for i, x in enumerate(inputs)]
 
     path = out_dir / "fig10.csv"
     write_csv(
@@ -369,21 +364,14 @@ def _run_fig11(spec, seed, out_dir):
         array = ArrayState.fresh(cfg, rows=1, cols=4)
         plan = plan_differential(np.array([[w]]), (T_25C, T_85C), array)
         results, summary = tune_array(array, plan.tune_targets(array, 0.01), 200)
-        baseline = None
-        for t in temps:
-            out = float(
-                differential_multiply(
-                    array, plan, [100e-9], temperature=float(t), noisy=True, samples=128
-                )[0]
-            )
-            if baseline is None:
-                baseline = out
-            change = out / baseline - 1.0
-            max_drift = max(max_drift, abs(change))
-            rows.append(
-                (float(w), float(t), out, change, float(plan.predicted_drift[0, 0]))
-            )
-        max_predicted = max(max_predicted, float(plan.predicted_drift[0, 0]))
+        out = differential_multiply(
+            array, plan, [100e-9], temperature=temps, noisy=True, samples=128
+        )[:, 0]
+        change = out / out[0] - 1.0
+        max_drift = max(max_drift, float(np.abs(change).max()))
+        drift = float(plan.predicted_drift[0, 0])
+        rows += [(float(w), float(t), *r, drift) for t, *r in zip(temps, out, change)]
+        max_predicted = max(max_predicted, drift)
 
     path = out_dir / "fig11.csv"
     write_csv(

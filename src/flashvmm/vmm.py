@@ -126,53 +126,70 @@ def _check_peripherals(array: ArrayState) -> np.ndarray:
     return v
 
 
-def check_read(
-    cfg: ModelConfig, temperature: float = None, noisy: bool = False, samples: int = 1
-) -> float:
+def check_read(cfg: ModelConfig, temperature=None, noisy: bool = False, samples: int = 1):
     """Read temperature [K] of ``multiply``'s read options: ``temperature``
-    or by default ``cfg.temperature_ref``. A ValueError names the first
-    option out of range; ``samples`` counts only when ``noisy``."""
+    or by default ``cfg.temperature_ref``, a sequence (one temperature per
+    read) as a float array. A ValueError names the first option out of
+    range; ``samples`` counts only when ``noisy``."""
     t = cfg.temperature_ref if temperature is None else temperature
-    check_temperature(t)
+    if isinstance(t, (list, tuple, np.ndarray)):
+        if getattr(t, "ndim", 1) != 1 or len(t) == 0:
+            raise ValueError(f"temperature must be a number or a non-empty 1-D sequence, got {t!r}")
+        for x in t:
+            check_temperature(x)
+        t = np.array(t, dtype=float)
+    else:
+        check_temperature(t)
     require_flag("noisy", noisy)
     if noisy:
         require_count("samples", samples)
     return t
 
 
+_DRAW_CHUNK = 2**20  # most normals (or cell currents) a batch computes at once
+
+
 def multiply(
-    array: ArrayState,
-    inputs,
-    temperature: float = None,
-    noisy: bool = False,
-    samples: int = 1,
+    array: ArrayState, inputs, temperature=None, noisy: bool = False, samples: int = 1
 ) -> np.ndarray:
     """Output current per array column [A].
 
-    ``inputs`` holds one current per row. With ``noisy`` each cell current
-    receives its relative noise draw (averaged over ``samples``) from the
-    array's measurement stream.
+    ``inputs`` holds one current per row, or is a (B, rows) batch of such
+    vectors; ``temperature`` is a number or holds one per vector (a single
+    vector is then read at each). A batch or a sequence of temperatures
+    gives (B, cols) outputs, bit for bit those of B single calls in order.
+    With ``noisy`` each cell current receives its relative noise draw
+    (averaged over ``samples``) from the array's measurement stream.
     """
     cfg = array.cfg
     t = check_read(cfg, temperature, noisy, samples)
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.shape != (array.rows,):
-        raise ValueError(f"expected {array.rows} input currents, got {inputs.shape}")
+    x = np.asarray(inputs, dtype=float)
+    if not (0 < x.ndim <= 2 and x.shape[-1] == array.rows and x.size):
+        raise ValueError(f"inputs: expected {array.rows} input currents per vector, got shape {x.shape}")
     lo, hi = cfg.current_window
-    if not (lo <= inputs.min() and inputs.max() <= hi):  # NaN fails too
+    if not (lo <= x.min() and x.max() <= hi):  # NaN fails too
         raise ValueError(f"inputs must lie in the window [{lo!r}, {hi!r}]")
-    v_gate = gate_voltage(inputs, _check_peripherals(array), cfg.n, cfg.i0, t)
-    currents = subthreshold_current(
-        v_gate[:, None], array.v_th[:, array.io_layout[2]], cfg.n, cfg.i0, t, cfg.i_sat
-    )
-    if noisy:
-        sigma = cfg.noise.sigma_at(currents)
-        # sum / samples: the same float operations as .mean(axis=0)
-        eps_mean = (
-            array.measure_rng.standard_normal((samples,) + currents.shape).sum(axis=0) / samples
+    batched = isinstance(t, np.ndarray)
+    if batched and x.ndim == 2 and len(x) != len(t):
+        raise ValueError(f"temperature holds {len(t)} values for {len(x)} input vectors")
+    t = t[:, None] if batched else t
+    v_gate = gate_voltage(x, _check_peripherals(array), cfg.n, cfg.i0, t).reshape(-1, array.rows, 1)
+    t = t[..., None] if batched else t  # (B, 1, 1)
+    v_th, draw = array.v_th[:, array.io_layout[2]], array.measure_rng.standard_normal
+    # vectors in chunks of about _DRAW_CHUNK normals, one vector at least:
+    # B consecutive (samples, rows, cols) draws hold the same normals as one
+    # (B, samples, rows, cols) draw; sum / samples is .mean(axis=1)
+    step = max(1, _DRAW_CHUNK // (v_th.size * (samples if noisy else 1)))
+    out = np.empty((len(v_gate), v_th.shape[1]))
+    for i in range(0, len(out), step):
+        currents = subthreshold_current(  # (chunk, rows, cols)
+            v_gate[i:i + step], v_th, cfg.n, cfg.i0, t[i:i + step] if batched else t, cfg.i_sat
         )
-        currents = np.maximum(currents * (1.0 + sigma * eps_mean), 0.0)
-    return currents.sum(axis=0)
+        if noisy:
+            eps_mean = draw((len(currents), samples) + v_th.shape).sum(axis=1) / samples
+            currents = np.maximum(currents * (1.0 + cfg.noise.sigma_at(currents) * eps_mean), 0.0)
+        out[i:i + step] = currents.sum(axis=1)
+    return out if batched or x.ndim == 2 else out[0]
 
 
 # ------------------------------------------------- temperature behavior
@@ -405,21 +422,17 @@ def plan_differential(weights, temp_range, array: ArrayState) -> DifferentialWei
 
 
 def differential_multiply(
-    array: ArrayState,
-    plan: DifferentialWeightPlan,
-    inputs,
-    temperature: float = None,
-    noisy: bool = False,
-    samples: int = 1,
+    array: ArrayState, plan: DifferentialWeightPlan, inputs, temperature=None,
+    noisy: bool = False, samples: int = 1,
 ) -> np.ndarray:
-    """Paired-column outputs: O_logical = O_plus - O_minus [A]."""
-    rows, logical = plan.weights.shape
-    if rows != array.rows:
+    """Paired-column outputs: O_logical = O_plus - O_minus [A], on the last
+    axis; ``inputs`` and ``temperature`` batch as in ``multiply``."""
+    if plan.weights.shape[0] != array.rows:
         raise ValueError("plan rows do not match the array")
     cols = range(array.cols)[array.io_layout[2]]  # outputs[k] is column cols[k]
     for cp, cm in plan.column_pairs:
         if cp not in cols or cm not in cols:
             raise ValueError(f"plan pair ({cp}, {cm}) not among array columns")
-    outputs = multiply(array, inputs, temperature=temperature, noisy=noisy, samples=samples)
+    outputs = multiply(array, inputs, temperature=temperature, noisy=noisy, samples=samples).T
     k = cols.start
-    return np.array([outputs[cp - k] - outputs[cm - k] for cp, cm in plan.column_pairs])
+    return np.array([outputs[cp - k] - outputs[cm - k] for cp, cm in plan.column_pairs]).T

@@ -19,7 +19,7 @@ import io
 import json
 import math
 import tempfile
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +45,11 @@ class Param:
     """A checked parameter: its window, and where in-window draws come from.
 
     ``kind`` is real, count, temperature, choice, index (a cell row or
-    column: an IndexError outside the array), pair (each element a real)
-    or flag (a bool, numpy's too). ``draw`` narrows the draws to where
-    the call can succeed (feasibility and cross-field checks are not this
-    table's business).
+    column: an IndexError outside the array), pair (each element a real),
+    flag (a bool, numpy's too) or batch (an array of values, one per read:
+    ``draw`` lists in-window examples). ``draw`` narrows the draws to
+    where the call can succeed (feasibility and cross-field checks are not
+    this table's business).
     """
 
     name: str
@@ -95,6 +96,8 @@ class Param:
             return st.sampled_from(self.choices)
         if self.kind == "flag":
             return st.sampled_from((True, False, np.True_, np.False_))
+        if self.kind == "batch":
+            return st.sampled_from(self.draw)
         lo, hi = self.draw or (self.lo, self.hi)
         if self.kind in ("count", "index"):
             ints = st.integers(int(lo), int(hi))
@@ -219,6 +222,21 @@ PAIR_T = dict(kind="pair", lo=0.0, open_lo=True, draw=(T_MIN, T_MAX))
 READ_PARAMS = (
     temperature(optional=True), count("samples", 1, draw=(1, 16)), Param("noisy", "flag")
 )
+# a batch of two input vectors for a two-row array, and the batches and
+# per-vector temperatures multiply takes or refuses with it
+BATCH = np.array([[1e-8, 5e-8], [2e-8, 3e-8]])
+INPUTS = Param(
+    "inputs", "batch", draw=(BATCH, [[LO, HI]], [[1e-8, 5e-8]] * 3),
+    extra=(np.empty((0, 2)), np.full((1, 2, 2), 1e-8), [[1e-8, math.nan]], [[1e-8, HI * 2]],
+           [[1e-8, 5e-8, 1e-8]], [1e-8]),
+)
+TEMPERATURES = Param(
+    "temperature", "batch", optional=True,
+    draw=([T_MIN, T_MAX], (T_25C, T_85C), np.array([300.0, 310.0]), T_25C),
+    extra=([], [T_25C] * 3, [T_25C], [T_25C, math.nan], [T_25C, T_MAX + 1.0],
+           np.array([T_MIN - 1.0, T_25C]), [[T_25C, T_25C]], [T_25C, "300"], [T_25C, True]),
+)
+BATCH_READ = dict(inputs=BATCH, temperature=None, samples=8, noisy=True)
 
 TABLE = [
     # cell
@@ -338,10 +356,17 @@ TABLE = [
           (temperature(),), dict(temperature=T_25C)),
     Entry("multiply", "multiply", lambda s, **kw: flashvmm.multiply(s, [1e-8, 5e-8], **kw),
           READ_PARAMS, dict(temperature=None, samples=8, noisy=True), None, center_array),
+    Entry("multiply", "multiply batch", lambda s, **kw: flashvmm.multiply(s, **kw),
+          (INPUTS, TEMPERATURES), BATCH_READ, None, center_array),
     Entry("differential_multiply", "differential_multiply",
           lambda s, **kw: flashvmm.differential_multiply(s, plan(), [5e-8], **kw),
           READ_PARAMS, dict(temperature=None, samples=8, noisy=True), None,
           lambda: center_array(1, 4)),
+    Entry("differential_multiply", "differential_multiply batch",
+          lambda s, **kw: flashvmm.differential_multiply(s, plan(), **kw),
+          (replace(INPUTS, draw=([[5e-8]] * 2, [[LO]]), extra=(np.empty((0, 1)), [[[5e-8]]])),
+           replace(TEMPERATURES, extra=TEMPERATURES.extra[:3])),
+          dict(BATCH_READ, inputs=[[5e-8], [6e-8]]), None, lambda: center_array(1, 4)),
     Entry("optimize_bias_weight", "optimize_bias_weight",
           lambda s, **kw: flashvmm.optimize_bias_weight(**kw),
           (Param("w", lo=0.0, hi=1.0, draw=(1e-3, 0.9)), Param("temp_range", **PAIR_T),

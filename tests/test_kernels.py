@@ -7,7 +7,9 @@ geometric role, and keeps its own per-role pulse tally.
 is one ``default_rng((seed, count))`` per pair.
 ``vmm._drift`` evaluates many bias weights at once against the range's
 low end; the oracle is the scalar drift formula one weight at a time.
-Noisy ``multiply`` is pinned to a per-row restatement of its formula.
+Noisy ``multiply`` is pinned to a per-row restatement of its formula,
+and a batched ``multiply`` or ``differential_multiply`` to the single
+calls it replaces, made in order.
 The float branches of ``sigma_at`` and ``subthreshold_current`` are
 pinned to ``np.interp`` and to the one-element array path.
 """
@@ -817,13 +819,93 @@ def test_noisy_multiply_matches_formula_oracle(shape, data):
             i = reference_current(cfg) if peripheral else data.draw(currents)
             array.set_cell_current(r, c, i)
             oracle.set_cell_current(r, c, i)
-    inputs = data.draw(st.lists(currents, min_size=rows, max_size=rows))
-    t = data.draw(st.floats(T_MIN, T_MAX))
+    vector = st.lists(currents, min_size=rows, max_size=rows)
     samples = data.draw(st.integers(1, 128))
+    # batch 0 is one vector at one temperature; a batch of B reads B
+    # vectors, each at its own temperature or all at one
+    batch = data.draw(st.integers(0, 3))
+    inputs = data.draw(st.lists(vector, min_size=batch, max_size=batch) if batch else vector)
+    temps = data.draw(st.lists(st.floats(T_MIN, T_MAX), min_size=max(batch, 1), max_size=max(batch, 1)))
+    t = temps if batch and data.draw(st.booleans()) else temps[0]
     got = multiply(array, inputs, temperature=t, noisy=True, samples=samples)
-    want = oracle_multiply(oracle, inputs, t, samples, oracle.measure_rng)
-    assert_bits_equal(got, want)
+    want = np.array([
+        oracle_multiply(oracle, x, tx, samples, oracle.measure_rng)
+        for x, tx in zip(inputs if batch else [inputs], np.broadcast_to(t, max(batch, 1)))
+    ])
+    assert got.shape == (want.shape if batch else want.shape[1:])
+    assert_bits_equal(got, want if batch else want[0])
     assert array.measure_rng.bit_generator.state == oracle.measure_rng.bit_generator.state
+
+
+def swept_array(rows, cols, seed=3):
+    """A tuned-peripheral array with seeded in-window weights."""
+    array = ArrayState.fresh(replace(DEFAULT_CONFIG, seed=seed), rows=rows, cols=cols, initial="center")
+    rng = np.random.default_rng(seed)
+    lo, hi = DEFAULT_CONFIG.current_window
+    for r in range(rows):
+        for c in array.array_cols:
+            array.set_cell_current(r, c, float(10 ** rng.uniform(np.log10(lo), np.log10(hi))))
+    return array
+
+
+@pytest.mark.parametrize(
+    "rows, cols, batch, samples",
+    [(4, 3, 360, 128), (64, 66, 2, 128), (4, 3, 360, 1), (4, 3, 360, 8), (5, 7, 9, None)],
+    ids=["4x3-360-s128", "64x66-2-s128", "4x3-360-s1", "4x3-360-s8", "5x7-9-noiseless"],
+)
+@pytest.mark.parametrize("per_vector_t", [False, True], ids=["one-t", "t-per-vector"])
+def test_batched_multiply_equals_single_calls(rows, cols, batch, samples, per_vector_t):
+    single, batched = swept_array(rows, cols), swept_array(rows, cols)
+    rng = np.random.default_rng(rows * cols + batch)
+    lo, hi = DEFAULT_CONFIG.current_window
+    inputs = 10 ** rng.uniform(np.log10(lo), np.log10(hi), size=(batch, rows))
+    temps = rng.uniform(T_25C, T_85C, size=batch) if per_vector_t else np.full(batch, 320.0)
+    read = dict(noisy=samples is not None, samples=samples or 1)
+    want = np.array([multiply(single, x, temperature=float(t), **read) for x, t in zip(inputs, temps)])
+    got = multiply(batched, inputs, temperature=temps if per_vector_t else 320.0, **read)
+    assert np.array_equal(got, want)
+    assert batched.measure_rng.bit_generator.state == single.measure_rng.bit_generator.state
+
+
+def test_temperature_sweep_equals_single_calls():
+    # fig11's shape: one vector through a differential pair at 25 temperatures
+    arrays = [ArrayState.fresh(DEFAULT_CONFIG, rows=1, cols=4) for _ in range(2)]
+    plans = [vmm_mod.plan_differential(np.array([[0.3]]), (T_25C, T_85C), a) for a in arrays]
+    for array, plan in zip(arrays, plans):
+        tuning_mod.tune_array(array, plan.tune_targets(array, 0.01), 200)
+    temps = np.arange(T_25C, T_85C + 1e-9, 2.5)
+    read = dict(noisy=True, samples=128)
+    want = np.array([
+        vmm_mod.differential_multiply(arrays[0], plans[0], [1e-7], temperature=float(t), **read)
+        for t in temps
+    ])
+    got = vmm_mod.differential_multiply(arrays[1], plans[1], [1e-7], temperature=temps, **read)
+    assert got.shape == (25, 1) and np.array_equal(got, want)
+    assert arrays[1].measure_rng.bit_generator.state == arrays[0].measure_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "rows, cols, chunk, samples",
+    [(64, 66, None, 128), (4, 3, 64, 8), (4, 3, 8, None)],
+    ids=["64x66-default", "4x3-64-normals", "4x3-8-currents-noiseless"],
+)
+def test_batched_multiply_crosses_chunk_boundaries(monkeypatch, rows, cols, chunk, samples):
+    # each chunk holds two vectors: 64x66 at 128 samples draws 2**19
+    # normals a vector; a 4x3 vector is 4 cell currents, 32 normals at 8
+    if chunk is not None:
+        monkeypatch.setattr(vmm_mod, "_DRAW_CHUNK", chunk)
+    single, batched = swept_array(rows, cols), swept_array(rows, cols)
+    inputs = np.full((5, rows), 1e-8) * np.arange(1, 6)[:, None]
+    temps = np.linspace(T_25C, T_85C, 5)
+    read = dict(noisy=samples is not None, samples=samples or 1)
+    want = np.array([multiply(single, x, temperature=float(t), **read) for x, t in zip(inputs, temps)])
+    chunks, law = [], vmm_mod.subthreshold_current
+    monkeypatch.setattr(vmm_mod, "subthreshold_current", lambda v, *a: chunks.append(len(v)) or law(v, *a))
+    got = multiply(batched, inputs, temperature=temps, **read)
+    assert chunks == [2, 2, 1]
+    assert 2 * len(batched.array_cols) * rows * (samples or 1) <= vmm_mod._DRAW_CHUNK
+    assert np.array_equal(got, want)
+    assert batched.measure_rng.bit_generator.state == single.measure_rng.bit_generator.state
 
 
 def test_untuned_peripheral_names_the_first_one():
