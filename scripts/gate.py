@@ -4,15 +4,17 @@
 
 For each workload of ``bench/run.py`` and each seed given, the gate runs
 the benchmark for 30 s, the benchmark's own run length, and fails on a
-non-zero exit or on any failed op. It then runs each workload at seeds 1
-and 7311 past its checkpoint and compares the checkpoint digest with the
-value pinned in ``PINNED``: a change meant only to speed up the simulator
-leaves these unchanged. A run that ends before its checkpoint fails as
-such. Last, it runs CLI ``multiply`` on the working tree and on the
-parent commit (see below), single and differential, each with and
-without ``--noisy``, and fails unless every output CSV, plan and state
-file is byte-identical. Exit code 0 when every check passes, 1
-otherwise. Run it from any directory; it is not part of the test suite.
+non-zero exit or on any failed op. Each run's line shows its
+``ops_per_s``, ``op_ms_p50``, ``op_ms_tail`` and ``peak_rss_mb``. It
+then runs each workload at seeds 1 and 7311 past its checkpoint and
+compares the checkpoint digest with the value pinned in ``PINNED``: a
+change meant only to speed up the simulator leaves these unchanged. A
+run that ends before its checkpoint fails as such. Last, it runs CLI
+``multiply`` on the working tree and on the parent commit (see below),
+single and differential, each with and without ``--noisy``, and fails
+unless every output CSV, plan and state file is byte-identical. Exit
+code 0 when every check passes, 1 otherwise. Run it from any directory;
+it is not part of the test suite.
 
 When a ``diff-program`` run fails ops, the gate replays that seed and
 prints each failing (op, w) among the ops with w below ``TAIL_W``, the
@@ -194,9 +196,11 @@ def main(argv=None):
         for seed in args.seeds:
             code, result, _ = bench(workload, seed, RUN_SECONDS)
             failed, attempted = result.get("failed"), result.get("attempted")
-            ops = result.get("metrics", {}).get("ops_per_s", {}).get("value", float("nan"))
+            metrics = result.get("metrics", {})
+            ops, p50, tail, rss = (metrics.get(k, {}).get("value", float("nan")) for k in
+                                   ("ops_per_s", "op_ms_p50", "op_ms_tail", "peak_rss_mb"))
             print(f"{workload:13s} seed {seed:6d}: exit {code}, {failed}/{attempted} ops failed, "
-                  f"{ops:.4g} ops/s")
+                  f"{ops:.4g} ops/s, p50 {p50:.4g} ms, tail {tail:.4g} ms, peak RSS {rss:.4g} MB")
             if code != 0 or failed != 0:
                 faults.append(f"{workload} seed {seed}: exit {code}, {failed} failed ops")
             if workload == "diff-program" and failed:

@@ -45,10 +45,10 @@ INITIAL_STATES = ("programmed", "erased", "center")
 
 _MEASURE_STREAM_TAG = 0xA77A
 
-# variability normals kept ahead per drawn cell, as a ring that a refill
-# tops up (see ArrayState._normals). Of the widths 24, 32, 48, 64 and 96 in
-# 30 s tune-ramp runs, 64 and 96 were the fastest, within run-to-run
-# spread; 64 has the lower tail and peak RSS.
+# lognormal variability factors kept ahead per drawn cell, as a ring that
+# a refill tops up (see ArrayState._factors). Of the widths 24, 32, 48, 64
+# and 96 in 30 s tune-ramp runs, 64 and 96 were the fastest, within
+# run-to-run spread; 64 has the lower tail and peak RSS.
 DRAW_AHEAD = 64
 
 STATE_FORMAT_VERSION = 2
@@ -172,6 +172,11 @@ class ArrayState:
     """Grid of cell states plus measurement stream."""
 
     def __init__(self, cfg, v_th, seeds, counts):
+        for name, grid, dtype in (("v_th", v_th, np.float64), ("seeds", seeds, np.int64),
+                                  ("counts", counts, np.int64)):
+            if not (isinstance(grid, np.ndarray) and grid.ndim == 2 and grid.dtype == dtype):
+                got = f"{np.ndim(grid)}-D {getattr(grid, 'dtype', type(grid).__name__)}"
+                raise ValueError(f"{name} must be a 2-D {np.dtype(dtype)} array, got {got}")
         cal = cfg.calibration
         if not np.all((v_th >= cal.v_th_min) & (v_th <= cal.v_th_max)):  # also rejects NaN
             raise ValueError(f"v_th must lie in [{cal.v_th_min!r}, {cal.v_th_max!r}] V")
@@ -187,7 +192,8 @@ class ArrayState:
         self.rng_counts = counts
         self.disturb = DisturbLog.empty(self.rows, self.cols)
         self.measure_rng = np.random.default_rng((int(cfg.seed), _MEASURE_STREAM_TAG))
-        self._ahead = None  # draw-ahead block, made by the first drawing pulse
+        self._ahead = None  # draw-ahead ring, made by the first drawing pulse
+        self._ahead_sigma = None  # the variability sigma the ring's factors hold
 
     @classmethod
     def fresh(
@@ -268,24 +274,30 @@ class ArrayState:
 
     # ------------------------------------------------------------ pulses
 
-    def _normals(self, cells: np.ndarray) -> tuple:
-        """Next variability normal and draw count of each cell.
+    def _factors(self, cells: np.ndarray, sigma: float) -> tuple:
+        """Next lognormal variability factor, exp(sigma * z), and draw count
+        of each cell.
 
         ``cells`` are row-major flat indices. Each cell keeps a ring of
-        ``width`` normals (``DRAW_AHEAD``) of the seed it was drawn from:
-        slot ``count % width`` holds draw ``count`` while base <= count <
-        base + width. When any cell of ``cells`` is stale, one
-        ``stream_normals`` call tops each of them up to draws count ..
+        ``width`` factors (``DRAW_AHEAD``) of the seed it was drawn from:
+        slot ``count % width`` holds the factor of draw ``count`` while
+        base <= count < base + width. When any cell of ``cells`` is stale,
+        one ``stream_normals`` call tops each of them up to draws count ..
         count + width - 1. A cell whose ring covers its count draws only
         base + width .. count + width - 1, any other cell its whole ring;
         then base = count. So the next pulses on the same target need no
         call, and no normal is drawn twice unless ``rng_counts`` is edited.
-        The rings are a pure function of (seed, count) and are not saved.
+        The factor is ``math.exp`` of the Python float, as in
+        ``pulse_shift`` (``np.exp`` differs in the last bit), taken once
+        per drawn normal at refill. The rings are a pure function of
+        (seed, count, sigma), are dropped when sigma changes (``cfg`` may
+        be reassigned) and are not saved.
         """
-        if self._ahead is None:
+        if sigma != self._ahead_sigma:
             self._ahead = np.empty((self.rows * self.cols, DRAW_AHEAD))
             self._ahead_base = np.zeros(self.rows * self.cols, dtype=np.int64)
             self._ahead_seed = np.full(self.rows * self.cols, -1, dtype=np.int64)
+            self._ahead_sigma = sigma
         width = self._ahead.shape[1]
         seeds, counts = self.rng_seeds.take(cells), self.rng_counts.take(cells)
         offset = counts - self._ahead_base.take(cells)
@@ -299,7 +311,10 @@ class ArrayState:
             runs = (counts + width - ends).view(np.uint64).repeat(n)
             draws = np.arange(ends[-1], dtype=np.uint64) + runs
             slots = (cells * width).view(np.uint64).repeat(n) + draws % width
-            self._ahead.reshape(-1)[slots] = stream_normals(seeds.repeat(n), draws)
+            z = stream_normals(seeds.repeat(n), draws)
+            self._ahead.reshape(-1)[slots] = np.fromiter(
+                map(math.exp, (sigma * z).tolist()), float, z.size
+            )
             self._ahead_base[cells] = counts
             self._ahead_seed[cells] = seeds
         return self._ahead[cells, counts % width], counts
@@ -327,8 +342,8 @@ class ArrayState:
         )
         magnitude = step * sf
         if drawn:
-            z, counts = self._normals(cells[:drawn])
-            magnitude[:drawn] *= np.fromiter(map(math.exp, (sigma * z).tolist()), float, drawn)
+            factors, counts = self._factors(cells[:drawn], sigma)
+            magnitude[:drawn] *= factors
             self.rng_counts.put(cells[:drawn], counts + 1)
         old = self.v_th.copy()
         line = old.take(cells) + sign * magnitude

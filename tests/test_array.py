@@ -122,6 +122,15 @@ class TestSchemes:
             pytest.param("counts", lambda g: g.update(counts=g["counts"].T), id="counts_shape"),
             pytest.param("seeds", lambda g: g["seeds"].__setitem__((0, 0), -3), id="negative_seed"),
             pytest.param("counts", lambda g: g["counts"].__setitem__((1, 2), -1), id="negative_count"),
+            # the kernels store floats into v_th and view counts as uint64
+            pytest.param("v_th", lambda g: g.update(v_th=np.full((2, 3), 4)), id="int_v_th"),
+            pytest.param("v_th", lambda g: g.update(v_th=g["v_th"][0]), id="v_th_1d"),
+            pytest.param("v_th", lambda g: g.update(v_th=g["v_th"].tolist()), id="v_th_list"),
+            pytest.param("seeds", lambda g: g.update(seeds=g["seeds"] * 1.0), id="float_seeds"),
+            pytest.param("counts", lambda g: g.update(counts=g["counts"] * 1.0), id="float_counts"),
+            pytest.param(
+                "counts", lambda g: g.update(counts=g["counts"].astype(np.int32)), id="int32_counts"
+            ),
         ],
     )
     def test_constructor_rejects_bad_grid_naming_field(self, field, edit):

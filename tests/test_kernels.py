@@ -575,6 +575,45 @@ def test_large_drawn_shifts_match_bit_for_bit():
         run_both(fast, slow, [(0, 0, pulse)])
 
 
+def with_sigma(sigma):
+    return replace(DEFAULT_CONFIG, pulse=replace(DEFAULT_CONFIG.pulse, variability_sigma=sigma))
+
+
+def test_ring_is_keyed_on_sigma():
+    # cfg is a plain attribute: reassigning it mid-ring drops the factors
+    # drawn under the old sigma; at sigma 0 nothing draws, and the return
+    # to 0.3 finds a ring filled at 0.15
+    fast = ArrayState.fresh(DEFAULT_CONFIG, rows=3, cols=4, initial="center")
+    slow = ArrayState.fresh(DEFAULT_CONFIG, rows=3, cols=4, initial="center")
+    tally = new_tally(slow)
+    for sigma in (0.3, 0.15, 0.0, 0.3):
+        fast.cfg = slow.cfg = with_sigma(sigma)
+        run_both(fast, slow, pulse_sequence(fast.cfg, [(1, 2)] * 5), tally)
+    assert_same_state(fast, slow, tally)
+
+
+def test_ring_slots_hold_lognormal_factors():
+    # after a fresh fill and a top-up that wraps past slot 0, each cell's
+    # slot count % width holds exp(sigma * z) of its draw count, for every
+    # count its ring covers
+    cfg = with_sigma(0.25)
+    array = ArrayState.fresh(cfg, rows=3, cols=4, initial="center")
+    array.rng_counts[...] = DRAW_AHEAD - 3 + np.arange(12).reshape(3, 4)
+    for row, col, pulse in pulse_sequence(cfg, [(1, 2)] * 4 + [(0, 2)] * 2):
+        array.pulse_cell(row, col, pulse)
+    width = array._ahead.shape[1]
+    filled = np.flatnonzero(array._ahead_seed >= 0)
+    assert filled.size == 9  # rows 0 and 1 and column 2
+    for cell in filled:
+        seed, base = int(array._ahead_seed[cell]), int(array._ahead_base[cell])
+        draws = np.arange(base, base + width)
+        expected = [
+            math.exp(0.25 * np.random.default_rng((seed, int(count))).standard_normal())
+            for count in draws
+        ]
+        assert_bits_equal(array._ahead[cell, draws % width], np.array(expected))
+
+
 def test_draw_ahead_is_not_saved(tmp_path):
     # a campaign saved and reloaded mid-way continues as if uninterrupted
     cfg = DEFAULT_CONFIG
