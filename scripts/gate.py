@@ -11,8 +11,9 @@ compares the checkpoint digest with the value pinned in ``PINNED``: a
 change meant only to speed up the simulator leaves these unchanged. A
 run that ends before its checkpoint fails as such. Last, it runs CLI
 ``multiply`` on the working tree and on the parent commit (see below),
-single and differential, each with and without ``--noisy``, and fails
-unless every output CSV, plan and state file is byte-identical. Exit
+single and differential, each with and without ``--noisy``, and CLI
+``tune`` on a small ramp campaign, and fails unless every output CSV,
+plan, state and disturb file is byte-identical. Exit
 code 0 when every check passes, 1 otherwise. Run it from any directory;
 it is not part of the test suite.
 
@@ -59,6 +60,8 @@ TAIL_W = 0.125
 # the CLI multiply run compared with the parent's: 3 rows, 2 logical columns
 CLI_WEIGHTS = "0.62,0.31\n0.15,0.88\n0.47,0.205\n"
 CLI_INPUTS = "1e-8,5e-8,2e-9\n3e-8,1e-9,7e-8\n5e-9,5e-9,5e-9\n9e-8,2.5e-8,4e-9\n"
+# the CLI tune run compared with the parent's: a 4x6 ramp over 16 cells
+CLI_CAMPAIGN = "rows: 4\ncols: 6\nbudget: 60\ntargets: {kind: ramp, lo: 1.0e-10, hi: 1.0e-6}\n"
 
 
 def bench(workload, seed, seconds):
@@ -137,14 +140,20 @@ def parent_tree(rev):
 
 
 def cli_outputs(root, work):
-    """{file name: bytes} of every file ``flashvmm multiply`` writes from
-    the ``src`` at ``root``: single and differential mode, each with and
-    without ``--noisy``, on ``CLI_WEIGHTS`` and the 4 ``CLI_INPUTS``
-    vectors, with ``--plan-out`` and ``--state-out``."""
+    """{file name: bytes} of every file the CLI writes from the ``src`` at
+    ``root``: ``flashvmm multiply`` in single and differential mode, each
+    with and without ``--noisy``, on ``CLI_WEIGHTS`` and the 4
+    ``CLI_INPUTS`` vectors, with ``--plan-out`` and ``--state-out``; and
+    ``flashvmm tune`` of ``CLI_CAMPAIGN`` with ``--state-out`` and
+    ``--disturb-out``."""
     work = Path(work)
-    (work / "w.csv").write_text(CLI_WEIGHTS)
-    (work / "x.csv").write_text(CLI_INPUTS)
+    inputs = {"w.csv": CLI_WEIGHTS, "x.csv": CLI_INPUTS, "campaign.yaml": CLI_CAMPAIGN}
+    for name, text in inputs.items():
+        (work / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
+    tune = [sys.executable, "-m", "flashvmm", "tune", "--campaign", "campaign.yaml", "--seed", "5",
+            "--results", "tune.csv", "--state-out", "tune.state", "--disturb-out", "tune.disturb.csv"]
+    subprocess.run(tune, cwd=work, env=env, capture_output=True, check=True)
     for mode in ("single", "differential"):
         for noisy in ([], ["--noisy"]):
             tag = mode + "".join(noisy).replace("--", "_")
@@ -153,12 +162,12 @@ def cli_outputs(root, work):
                    "--samples", "64", "--temperature", "330", "--state-out", f"{tag}.state",
                    *noisy, *(["--plan-out", f"{tag}.plan.csv"] if mode == "differential" else [])]
             subprocess.run(cmd, cwd=work, env=env, capture_output=True, check=True)
-    return {f.name: f.read_bytes() for f in sorted(work.iterdir()) if f.name not in ("w.csv", "x.csv")}
+    return {f.name: f.read_bytes() for f in sorted(work.iterdir()) if f.name not in inputs}
 
 
 def cli_diff():
-    """Names of the CLI ``multiply`` output files that differ from the
-    parent commit's, byte for byte."""
+    """Names of the CLI ``multiply`` and ``tune`` output files that differ
+    from the parent commit's, byte for byte."""
     rev = parent_rev()
     with parent_tree(rev) as parent, tempfile.TemporaryDirectory() as here, \
             tempfile.TemporaryDirectory() as there:
@@ -218,10 +227,10 @@ def main(argv=None):
         if fault:
             faults.append(f"{workload} seed {seed}: {fault}")
     rev, files, differ = cli_diff()
-    print(f"{'cli multiply':13s} {files} output files against {rev}: "
+    print(f"{'cli':13s} {files} output files against {rev}: "
           + (f"FAIL {', '.join(differ)} differ" if differ else "byte-identical"))
     if differ:
-        faults.append(f"cli multiply: {', '.join(differ)} differ from {rev}")
+        faults.append(f"cli: {', '.join(differ)} differ from {rev}")
     for fault in faults:
         print("FAIL " + fault)
     print("gate " + ("failed" if faults else "passed"))

@@ -15,8 +15,7 @@ from .config import DEFAULT_CONFIG, config_hash, load_config, save_config
 from .experiments import EXPERIMENT_IDS, ExperimentSpec, run_experiment, write_csv
 from .tuning import load_campaign, results_to_csv, run_campaign, tune_array
 from .vmm import (
-    check_read, differential_multiply, load_weights_csv, multiply, plan_differential,
-    read_matrix_csv,
+    WeightMatrix, check_read, differential_multiply, multiply, plan_differential, read_matrix_csv,
 )
 
 
@@ -55,7 +54,7 @@ def _cmd_multiply(args):
     cfg = _load_cfg(args)
     read = dict(temperature=args.temperature, noisy=args.noisy, samples=args.samples)
     check_read(cfg, **read)  # refused before any tuning
-    weights = load_weights_csv(args.weights)
+    weights = WeightMatrix(read_matrix_csv(args.weights))
     inputs = read_matrix_csv(args.inputs)
     rows, logical = weights.shape
     if inputs.shape[1] != rows:
@@ -98,19 +97,7 @@ def _cmd_multiply(args):
 
 def _cmd_experiment(args):
     cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
-    params = {}
-    for item in args.param or []:
-        key, sep, value = item.partition("=")
-        if not key or not sep:
-            raise ValueError(f"--param expects KEY=VALUE, got {item!r}")
-        params[key] = value
-    spec = ExperimentSpec(
-        experiment_id=args.id,
-        cfg=cfg,
-        seed=args.seed,
-        output_dir=args.out,
-        params=params or None,
-    )
+    spec = ExperimentSpec(experiment_id=args.id, cfg=cfg, seed=args.seed, output_dir=args.out)
     summary = run_experiment(spec)
     print(summary["headline"])
     for path in summary["csv"]:
@@ -187,9 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="config YAML")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument(
-        "--param", action="append", metavar="KEY=VALUE", help="extra parameters"
-    )
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("state", help="create or inspect array state files")

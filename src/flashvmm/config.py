@@ -205,6 +205,15 @@ class Calibration:
         return self.v_th_max - self.v_th_min
 
 
+# ModelConfig's parameter blocks, by field name
+_BLOCKS = {
+    "pulse": PulseDefaults,
+    "noise": NoiseParams,
+    "inhibition": InhibitionParams,
+    "retention": RetentionParams,
+}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     seed: int = 12345
@@ -224,6 +233,10 @@ class ModelConfig:
     def __post_init__(self):
         require_count("seed", self.seed, 0)
         require_count("traversal_pulses", self.traversal_pulses)
+        for name, cls in _BLOCKS.items():
+            block = getattr(self, name)
+            if not isinstance(block, cls):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {type(block).__name__}")
         for name in ("i0", "i_sat"):
             require_positive(name, getattr(self, name))
         check_temperature(self.temperature_ref, "temperature_ref")
@@ -362,13 +375,8 @@ def config_from_dict(raw: dict) -> ModelConfig:
     """
     kwargs = dict(known_keys(ModelConfig, raw, "config"))
     saved = kwargs.pop("calibration", None)
-    for key, cls in (
-        ("pulse", PulseDefaults),
-        ("noise", NoiseParams),
-        ("inhibition", InhibitionParams),
-        ("retention", RetentionParams),
-    ):
-        if kwargs.get(key) is not None:
+    for key, cls in _BLOCKS.items():
+        if key in kwargs:  # an empty block reads as None and is refused as such
             kwargs[key] = cls(**known_keys(cls, kwargs[key], key))
     cfg = ModelConfig(**kwargs)
     if saved is not None and known_keys(Calibration, saved, "calibration") != asdict(cfg.calibration):

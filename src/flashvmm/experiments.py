@@ -11,9 +11,9 @@ Each experiment id regenerates one dataset from the config and seed:
 - ``fig9``: three 100-cell tuning campaigns (1 nA, 100 nA, geometric ramp)
 - ``fig10``: 4-weight multiply with sine-sampled inputs, noisy reads
 - ``fig11``: differential drift sweep with optimized bias weights
-- ``custom``: a tuning campaign file supplied via ``params``
 
-Identical spec and seed give byte-identical CSV output.
+Identical spec and seed give byte-identical CSV output. A tuning campaign
+file runs through ``tuning.run_campaign`` (CLI ``flashvmm tune``).
 """
 
 import math
@@ -38,14 +38,7 @@ from .cell import (
 )
 from .config import DEFAULT_CONFIG, ModelConfig, config_hash, require_count, write_rows
 from .constants import K_B, Q_E, T_25C, T_85C
-from .tuning import (
-    load_campaign,
-    ramp_targets,
-    results_to_csv,
-    run_campaign,
-    tune_array,
-    uniform_targets,
-)
+from .tuning import TuningCampaign, run_campaign, tune_array
 from .vmm import WeightMatrix, differential_multiply, multiply, plan_differential
 
 CSV_FORMAT_VERSION = 1
@@ -56,7 +49,6 @@ class ExperimentSpec:
     cfg: ModelConfig = DEFAULT_CONFIG
     seed: int = None  # overrides cfg.seed when given
     output_dir: str = "."
-    params: dict = None
 
     def __post_init__(self):
         if self.seed is not None:
@@ -66,10 +58,6 @@ class ExperimentSpec:
                 f"unknown experiment {self.experiment_id!r}; "
                 f"expected one of {', '.join(EXPERIMENT_IDS)}"
             )
-        reads = {"campaign"} if self.experiment_id == "custom" else set()
-        unknown = sorted(map(str, set(self.params or {}) - reads))
-        if unknown:
-            raise ValueError(f"experiment {self.experiment_id} reads no parameter {unknown[0]!r}")
 
 
 def write_csv(path, cfg: ModelConfig, seed: int, columns, rows) -> None:
@@ -119,8 +107,7 @@ def _disturb_sweep(cfg, seed, kind: str):
     return rows
 
 
-def _run_fig3(spec, seed, out_dir, kind: str):
-    cfg = spec.cfg
+def _run_fig3(cfg, seed, out_dir, kind: str):
     rows = _disturb_sweep(cfg, seed, kind)
     name = "fig3a" if kind == "program" else "fig3b"
     volt_col = "bit_line_voltage" if kind == "program" else "coupling_gate_voltage"
@@ -144,8 +131,7 @@ def _run_fig3(spec, seed, out_dir, kind: str):
 
 # ------------------------------------------------------------ iv curves
 
-def _run_fig4(spec, seed, out_dir):
-    cfg = spec.cfg
+def _run_fig4(cfg, seed, out_dir):
     cal = cfg.calibration
     t = cfg.temperature_ref
     n_states = 15
@@ -176,11 +162,10 @@ def _run_fig4(spec, seed, out_dir):
     }
 
 
-def _run_fig5(spec, seed, out_dir):
+def _run_fig5(cfg, seed, out_dir):
     # states span the subthreshold window at the standard readout; the
     # bake runs at 85 C with periodic reference-temperature verify reads
     # (the calibrated v_th window cannot carry a 100 pA readout at 85 C)
-    cfg = spec.cfg
     levels = np.geomspace(1.0e-10, 1.0e-7, 7)
     cell_seeds = np.random.default_rng((seed, 0xF5)).integers(2**62, size=len(levels))
     cells = [
@@ -221,8 +206,7 @@ def _run_fig5(spec, seed, out_dir):
     }
 
 
-def _run_fig6(spec, seed, out_dir):
-    cfg = spec.cfg
+def _run_fig6(cfg, seed, out_dir):
     cal = cfg.calibration
     vths = np.linspace(cal.v_th_min, cal.v_th_max, 8)
     temps = np.arange(T_25C, T_85C + 1e-9, 2.5)
@@ -251,35 +235,23 @@ def _run_fig6(spec, seed, out_dir):
 
 # --------------------------------------------------------------- tuning
 
-def _run_fig9(spec, seed, out_dir):
-    cfg = dc_replace(spec.cfg, seed=seed)
-    precision, budget = 0.05, 100
-
-    campaigns = (
-        ("uniform_1na", lambda a: uniform_targets(a, 1.0e-9, precision)),
-        ("uniform_100na", lambda a: uniform_targets(a, 1.0e-7, precision)),
-        ("ramp", lambda a: ramp_targets(a, 1.0e-10, 1.0e-6, precision)),
-    )
+def _run_fig9(cfg, seed, out_dir):
+    cfg = dc_replace(cfg, seed=seed)
+    campaigns = {
+        "uniform_1na": {"kind": "uniform", "current": 1.0e-9},
+        "uniform_100na": {"kind": "uniform", "current": 1.0e-7},
+        "ramp": {"kind": "ramp", "lo": 1.0e-10, "hi": 1.0e-6},
+    }
     rows = []
     metrics = {}
-    for name, build in campaigns:
-        array = ArrayState.fresh(cfg, rows=10, cols=12)
-        targets = build(array)
-        results, summary = tune_array(array, targets, budget)
-        for k, res in enumerate(results):
-            rows.append(
-                (
-                    name,
-                    k,
-                    res.row,
-                    res.col,
-                    res.target_current,
-                    res.final_current,
-                    res.relative_error,
-                    res.pulses_total,
-                    res.converged,
-                )
-            )
+    for name, targets in campaigns.items():
+        campaign = TuningCampaign(precision=0.05, budget=100, targets=targets)
+        _, results, summary = run_campaign(cfg, campaign)
+        rows += [
+            (name, k, r.row, r.col, r.target_current, r.final_current, r.relative_error,
+             r.pulses_total, r.converged)
+            for k, r in enumerate(results)
+        ]
         errs = np.array([r.relative_error for r in results])
         tgts = np.array([r.target_current for r in results])
         metrics[name] = {
@@ -291,23 +263,9 @@ def _run_fig9(spec, seed, out_dir):
         }
 
     path = out_dir / "fig9.csv"
-    write_csv(
-        path,
-        cfg,
-        seed,
-        (
-            "campaign",
-            "cell_number",
-            "row",
-            "col",
-            "target",
-            "final",
-            "rel_error",
-            "pulses",
-            "converged",
-        ),
-        rows,
-    )
+    columns = ("campaign", "cell_number", "row", "col", "target", "final", "rel_error",
+               "pulses", "converged")
+    write_csv(path, cfg, seed, columns, rows)
     ramp = metrics["ramp"]
     return {
         "csv": [str(path)],
@@ -318,8 +276,8 @@ def _run_fig9(spec, seed, out_dir):
     }
 
 
-def _run_fig10(spec, seed, out_dir):
-    cfg = dc_replace(spec.cfg, seed=seed)
+def _run_fig10(cfg, seed, out_dir):
+    cfg = dc_replace(cfg, seed=seed)
     weights = np.array([0.25, 1.0, 0.5, 0.125])
     freqs = np.array([1.0 / 8.0, 1.0 / 36.0, 1.0 / 180.0, 1.0 / 360.0])
     array = ArrayState.fresh(cfg, rows=4, cols=3)
@@ -352,8 +310,7 @@ def _run_fig10(spec, seed, out_dir):
     }
 
 
-def _run_fig11(spec, seed, out_dir):
-    base_cfg = spec.cfg
+def _run_fig11(base_cfg, seed, out_dir):
     temps = np.arange(T_25C, T_85C + 1e-9, 2.5)
     w_values = np.round(np.arange(0.1, 0.95, 0.1), 2)
     rows = []
@@ -390,34 +347,15 @@ def _run_fig11(spec, seed, out_dir):
     }
 
 
-def _run_custom(spec, seed, out_dir):
-    params = spec.params or {}
-    if "campaign" not in params:
-        raise ValueError("custom experiment needs params={'campaign': <yaml path>}")
-    campaign = load_campaign(params["campaign"])
-    if campaign.seed is None:
-        campaign = dc_replace(campaign, seed=seed)
-    array, results, summary = run_campaign(spec.cfg, campaign)
-    path = out_dir / "custom_results.csv"
-    results_to_csv(results, path)
-    return {
-        "csv": [str(path)],
-        "summary": summary,
-        "headline": f"custom: {summary['converged']}/{summary['targets']} converged, "
-        f"max error {summary['rel_error_max']:.4f}",
-    }
-
-
 _RUNNERS = {
-    "fig3a": lambda s, seed, d: _run_fig3(s, seed, d, "program"),
-    "fig3b": lambda s, seed, d: _run_fig3(s, seed, d, "erase"),
+    "fig3a": lambda cfg, seed, d: _run_fig3(cfg, seed, d, "program"),
+    "fig3b": lambda cfg, seed, d: _run_fig3(cfg, seed, d, "erase"),
     "fig4": _run_fig4,
     "fig5": _run_fig5,
     "fig6": _run_fig6,
     "fig9": _run_fig9,
     "fig10": _run_fig10,
     "fig11": _run_fig11,
-    "custom": _run_custom,
 }
 EXPERIMENT_IDS = tuple(_RUNNERS)
 
@@ -427,7 +365,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     seed = spec.cfg.seed if spec.seed is None else int(spec.seed)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = _RUNNERS[spec.experiment_id](spec, seed, out_dir)
+    summary = _RUNNERS[spec.experiment_id](spec.cfg, seed, out_dir)
     summary["experiment"] = spec.experiment_id
     summary["seed"] = seed
     return summary

@@ -93,10 +93,6 @@ def read_matrix_csv(path) -> np.ndarray:
     return np.array(rows)
 
 
-def load_weights_csv(path) -> WeightMatrix:
-    return WeightMatrix(read_matrix_csv(path))
-
-
 # ------------------------------------------------------- basic operations
 
 def weight_of(

@@ -12,6 +12,7 @@ import yaml
 from flashvmm import cli
 from flashvmm.cli import main
 from flashvmm.config import DEFAULT_CONFIG, load_config
+from flashvmm.experiments import ExperimentSpec
 
 
 def test_calibrate_writes_loadable_config(tmp_path):
@@ -160,18 +161,14 @@ def test_multiply_rejects_bad_inputs_file(tmp_path, capsys, inputs, message):
     assert message in parsed["message"]
 
 
-@pytest.mark.parametrize(
-    "param, message",
-    [
-        pytest.param("foo", "--param expects KEY=VALUE, got 'foo'", id="malformed"),
-        pytest.param("=1", "--param expects KEY=VALUE, got '=1'", id="empty_key"),
-        pytest.param("foo=1", "fig3a reads no parameter 'foo'", id="unread_key"),
-    ],
-)
-def test_experiment_param_is_validated(tmp_path, capsys, param, message):
-    assert main(["experiment", "fig3a", "--out", str(tmp_path), "--param", param]) == 1
-    parsed = json.loads(capsys.readouterr().err.strip())
-    assert parsed["error"] == "ValueError" and message in parsed["message"]
+def test_campaign_runs_only_through_tune(tmp_path):
+    # the custom experiment and its --param were a second copy of `tune`
+    with pytest.raises(ValueError, match="unknown experiment 'custom'"):
+        ExperimentSpec("custom")
+    for argv in (["experiment", "custom"], ["experiment", "fig3a", "--param", "k=v"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(tmp_path)])
+        assert exit_info.value.code == 2
     assert not list(tmp_path.iterdir())
 
 

@@ -221,3 +221,20 @@ def test_unknown_yaml_key_rejected(tmp_path):
     path.write_text("seed: 3\nretention:\n  random_walk: true\n  drift: 0.1\n")
     with pytest.raises(ValueError, match="retention key.*drift"):
         load_config(path)
+
+
+@pytest.mark.parametrize("block", ["pulse", "noise", "inhibition", "retention"])
+def test_empty_yaml_block_rejected_naming_block(tmp_path, block):
+    # a block whose keys are all commented out reads as None; it used to
+    # build a config that failed later with an AttributeError
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"seed: 3\n{block}:\n  # sigma_scale: 1.0\n")
+    with pytest.raises(ValueError, match=f"^{block} must be a mapping, got NoneType"):
+        load_config(path)
+
+
+def test_config_block_must_be_its_dataclass():
+    with pytest.raises(ValueError, match="^noise must be a NoiseParams, got NoneType"):
+        ModelConfig(noise=None)
+    with pytest.raises(ValueError, match="^pulse must be a PulseDefaults, got dict"):
+        ModelConfig(pulse={"program_amplitude": 4.5})

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import yaml
 
 from flashvmm.config import DEFAULT_CONFIG, config_hash
 from flashvmm.experiments import (
@@ -20,16 +19,6 @@ def run(eid, tmp_path, **kw):
 def test_unknown_id_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown experiment"):
         ExperimentSpec("fig99", cfg=CFG, output_dir=tmp_path)
-
-
-@pytest.mark.parametrize(
-    "eid, params, key",
-    [("fig3a", {"foo": "1"}, "foo"), ("fig11", {"campaign": "c.yaml"}, "campaign"),
-     ("custom", {"campaign": "c.yaml", "seed": "2"}, "seed")],
-)
-def test_unread_parameter_rejected_naming_key(tmp_path, eid, params, key):
-    with pytest.raises(ValueError, match=f"{eid} reads no parameter '{key}'"):
-        ExperimentSpec(eid, cfg=CFG, output_dir=tmp_path, params=params)
 
 
 def test_csv_provenance_header(tmp_path):
@@ -96,29 +85,9 @@ def test_extract_slope_factor_roundtrip():
     assert extract_slope_factor(v, cur, t) == pytest.approx(5.08, rel=1e-9)
 
 
-def test_custom_campaign(tmp_path):
-    campaign = {
-        "rows": 2,
-        "cols": 3,
-        "precision": 0.05,
-        "budget": 50,
-        "targets": {"kind": "explicit", "cells": [[0, 1, 1e-8]]},
-    }
-    path = tmp_path / "campaign.yaml"
-    path.write_text(yaml.safe_dump(campaign))
-    summary = run("custom", tmp_path, params={"campaign": str(path)})
-    assert summary["summary"]["converged"] == 1
-    assert (tmp_path / "custom_results.csv").exists()
-
-
-def test_custom_requires_campaign(tmp_path):
-    with pytest.raises(ValueError, match="campaign"):
-        run("custom", tmp_path)
-
-
 def test_experiment_id_list_is_complete():
     assert set(EXPERIMENT_IDS) == {
-        "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11", "custom",
+        "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig9", "fig10", "fig11",
     }
 
 

@@ -24,10 +24,10 @@ from flashvmm.vmm import (
     differential_drift,
     differential_multiply,
     golden_section_min,
-    load_weights_csv,
     multiply,
     optimize_bias_weight,
     plan_differential,
+    read_matrix_csv,
     reference_current,
     weight_at_temperature,
     weight_of,
@@ -441,7 +441,7 @@ class TestDifferentialPlan:
     def test_weights_csv_loader(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("# weights\n0.5,0.25\n0.8,0.4\n")
-        wm = load_weights_csv(path)
+        wm = WeightMatrix(read_matrix_csv(path))
         np.testing.assert_array_equal(wm.values, [[0.5, 0.25], [0.8, 0.4]])
 
 
