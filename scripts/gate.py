@@ -12,8 +12,8 @@ change meant only to speed up the simulator leaves these unchanged. A
 run that ends before its checkpoint fails as such. Last, it runs CLI
 ``multiply`` on the working tree and on the parent commit (see below),
 single and differential, each with and without ``--noisy``, and CLI
-``tune`` on a small ramp campaign, and fails unless every output CSV,
-plan, state and disturb file is byte-identical. Exit
+``tune`` on a 4x6 and a 32x34 ramp campaign, and fails unless every
+output CSV, plan, state and disturb file is byte-identical. Exit
 code 0 when every check passes, 1 otherwise. Run it from any directory;
 it is not part of the test suite.
 
@@ -60,8 +60,12 @@ TAIL_W = 0.125
 # the CLI multiply run compared with the parent's: 3 rows, 2 logical columns
 CLI_WEIGHTS = "0.62,0.31\n0.15,0.88\n0.47,0.205\n"
 CLI_INPUTS = "1e-8,5e-8,2e-9\n3e-8,1e-9,7e-8\n5e-9,5e-9,5e-9\n9e-8,2.5e-8,4e-9\n"
-# the CLI tune run compared with the parent's: a 4x6 ramp over 16 cells
-CLI_CAMPAIGN = "rows: 4\ncols: 6\nbudget: 60\ntargets: {kind: ramp, lo: 1.0e-10, hi: 1.0e-6}\n"
+# the CLI tune runs compared with the parent's: a 4x6 ramp over 16 cells, and
+# a 32x34 ramp over 1,024 cells, whose rings wrap and top up (about 3 s)
+CLI_CAMPAIGNS = {
+    "tune": "rows: 4\ncols: 6\nbudget: 60\ntargets: {kind: ramp, lo: 1.0e-10, hi: 1.0e-6}\n",
+    "tune32x34": "rows: 32\ncols: 34\nbudget: 100\ntargets: {kind: ramp, lo: 1.0e-10, hi: 1.0e-6}\n",
+}
 
 
 def bench(workload, seed, seconds):
@@ -144,16 +148,19 @@ def cli_outputs(root, work):
     ``root``: ``flashvmm multiply`` in single and differential mode, each
     with and without ``--noisy``, on ``CLI_WEIGHTS`` and the 4
     ``CLI_INPUTS`` vectors, with ``--plan-out`` and ``--state-out``; and
-    ``flashvmm tune`` of ``CLI_CAMPAIGN`` with ``--state-out`` and
+    ``flashvmm tune`` of each of ``CLI_CAMPAIGNS`` with ``--state-out`` and
     ``--disturb-out``."""
     work = Path(work)
-    inputs = {"w.csv": CLI_WEIGHTS, "x.csv": CLI_INPUTS, "campaign.yaml": CLI_CAMPAIGN}
+    inputs = {"w.csv": CLI_WEIGHTS, "x.csv": CLI_INPUTS}
+    inputs.update({f"{tag}.yaml": text for tag, text in CLI_CAMPAIGNS.items()})
     for name, text in inputs.items():
         (work / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
-    tune = [sys.executable, "-m", "flashvmm", "tune", "--campaign", "campaign.yaml", "--seed", "5",
-            "--results", "tune.csv", "--state-out", "tune.state", "--disturb-out", "tune.disturb.csv"]
-    subprocess.run(tune, cwd=work, env=env, capture_output=True, check=True)
+    for tag in CLI_CAMPAIGNS:
+        tune = [sys.executable, "-m", "flashvmm", "tune", "--campaign", f"{tag}.yaml", "--seed", "5",
+                "--results", f"{tag}.csv", "--state-out", f"{tag}.state",
+                "--disturb-out", f"{tag}.disturb.csv"]
+        subprocess.run(tune, cwd=work, env=env, capture_output=True, check=True)
     for mode in ("single", "differential"):
         for noisy in ([], ["--noisy"]):
             tag = mode + "".join(noisy).replace("--", "_")

@@ -27,14 +27,14 @@ from .cell import (
     PulseSpec,
     pulse_law,
     pulse_shift,  # noqa: F401  module attribute that tracing tools wrap
-    readout,
+    readout_law,
     select_factor,
     stream_normals,
     vth_for_standard_current,
 )
 from .config import (
-    DEFAULT_CONFIG, InhibitionParams, ModelConfig, config_hash, require_count, require_finite,
-    require_flag, write_rows,
+    DEFAULT_CONFIG, InhibitionParams, ModelConfig, check_temperature, config_hash, require_count,
+    require_finite, require_flag, write_rows,
 )
 
 # role classes in table order: index 2 * (row not selected) + (column not selected)
@@ -46,7 +46,7 @@ INITIAL_STATES = ("programmed", "erased", "center")
 _MEASURE_STREAM_TAG = 0xA77A
 
 # lognormal variability factors kept ahead per drawn cell, as a ring that
-# a refill tops up (see ArrayState._factors). Of the widths 24, 32, 48, 64
+# a refill tops up (see ArrayState._cover). Of the widths 24, 32, 48, 64
 # and 96 in 30 s tune-ramp runs, 64 and 96 were the fastest, within
 # run-to-run spread; 64 has the lower tail and peak RSS.
 DRAW_AHEAD = 64
@@ -150,22 +150,22 @@ def bias_table(kind: PulseKind, inh: InhibitionParams) -> tuple:
 def _pulse_cells(rows, cols, row, col, kind, inh, draws) -> tuple:
     """Row-major flat indices of the target's row and column (of every cell
     if the unselected class draws, as when ``inh.floor`` lifts its select
-    factor to ``SF_DRAW_MIN``; ``draws`` is sigma > 0), drawing cells
-    first; their select factors; how many draw; the unselected factor."""
+    factor to ``SF_DRAW_MIN``; ``draws`` is sigma > 0), class by class in
+    ``ROLES`` order with the drawing classes first; their select factors;
+    how many draw; the unselected factor."""
     factors = [sf for _, sf in bias_table(kind, inh)]
-    drawn = np.array([draws and sf >= SF_DRAW_MIN for sf in factors])
+    drawn = [draws and sf >= SF_DRAW_MIN for sf in factors]
+    grid = np.arange(rows * cols).reshape(rows, cols)
+    top, left, right, bottom = slice(row), slice(col), slice(col + 1, None), slice(row + 1, None)
+    pieces = [(grid[row, col:col + 1], 0), (grid[row, left], 1), (grid[row, right], 1),
+              (grid[top, col], 2), (grid[bottom, col], 2)]
     if drawn[3]:
-        cells = np.arange(rows * cols)
-    else:  # the target's column with its row spliced in
-        column = np.arange(rows) * cols + col
-        cells = np.concatenate((column[:row], row * cols + np.arange(cols), column[row + 1 :]))
-    r, c = np.divmod(cells, cols)
-    roles = 2 * (r != row) + (c != col)
-    draw = drawn.take(roles)
-    order = np.argsort(~draw, kind="stable")
-    cells, sf = cells[order], np.array(factors).take(roles[order])
+        pieces += [(grid[r, c].ravel(), 3) for r in (top, bottom) for c in (left, right)]
+    pieces.sort(key=lambda piece: not drawn[piece[1]])  # stable: drawing classes first
+    cells = np.concatenate([piece for piece, _ in pieces])
+    sf = np.repeat([factors[k] for _, k in pieces], [piece.size for piece, _ in pieces])
     cells.flags.writeable = sf.flags.writeable = False
-    return cells, sf, int(draw.sum()), factors[3]
+    return cells, sf, sum(piece.size for piece, k in pieces if drawn[k]), factors[3]
 
 
 class ArrayState:
@@ -274,9 +274,10 @@ class ArrayState:
 
     # ------------------------------------------------------------ pulses
 
-    def _factors(self, cells: np.ndarray, sigma: float) -> tuple:
-        """Next lognormal variability factor, exp(sigma * z), and draw count
-        of each cell.
+    def _cover(self, cells: np.ndarray, sigma: float) -> int:
+        """Make each cell's ring of lognormal variability factors,
+        exp(sigma * z), cover its draw count; returns how many draws, from
+        each count on, every ring then covers.
 
         ``cells`` are row-major flat indices. Each cell keeps a ring of
         ``width`` factors (``DRAW_AHEAD``) of the seed it was drawn from:
@@ -285,13 +286,11 @@ class ArrayState:
         one ``stream_normals`` call tops each of them up to draws count ..
         count + width - 1. A cell whose ring covers its count draws only
         base + width .. count + width - 1, any other cell its whole ring;
-        then base = count. So the next pulses on the same target need no
-        call, and no normal is drawn twice unless ``rng_counts`` is edited.
-        The factor is ``math.exp`` of the Python float, as in
-        ``pulse_shift`` (``np.exp`` differs in the last bit), taken once
-        per drawn normal at refill. The rings are a pure function of
-        (seed, count, sigma), are dropped when sigma changes (``cfg`` may
-        be reassigned) and are not saved.
+        then base = count. So no normal is drawn twice unless
+        ``rng_counts`` is edited. The factor is ``math.exp`` of the Python
+        float, as in ``pulse_shift`` (``np.exp`` differs in the last bit).
+        The rings are a pure function of (seed, count, sigma), are dropped
+        when sigma changes (``cfg`` may be reassigned) and are not saved.
         """
         if sigma != self._ahead_sigma:
             self._ahead = np.empty((self.rows * self.cols, DRAW_AHEAD))
@@ -303,76 +302,100 @@ class ArrayState:
         offset = counts - self._ahead_base.take(cells)
         # a negative offset wraps past the width as uint64
         covered = (seeds == self._ahead_seed.take(cells)) & (offset.view(np.uint64) < width)
-        if np.count_nonzero(covered) < covered.size:  # a third of .all()'s cost per pulse
-            # each cell's n missing draws, count + width - n .. count + width - 1,
-            # one run after another; in uint64, which a count near 2**63 fits
-            n = np.where(covered, offset, width)
-            ends = n.cumsum()
-            runs = (counts + width - ends).view(np.uint64).repeat(n)
-            draws = np.arange(ends[-1], dtype=np.uint64) + runs
-            slots = (cells * width).view(np.uint64).repeat(n) + draws % width
-            z = stream_normals(seeds.repeat(n), draws)
-            self._ahead.reshape(-1)[slots] = np.fromiter(
-                map(math.exp, (sigma * z).tolist()), float, z.size
-            )
-            self._ahead_base[cells] = counts
-            self._ahead_seed[cells] = seeds
-        return self._ahead[cells, counts % width], counts
+        if np.count_nonzero(covered) == covered.size:  # a third of .all()'s cost
+            return width - int(offset.max())
+        # each cell's n missing draws, count + width - n .. count + width - 1,
+        # one run after another; in uint64, which a count near 2**63 fits
+        n = np.where(covered, offset, width)
+        ends = n.cumsum()
+        runs = (counts + width - ends).view(np.uint64).repeat(n)
+        draws = np.arange(ends[-1], dtype=np.uint64) + runs
+        slots = (cells * width).view(np.uint64).repeat(n) + draws % width
+        z = stream_normals(seeds.repeat(n), draws)
+        self._ahead.reshape(-1)[slots] = np.fromiter(map(math.exp, (sigma * z).tolist()), float, z.size)
+        self._ahead_base[cells] = counts
+        self._ahead_seed[cells] = seeds
+        return width
+
+    def _kernel(self, row: int, col: int, temperature: float = None, noisy: bool = True) -> tuple:
+        """(pulse, read) of one target, checked once; valid while only they
+        change the array (``tune_cell`` opens one per target).
+
+        ``pulse(kind, duration, amplitude)`` returns the signed v_th change
+        of every cell. The unselected class takes one whole-array shift;
+        the kind's ``_pulse_cells`` line, resolved at its first pulse,
+        takes its classes' shifts, and its drawing cells their factors
+        from their rings. ``_cover`` checks those rings at the kind's first
+        pulse and whenever the pulses of both kinds since may have used
+        all the draws it found covered. ``read(samples)`` is ``readout``
+        at the standard bias and ``temperature``, from the measurement
+        stream if ``noisy``.
+        """
+        self._check_target(row, col)
+        require_flag("noisy", noisy)
+        cfg, rows, cols = self.cfg, self.rows, self.cols
+        t = cfg.temperature_ref if temperature is None else temperature
+        check_temperature(t)
+        rng = self.measure_rng if noisy else None
+        word_line_on = READOUT_BIAS.v_wl >= cfg.wl_on_threshold
+        sigma = cfg.pulse.variability_sigma
+        # per pulse kind, program then erase: its resolved line, the pulses its
+        # rings are known to cover, and the rings' first slots
+        lines, left, slots = [None, None], [0, 0], [None, None]
+
+        def pulse(kind, duration, amplitude):
+            if duration == 0.0:  # neither state nor disturb accounting moves
+                return np.zeros((rows, cols))
+            k = kind is PulseKind.ERASE
+            if lines[k] is None:
+                cells, sf, drawn, sf_unselected = _pulse_cells(
+                    rows, cols, row, col, kind, cfg.inhibition, sigma > 0.0
+                )
+                lines[k] = (cells, sf, drawn, sf_unselected, cells[:drawn], *pulse_law(kind, cfg))
+            cells, sf, drawn, sf_unselected, ring_cells, step, sign, limit = lines[k]
+            step = step(duration, amplitude)
+            magnitude = step * sf
+            if drawn:
+                if left[k] <= 0:
+                    left[k] = self._cover(ring_cells, sigma)
+                    slots[k] = ring_cells * self._ahead.shape[1]
+                counts = self.rng_counts.take(ring_cells)
+                magnitude[:drawn] *= self._ahead.take(slots[k] + counts % self._ahead.shape[1])
+                self.rng_counts.put(ring_cells, counts + 1)
+                left[0] -= 1
+                left[1] -= 1
+            clamp = np.minimum if sign > 0 else np.maximum
+            old = self.v_th.copy()
+            line = old.take(cells) + sign * magnitude
+            clamp(line, limit, out=line)
+            self.v_th += sign * (step * sf_unselected)
+            clamp(self.v_th, limit, out=self.v_th)
+            self.v_th.put(cells, line)
+            dvth = self.v_th - old
+            self.disturb.record(row, col, dvth)
+            return dvth
+
+        def read(samples):
+            v_th = self.v_th.item(row, col)
+            require_finite("v_th", v_th)
+            return readout_law(v_th, READOUT_BIAS.v_cg, t, cfg, samples, rng) if word_line_on else 0.0
+
+        return pulse, read
 
     def pulse_cell(self, row: int, col: int, pulse: PulseSpec) -> np.ndarray:
         """Apply one pulse to the target; every cell sees its class's bias.
-        Returns the signed v_th change of every cell.
-
-        The unselected class takes one whole-array shift. The target's row
-        and column, or every cell when the unselected class draws, are
-        one flat index list: each of its cells in a class whose select
-        factor reaches ``SF_DRAW_MIN`` takes its own variability draw, the
-        one ``pulse_shift`` would take, and the rest their class's shift.
-        """
-        self._check_target(row, col)
-        if pulse.duration == 0.0:
-            # no-op pulse: neither state nor disturb accounting moves
-            return np.zeros((self.rows, self.cols))
-
-        sigma = self.cfg.pulse.variability_sigma
-        step, sign, limit = pulse_law(pulse, self.cfg)
-        clamp = np.minimum if sign > 0 else np.maximum
-        cells, sf, drawn, sf_unselected = _pulse_cells(
-            self.rows, self.cols, row, col, pulse.kind, self.cfg.inhibition, sigma > 0.0
-        )
-        magnitude = step * sf
-        if drawn:
-            factors, counts = self._factors(cells[:drawn], sigma)
-            magnitude[:drawn] *= factors
-            self.rng_counts.put(cells[:drawn], counts + 1)
-        old = self.v_th.copy()
-        line = old.take(cells) + sign * magnitude
-        clamp(line, limit, out=line)
-        self.v_th += sign * (step * sf_unselected)
-        clamp(self.v_th, limit, out=self.v_th)
-        self.v_th.put(cells, line)
-        dvth = self.v_th - old
-        self.disturb.record(row, col, dvth)
-        return dvth
+        Returns the signed v_th change of every cell."""
+        return self._kernel(row, col)[0](pulse.kind, pulse.duration, pulse.amplitude)
 
     # ----------------------------------------------------------- readout
 
-    def read_cell(
-        self,
-        row: int,
-        col: int,
-        temperature: float = None,
-        noisy: bool = False,
-        samples: int = 1,
-    ) -> float:
+    def read_cell(self, row: int, col: int, temperature: float = None, noisy: bool = False,
+                  samples: int = 1) -> float:
         """Standard-bias readout [A]; never mutates any cell state."""
-        self._check_target(row, col)
-        require_flag("noisy", noisy)
-        v_th = self.v_th.item(row, col)
-        require_finite("v_th", v_th)
-        t = self.cfg.temperature_ref if temperature is None else temperature
-        rng = self.measure_rng if noisy else None
-        return readout(v_th, READOUT_BIAS, t, self.cfg, samples, rng)
+        read = self._kernel(row, col, temperature, noisy)[1]
+        if noisy:
+            require_count("samples", samples)
+        return read(samples)
 
     # ------------------------------------------------------- persistence
 

@@ -146,7 +146,12 @@ def readout(v_th, bias, temperature, cfg, samples=1, rng=None):
     check_temperature(temperature)
     if bias.v_wl < cfg.wl_on_threshold:
         return 0.0
-    ideal = float(subthreshold_current(bias.v_cg, v_th, cfg.n, cfg.i0, temperature, cfg.i_sat))
+    return readout_law(v_th, bias.v_cg, temperature, cfg, samples, rng)
+
+
+def readout_law(v_th, v_cg, temperature, cfg, samples, rng):
+    """``readout`` with the word line on, on arguments already checked."""
+    ideal = float(subthreshold_current(v_cg, v_th, cfg.n, cfg.i0, temperature, cfg.i_sat))
     if rng is None or ideal == 0.0:
         return ideal
     sigma = cfg.noise.sigma_at(ideal)
@@ -208,23 +213,23 @@ def select_factor(kind: PulseKind, bias: BiasCondition, inh: InhibitionParams) -
     return erase_select_factor(bias, inh)
 
 
-def pulse_law(pulse: PulseSpec, cfg: ModelConfig):
-    """Per-kind constants of the pulse response: (step, sign, limit).
+def pulse_law(kind: PulseKind, cfg: ModelConfig):
+    """Constants of the pulse response of ``kind``: (step, sign, limit).
 
-    ``step`` is the shift [V] of this pulse at select factor 1: the
-    nominal per-pulse shift scaled linearly by duration and amplitude
-    relative to the configured nominals. Program pulses raise v_th up to
-    the window top, erase pulses lower it down to the window bottom.
+    ``step(duration, amplitude)`` is the shift [V] of a pulse at select
+    factor 1: the nominal per-pulse shift scaled linearly by duration and
+    amplitude relative to the configured nominals. Program pulses raise
+    v_th up to the window top, erase pulses lower it down to the window
+    bottom.
     """
-    cal = cfg.calibration
-    p = cfg.pulse
-    if pulse.kind is PulseKind.PROGRAM:
-        scale = (pulse.duration / p.program_duration) * (
-            pulse.amplitude / p.program_amplitude
-        )
-        return cal.dv_program_nominal * scale, 1.0, cal.v_th_max
-    scale = (pulse.duration / p.erase_duration) * (pulse.amplitude / p.erase_amplitude)
-    return cal.dv_erase_nominal * scale, -1.0, cal.v_th_min
+    cal, p = cfg.calibration, cfg.pulse
+    if kind is PulseKind.PROGRAM:
+        dv, d0, a0 = cal.dv_program_nominal, p.program_duration, p.program_amplitude
+        sign, limit = 1.0, cal.v_th_max
+    else:
+        dv, d0, a0 = cal.dv_erase_nominal, p.erase_duration, p.erase_amplitude
+        sign, limit = -1.0, cal.v_th_min
+    return (lambda duration, amplitude: dv * ((duration / d0) * (amplitude / a0))), sign, limit
 
 
 # -------------------------------------------------- variability stream
@@ -447,9 +452,9 @@ def pulse_shift(
     if pulse.duration == 0.0:
         return v_th, rng_count, 0.0
     sf = select_factor(pulse.kind, bias, cfg.inhibition)
-    step, sign, limit = pulse_law(pulse, cfg)
+    step, sign, limit = pulse_law(pulse.kind, cfg)
 
-    magnitude = step * sf
+    magnitude = step(pulse.duration, pulse.amplitude) * sf
     sigma = cfg.pulse.variability_sigma
     if sf >= SF_DRAW_MIN and sigma > 0.0:
         z = np.random.default_rng((rng_seed, rng_count)).standard_normal()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .array import INITIAL_STATES, ArrayState
-from .cell import PulseSpec
+from .cell import PulseKind
 from .config import (
     ModelConfig, known_keys, read_yaml, require_count, require_in, require_positive, write_rows,
 )
@@ -62,12 +62,13 @@ def tune_cell(array: ArrayState, target: TuneTarget, budget: int) -> TuneResult:
     """
     require_count("budget", budget)
     cfg = array.cfg
-    cal = cfg.calibration
+    cal, p = cfg.calibration, cfg.pulse
     require_in("target_current", target.target_current, *cfg.current_window)
     row, col = target.row, target.col
     goal = target.target_current
     ut = cfg.n * thermal_voltage(cfg.temperature_ref)
 
+    pulse, read = array._kernel(row, col)
     pulses = {"program": 0, "erase": 0}
     trajectory = []
     used = 0
@@ -76,11 +77,11 @@ def tune_cell(array: ArrayState, target: TuneTarget, budget: int) -> TuneResult:
     last_clamped = False
 
     while True:
-        current = array.read_cell(row, col, noisy=True, samples=TRACK_SAMPLES)
+        current = read(TRACK_SAMPLES)
         trajectory.append((used, current))
         err = current / goal - 1.0
         if abs(err) <= target.precision:
-            final = array.read_cell(row, col, noisy=True, samples=VERIFY_SAMPLES)
+            final = read(VERIFY_SAMPLES)
             final_err = final / goal - 1.0
             if abs(final_err) <= target.precision:
                 return TuneResult(
@@ -88,7 +89,7 @@ def tune_cell(array: ArrayState, target: TuneTarget, budget: int) -> TuneResult:
                 )
             current, err = final, final_err  # verification disagreed; keep going
         if used >= budget:
-            final = array.read_cell(row, col, noisy=True, samples=VERIFY_SAMPLES)
+            final = read(VERIFY_SAMPLES)
             return TuneResult(
                 row, col, goal, False, pulses, final, abs(final / goal - 1.0), trajectory
             )
@@ -97,19 +98,16 @@ def tune_cell(array: ArrayState, target: TuneTarget, budget: int) -> TuneResult:
         sign = 1 if err > 0 else -1
         if last_sign != 0 and sign != last_sign:
             cap = MIN_SCALE if last_clamped else max(cap / 2.0, MIN_SCALE)
-        if sign > 0:
-            nominal_dv = cal.dv_program_nominal
-        else:
-            nominal_dv = cal.dv_erase_nominal
+        nominal_dv = cal.dv_program_nominal if sign > 0 else cal.dv_erase_nominal
         needed = abs(math.log1p(err)) * ut / nominal_dv
         scale = min(cap, max(needed, MIN_SCALE))
         if sign > 0:
-            pulse = PulseSpec.program(cfg, duration=cfg.pulse.program_duration * scale)
+            dvth = pulse(PulseKind.PROGRAM, p.program_duration * scale, p.program_amplitude)
             pulses["program"] += 1
         else:
-            pulse = PulseSpec.erase(cfg, duration=cfg.pulse.erase_duration * scale)
+            dvth = pulse(PulseKind.ERASE, p.erase_duration * scale, p.erase_amplitude)
             pulses["erase"] += 1
-        last_clamped = array.pulse_cell(row, col, pulse)[row, col] == 0.0
+        last_clamped = dvth[row, col] == 0.0
         last_sign = sign
         used += 1
 

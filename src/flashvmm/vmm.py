@@ -143,6 +143,7 @@ def check_read(cfg: ModelConfig, temperature=None, noisy: bool = False, samples:
 
 
 _DRAW_CHUNK = 2**20  # most normals (or cell currents) a batch computes at once
+_DRAW_BLOCK = 2**15  # most normals one noisy draw makes, one per cell at least
 
 
 def multiply(
@@ -176,14 +177,27 @@ def multiply(
     # B consecutive (samples, rows, cols) draws hold the same normals as one
     # (B, samples, rows, cols) draw; sum / samples is .mean(axis=1)
     step = max(1, _DRAW_CHUNK // (v_th.size * (samples if noisy else 1)))
+    # a vector's samples in blocks of about _DRAW_BLOCK normals, each added in
+    # order to the sum so far: .sum(axis=1) adds the samples one after
+    # another too, except over one cell, which it sums pairwise
+    block = samples if v_th.size == 1 else max(1, _DRAW_BLOCK // v_th.size)
     out = np.empty((len(v_gate), v_th.shape[1]))
     for i in range(0, len(out), step):
         currents = subthreshold_current(  # (chunk, rows, cols)
             v_gate[i:i + step], v_th, cfg.n, cfg.i0, t[i:i + step] if batched else t, cfg.i_sat
         )
         if noisy:
-            eps_mean = draw((len(currents), samples) + v_th.shape).sum(axis=1) / samples
-            currents = np.maximum(currents * (1.0 + cfg.noise.sigma_at(currents) * eps_mean), 0.0)
+            if samples <= block:
+                eps = draw((len(currents), samples) + v_th.shape).sum(axis=1)
+            else:
+                eps, buf = np.empty(currents.shape), np.empty((block + 1,) + v_th.shape)
+                for j in range(len(currents)):
+                    for k in range(0, samples, block):
+                        m = min(block, samples - k)
+                        draw(out=buf[1:m + 1])
+                        np.sum(buf[0 if k else 1:m + 1], axis=0, out=eps[j])  # row 0: the sum so far
+                        buf[0] = eps[j]
+            currents = np.maximum(currents * (1.0 + cfg.noise.sigma_at(currents) * (eps / samples)), 0.0)
         out[i:i + step] = currents.sum(axis=1)
     return out if batched or x.ndim == 2 else out[0]
 

@@ -8,8 +8,11 @@ is one ``default_rng((seed, count))`` per pair.
 ``vmm._drift`` evaluates many bias weights at once against the range's
 low end; the oracle is the scalar drift formula one weight at a time.
 Noisy ``multiply`` is pinned to a per-row restatement of its formula,
-and a batched ``multiply`` or ``differential_multiply`` to the single
-calls it replaces, made in order.
+also when it draws a vector's samples in blocks, and a batched
+``multiply`` or ``differential_multiply`` to the single calls it
+replaces, made in order. ``tune_cell``, which pulses and reads through a
+per-target kernel, is pinned to its loop over the public ``pulse_cell``
+and ``read_cell``.
 The float branches of ``sigma_at`` and ``subthreshold_current`` are
 pinned to ``np.interp`` and to the one-element array path.
 """
@@ -38,6 +41,7 @@ from flashvmm.cell import (
     subthreshold_current,
 )
 from flashvmm.config import DEFAULT_CONFIG, InhibitionParams, ModelConfig
+from flashvmm.tuning import TuneResult
 from flashvmm.constants import K_B, Q_E, T_25C, T_85C, T_MAX, T_MIN, V_CG_READ, thermal_voltage
 from flashvmm.vmm import (
     differential_drift,
@@ -691,6 +695,136 @@ def test_top_up_draws_each_normal_once(monkeypatch):
     assert sum(pairs) <= consumed + width * int(touched.sum())
 
 
+# ------------------------------------------------------------ tune_cell
+
+def oracle_tune_cell(array, target, budget, events):
+    """``tune_cell`` as written over the public ``read_cell`` and
+    ``pulse_cell``, each call checked in full; ``events`` collects the
+    branches it takes."""
+    cfg = array.cfg
+    cal = cfg.calibration
+    row, col, goal = target.row, target.col, target.target_current
+    ut = cfg.n * thermal_voltage(cfg.temperature_ref)
+    pulses = {"program": 0, "erase": 0}
+    trajectory = []
+    used, cap, last_sign, last_clamped = 0, 1.0, 0, False
+    while True:
+        current = array.read_cell(row, col, noisy=True, samples=tuning_mod.TRACK_SAMPLES)
+        trajectory.append((used, current))
+        err = current / goal - 1.0
+        if abs(err) <= target.precision:
+            final = array.read_cell(row, col, noisy=True, samples=tuning_mod.VERIFY_SAMPLES)
+            final_err = final / goal - 1.0
+            if abs(final_err) <= target.precision:
+                return TuneResult(row, col, goal, True, pulses, final, abs(final_err), trajectory)
+            events.add("verify disagrees")
+            current, err = final, final_err
+        if used >= budget:
+            events.add("budget exhausted")
+            final = array.read_cell(row, col, noisy=True, samples=tuning_mod.VERIFY_SAMPLES)
+            return TuneResult(row, col, goal, False, pulses, final, abs(final / goal - 1.0), trajectory)
+        sign = 1 if err > 0 else -1
+        if last_sign != 0 and sign != last_sign:
+            cap = tuning_mod.MIN_SCALE if last_clamped else max(cap / 2.0, tuning_mod.MIN_SCALE)
+        nominal_dv = cal.dv_program_nominal if sign > 0 else cal.dv_erase_nominal
+        needed = abs(math.log1p(err)) * ut / nominal_dv
+        scale = min(cap, max(needed, tuning_mod.MIN_SCALE))
+        if sign > 0:
+            pulse = PulseSpec.program(cfg, duration=cfg.pulse.program_duration * scale)
+            pulses["program"] += 1
+        else:
+            pulse = PulseSpec.erase(cfg, duration=cfg.pulse.erase_duration * scale)
+            pulses["erase"] += 1
+        last_clamped = array.pulse_cell(row, col, pulse)[row, col] == 0.0
+        if last_clamped:
+            events.add(f"{pulse.kind.value} clamped")
+        last_sign = sign
+        used += 1
+
+
+def assert_same_tuning(fast, slow):
+    assert_bits_equal(fast.v_th, slow.v_th)
+    assert_bits_equal(fast.rng_counts, slow.rng_counts)
+    assert_bits_equal(fast.disturb.cumulative_dvth, slow.disturb.cumulative_dvth)
+    for role in ROLES:
+        assert_bits_equal(fast.disturb.counts[role], slow.disturb.counts[role])
+    assert fast.measure_rng.bit_generator.state == slow.measure_rng.bit_generator.state
+
+
+def edit_streams(array, step):
+    """Edit the seeds (odd steps: cells swap streams) or the draw counts
+    (even steps: some rows back into their rings, or past them) in place."""
+    if step % 2:
+        array.rng_seeds[...] = np.roll(array.rng_seeds, step)
+    else:
+        array.rng_counts[: step % 3 + 1] += -3 if step % 4 else DRAW_AHEAD + 6
+        np.maximum(array.rng_counts, 0, out=array.rng_counts)
+
+
+def tune_both(fast, slow, targets, budget, events, edits=()):
+    """Each target tuned on ``fast`` by ``tune_cell`` and on ``slow`` by the
+    oracle, the streams edited first at the indices in ``edits``; returns
+    the results."""
+    results = []
+    for k, (row, col, current, precision) in enumerate(targets):
+        if k in edits:
+            edit_streams(fast, k)
+            edit_streams(slow, k)
+        target = tuning_mod.TuneTarget(row, col, current, precision)
+        got = tuning_mod.tune_cell(fast, target, budget)
+        want = oracle_tune_cell(slow, target, budget, events)
+        assert got == want
+        assert_same_tuning(fast, slow)
+        results.append(got)
+    return results
+
+
+TUNE_CONFIGS = {"default": DEFAULT_CONFIG, "sigma 0": CONFIGS[(1e-4, 0.0)], "floor 1e-2": CONFIGS[(1e-2, 0.3)]}
+
+
+@pytest.mark.parametrize("name", TUNE_CONFIGS)
+def test_tune_cell_matches_public_loop(name):
+    # from the programmed window top, a target at the window bottom pulses
+    # program against the top, one at the window top erases down to the
+    # bottom; precision 1e-3 is out of reach of the 8-sample reads' noise,
+    # so a long run wraps and tops the target's line rings up, the
+    # deciding reads disagree and the budget runs out; the streams are
+    # edited in place between calls
+    cfg = TUNE_CONFIGS[name]
+    lo, hi = cfg.current_window
+    fast = ArrayState.fresh(cfg, rows=4, cols=5)
+    slow = ArrayState.fresh(cfg, rows=4, cols=5)
+    events = set()
+    targets = [(1, 2, lo, 1e-3), (1, 2, hi, 1e-3), (1, 2, 3e-8, 1e-3), (2, 2, lo, 0.2),
+               (1, 3, 2e-9, 0.01), (0, 2, 5e-8, 0.05), (1, 2, 1e-9, 1e-3)]
+    results = tune_both(fast, slow, targets, 150, events, edits=(3, 4, 5, 6))
+    assert events == {"program clamped", "erase clamped", "verify disagrees", "budget exhausted"}
+    assert max(r.pulses_total for r in results) > DRAW_AHEAD
+    if cfg.pulse.variability_sigma > 0.0:
+        assert fast.rng_counts.max() > 2 * DRAW_AHEAD
+
+
+@pytest.mark.parametrize("name", TUNE_CONFIGS)
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_tune_cell_matches_public_loop_property(name, data):
+    cfg = TUNE_CONFIGS[name]
+    lo, hi = cfg.current_window
+    rows, cols = data.draw(st.sampled_from([(1, 4), (3, 4), (5, 6)]))
+    initial = data.draw(st.sampled_from(array_mod.INITIAL_STATES))
+    fast = ArrayState.fresh(cfg, rows=rows, cols=cols, initial=initial)
+    slow = ArrayState.fresh(cfg, rows=rows, cols=cols, initial=initial)
+    target = st.tuples(
+        st.integers(0, rows - 1), st.integers(0, cols - 1),
+        st.one_of(st.sampled_from([lo, hi]),
+                  st.floats(math.log(lo), math.log(hi)).map(lambda x: min(max(math.exp(x), lo), hi))),
+        st.sampled_from([1e-3, 0.01, 0.05, 0.3]),
+    )
+    targets = data.draw(st.lists(target, min_size=1, max_size=4))
+    edits = data.draw(st.sets(st.integers(1, 4)))
+    tune_both(fast, slow, targets, data.draw(st.integers(1, 100)), set(), edits)
+
+
 # ------------------------------------------------------------ drift scan
 
 def scalar_drift(w_plus, w_minus, temp_range):
@@ -945,6 +1079,42 @@ def test_batched_multiply_crosses_chunk_boundaries(monkeypatch, rows, cols, chun
     assert 2 * len(batched.array_cols) * rows * (samples or 1) <= vmm_mod._DRAW_CHUNK
     assert np.array_equal(got, want)
     assert batched.measure_rng.bit_generator.state == single.measure_rng.bit_generator.state
+
+
+class RecordingStream:
+    """A measurement stream that records how many normals each draw makes."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def standard_normal(self, size=None, out=None):
+        self.sizes.append(math.prod(size if out is None else out.shape))
+        return self.rng.standard_normal(size, out=out)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, chunk, block, samples",
+    [(4, 3, 64, 16, 37), (3, 5, 2**20, 1, 9), (1, 4, 8, 2, 33), (1, 3, 8, 2, 40)],
+    ids=["4x3-4-sample-blocks", "3x5-1-sample-blocks", "1x4-1-sample-blocks", "1x3-one-cell"],
+)
+def test_noisy_multiply_draws_samples_in_blocks(monkeypatch, rows, cols, chunk, block, samples):
+    # samples that outgrow the chunk and the block are drawn a block at a
+    # time and summed in order: the outputs and the stream's state are
+    # those of one whole draw per vector. One cell per vector, which numpy
+    # sums pairwise, still draws its samples at once.
+    monkeypatch.setattr(vmm_mod, "_DRAW_CHUNK", chunk)
+    monkeypatch.setattr(vmm_mod, "_DRAW_BLOCK", block)
+    blocked, single = swept_array(rows, cols), swept_array(rows, cols)
+    blocked.measure_rng = RecordingStream(blocked.measure_rng)
+    inputs = np.full((3, rows), 1e-8) * np.arange(1, 4)[:, None]
+    temps = np.linspace(T_25C, T_85C, 3)
+    got = multiply(blocked, inputs, temperature=temps, noisy=True, samples=samples)
+    want = [oracle_multiply(single, x, t, samples, single.measure_rng) for x, t in zip(inputs, temps)]
+    assert_bits_equal(got, np.array(want))
+    assert blocked.measure_rng.rng.bit_generator.state == single.measure_rng.bit_generator.state
+    cells = rows * len(blocked.array_cols)
+    assert sum(blocked.measure_rng.sizes) == 3 * samples * cells
+    assert max(blocked.measure_rng.sizes) == (samples if cells == 1 else max(block, cells))
 
 
 def test_untuned_peripheral_names_the_first_one():

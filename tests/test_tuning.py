@@ -70,19 +70,25 @@ class TestTuneCell:
         array = ArrayState.fresh(CFG, rows=2, cols=3, initial="center")
         goal = 3.0e-9
         reads = []
-        orig_read, orig_pulse = array.read_cell, array.pulse_cell
+        open_kernel = array._kernel
         decisions = []
 
-        def spy_read(row, col, **kw):
-            value = orig_read(row, col, **kw)
-            reads.append(value)
-            return value
+        def spy_kernel(row, col, *args):
+            # tune_cell pulses and reads through the kernel it opens per target
+            pulse, read = open_kernel(row, col, *args)
 
-        def spy_pulse(row, col, pulse):
-            decisions.append((pulse.kind, reads[-1]))
-            return orig_pulse(row, col, pulse)
+            def spy_read(samples):
+                value = read(samples)
+                reads.append(value)
+                return value
 
-        array.read_cell, array.pulse_cell = spy_read, spy_pulse
+            def spy_pulse(kind, duration, amplitude):
+                decisions.append((kind, reads[-1]))
+                return pulse(kind, duration, amplitude)
+
+            return spy_pulse, spy_read
+
+        array._kernel = spy_kernel
         res = tune_cell(array, TuneTarget(0, 1, goal, 0.02), budget=100)
         assert res.converged and decisions
         for kind, last_read in decisions:
