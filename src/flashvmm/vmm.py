@@ -16,8 +16,8 @@ import numpy as np
 from .array import ArrayState
 from .cell import CellState, gate_voltage, subthreshold_current
 from .config import (
-    DEFAULT_CONFIG, ModelConfig, check_temperature, require_count, require_flag, require_in,
-    require_positive, write_rows,
+    DEFAULT_CONFIG, ModelConfig, check_temperature, require_count, require_finite, require_flag,
+    require_in, require_positive, write_rows,
 )
 from .constants import thermal_voltage
 from .tuning import TuneTarget
@@ -27,6 +27,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # least net weight of a differential pair: below it w_b +- w/2 (w_b about
 # 0.34) holds w to worse than about 1e-7 and the optimized drift degrades
 W_MIN = 1.0e-9
+# times 1/w, the most the scan lets numpy's drift bound exceed libm's: 64
+# eps, where the largest gap seen is about 1.3 eps/w
+_BOUND_MARGIN = 2.0**-46
 
 
 class PlanInfeasibleError(ValueError):
@@ -228,17 +231,21 @@ def _drift_temps(temp_range) -> np.ndarray:
     return np.arange(temp_range[0], temp_range[1] + 0.5, 1.0)
 
 
-def _drift(w_plus, w_minus, temps, reference):
+def _drift(w_plus, w_minus, temps, reference, libm: bool = True):
     """Worst-case relative drift over ``temps`` of one (w_plus, w_minus)
     pair of floats, or of each pair of two equal-length float sequences.
 
     The logarithms and the reference-point exponentials are libm's
     (``math``, mapped over floats): numpy's log and exp differ from them
-    in the last bit on some inputs.
+    in the last bit on some inputs. Without ``libm`` they are numpy's,
+    over two arrays in one pass: close to libm's drift, not equal.
     """
     if isinstance(w_plus, float):
         a, b = math.log(w_plus), math.log(w_minus)
         out0 = math.exp(a) - math.exp(b)
+    elif not libm:
+        a, b = np.log(w_plus), np.log(w_minus)
+        out0 = (np.exp(a) - np.exp(b))[:, None]
     else:
         a = list(map(math.log, w_plus))
         b = list(map(math.log, w_minus))
@@ -258,11 +265,19 @@ def differential_drift(w_plus: float, w_minus: float, temp_range) -> float:
     if not (w_plus > w_minus and w_minus > 0.0):
         raise ValueError("w_plus must exceed w_minus, and w_minus must be > 0")
     t0 = _check_drift_scan(temp_range)
-    return float(_drift([w_plus], [w_minus], _drift_temps(temp_range), t0)[0])
+    return float(_drift(float(w_plus), float(w_minus), _drift_temps(temp_range), t0))
 
 
 def golden_section_min(f, lo: float, hi: float, tol: float = 1e-6):
-    """Scalar golden-section minimizer; returns (argmin, min)."""
+    """Scalar golden-section minimizer on [lo, hi]; returns (argmin, min).
+    A ValueError names ``tol`` unless it is finite and positive, and
+    ``lo`` or ``hi`` unless both are finite and lo <= hi (a one-point
+    bracket returns that point)."""
+    require_positive("tol", tol)
+    require_finite("lo", lo)
+    require_finite("hi", hi)
+    if lo > hi:
+        raise ValueError(f"lo must not exceed hi, got lo={lo!r}, hi={hi!r}")
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -301,6 +316,8 @@ def optimize_bias_weight(w: float, temp_range, w_floor: float = 0.01):
     hi = 1.0 - w / 2.0
     if lo >= hi:
         raise ValueError(f"no feasible bias weight for w={w} with floor {w_floor}")
+    if lo - w / 2.0 <= 0.0:  # the floor rounds away: w_minus would be 0
+        raise ValueError(f"w_floor={w_floor!r} is lost to rounding against w/2 = {w / 2.0!r}")
 
     temps = _drift_temps(temp_range)
 
@@ -309,15 +326,17 @@ def optimize_bias_weight(w: float, temp_range, w_floor: float = 0.01):
 
     grid = np.arange(lo, hi + 1e-12, 1e-3)
     w_plus, w_minus = grid + w / 2.0, grid - w / 2.0
-    # The drift at the end temperatures bounds each point's drift from
-    # below (same elements, max of a subset): a point whose bound exceeds
-    # the drift at the bound's argmin cannot hold np.argmin's first
-    # minimum. A NaN drift there keeps every point.
-    bound = _drift(w_plus.tolist(), w_minus.tolist(), temps[[0, -1]], t0)
-    keep = np.flatnonzero(~(bound > objective(grid[np.argmin(bound)])))
+    # The drift at the high end bounds each point's drift from below (one
+    # of its elements; at the low end, the reference, it is 0 up to
+    # rounding). Taken with numpy's log and exp it may exceed libm's by a
+    # rounding gap that grows as eps/w (w+ - w- cancels), so it bounds
+    # drift + _BOUND_MARGIN / w. A point whose bound exceeds that much
+    # more than the drift at the bound's argmin cannot hold np.argmin's
+    # first minimum. A NaN drift keeps every point.
+    bound = _drift(w_plus, w_minus, temps[-1:], t0, libm=False)
+    keep = np.flatnonzero(~(bound > objective(grid[np.argmin(bound)]) + _BOUND_MARGIN / w))
     k = int(keep[np.argmin(_drift(w_plus[keep].tolist(), w_minus[keep].tolist(), temps, t0))])
-    bracket_lo = grid[max(k - 1, 0)]
-    bracket_hi = grid[min(k + 1, len(grid) - 1)]
+    bracket_lo, bracket_hi = grid[[max(k - 1, 0), min(k + 1, len(grid) - 1)]].tolist()
     w_b, drift = golden_section_min(objective, bracket_lo, bracket_hi, tol=1e-6)
     return float(w_b), float(drift)
 

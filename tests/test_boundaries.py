@@ -370,7 +370,8 @@ TABLE = [
     Entry("optimize_bias_weight", "optimize_bias_weight",
           lambda s, **kw: flashvmm.optimize_bias_weight(**kw),
           (Param("w", lo=0.0, hi=1.0, draw=(1e-3, 0.9)), Param("temp_range", **PAIR_T),
-           positive("w_floor", draw=(1e-3, 0.05))),
+           # a floor lost to rounding against w/2 would leave w_minus = 0
+           positive("w_floor", draw=(1e-3, 0.05), extra=(1e-300, 1e-17))),
           dict(w=0.5, temp_range=(T_25C, T_85C), w_floor=0.01)),
     Entry("optimize_bias_weight", "optimize_bias_weight at w = 0",
           lambda s, **kw: flashvmm.optimize_bias_weight(0.0, **kw),
@@ -383,6 +384,12 @@ TABLE = [
     Entry("vmm.differential_drift", "differential_drift",
           lambda s, **kw: vmm.differential_drift(0.6, 0.2, **kw),
           (Param("temp_range", **PAIR_T),), dict(temp_range=(T_25C, T_85C))),
+    Entry("vmm.golden_section_min", "golden_section_min",
+          lambda s, **kw: vmm.golden_section_min(lambda x: (x - 0.3) ** 2, **kw),
+          (Param("lo", draw=(-1.0, 1.0), extra=(1.5, 2.0)),  # above hi: a reversed bracket
+           Param("hi", draw=(0.0, 2.0), extra=(-0.5, math.nextafter(0.0, -1.0))),
+           positive("tol", draw=(1e-9, 0.1))),
+          dict(lo=0.0, hi=1.0, tol=1e-6)),
     # the CLI: every argument is a string; the field is the option's dest
     Entry("cli tune", "flashvmm tune", lambda s, **kw: cli_tune(**kw),
           (count("seed", draw=(0, 2**31)),), {}, cli_out, examples=2),

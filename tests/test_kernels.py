@@ -7,6 +7,8 @@ geometric role, and keeps its own per-role pulse tally.
 is one ``default_rng((seed, count))`` per pair.
 ``vmm._drift`` evaluates many bias weights at once against the range's
 low end; the oracle is the scalar drift formula one weight at a time.
+Its numpy pass, the bias-weight scan's pruning bound, stays within the
+scan's rounding margin of the libm drift.
 Noisy ``multiply`` is pinned to a per-row restatement of its formula,
 also when it draws a vector's samples in blocks, and a batched
 ``multiply`` or ``differential_multiply`` to the single calls it
@@ -17,6 +19,7 @@ The float branches of ``sigma_at`` and ``subthreshold_current`` are
 pinned to ``np.interp`` and to the one-element array path.
 """
 
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -879,6 +882,8 @@ SWEEP = (
     + [(0.9875, 0.01), (0.9885, 0.01), (0.9895, 0.01), (0.98999, 0.01)]
     + [(float(w), 0.05) for w in np.linspace(0.01, 0.9, 12)]
     + [(0.9475, 0.05), (0.9485, 0.05), (0.9495, 0.05), (1e-3, 1e-4), (0.5, 1e-4)]
+    # the benchmark's differential weights: w uniform in [0.1, 0.9]
+    + [(float(w), 0.01) for w in np.random.default_rng(2016).uniform(0.1, 0.9, 50)]
 )
 
 
@@ -891,6 +896,29 @@ def test_pruned_scan_matches_full_grid_oracle():
         got = optimize_bias_weight(w, temp_range, w_floor)
         want = scalar_optimize(w, temp_range, w_floor)
         assert_bits_equal(np.array(got), np.array(want))
+
+
+def test_numpy_bound_stays_within_rounding_margin():
+    """numpy's drift at the high end, the scan's pruning bound, differs
+    from libm's by at most an eighth of the margin the scan allows it,
+    and the points it keeps hold the full scan's first argmin."""
+    for temp_range, w, w_floor in itertools.product(
+        RANGES, np.geomspace(vmm_mod.W_MIN, 0.98, 40), (1e-4, 0.01, 0.05)
+    ):
+        grid = np.arange(w / 2.0 + w_floor, 1.0 - w / 2.0 + 1e-12, 1e-3)
+        if not len(grid):
+            continue
+        w_plus, w_minus = grid + w / 2.0, grid - w / 2.0
+        temps = np.arange(temp_range[0], temp_range[1] + 0.5, 1.0)
+        top, t0 = temps[-1:], temp_range[0]
+        margin = vmm_mod._BOUND_MARGIN / w
+        bound = vmm_mod._drift(w_plus, w_minus, top, t0, libm=False)
+        gap = np.max(np.abs(bound - vmm_mod._drift(w_plus, w_minus, top, t0)))
+        assert gap <= margin / 8, (temp_range, w, w_floor, gap * w / sys.float_info.epsilon)
+        j = np.argmin(bound)
+        threshold = differential_drift(w_plus[j], w_minus[j], temp_range)
+        first = np.argmin(vmm_mod._drift(w_plus, w_minus, temps, t0))
+        assert not bound[first] > threshold + margin, (temp_range, w, w_floor)
 
 
 # ----------------------------------------------------------- scalar reads
