@@ -11,9 +11,10 @@ compares the checkpoint digest with the value pinned in ``PINNED``: a
 change meant only to speed up the simulator leaves these unchanged. A
 run that ends before its checkpoint fails as such. Last, it runs CLI
 ``multiply`` on the working tree and on the parent commit (see below),
-single and differential, each with and without ``--noisy``, and CLI
-``tune`` on a 4x6 and a 32x34 ramp campaign, and fails unless every
-output CSV, plan, state and disturb file is byte-identical. Exit
+single and differential, each with and without ``--noisy``, CLI
+``tune`` on a 4x6 and a 32x34 ramp campaign, and CLI ``experiment`` of
+every id at the built-in config and seed, and fails unless every output
+CSV, plan, state and disturb file is byte-identical. Exit
 code 0 when every check passes, 1 otherwise. Run it from any directory;
 it is not part of the test suite.
 
@@ -147,9 +148,10 @@ def cli_outputs(root, work):
     """{file name: bytes} of every file the CLI writes from the ``src`` at
     ``root``: ``flashvmm multiply`` in single and differential mode, each
     with and without ``--noisy``, on ``CLI_WEIGHTS`` and the 4
-    ``CLI_INPUTS`` vectors, with ``--plan-out`` and ``--state-out``; and
+    ``CLI_INPUTS`` vectors, with ``--plan-out`` and ``--state-out``;
     ``flashvmm tune`` of each of ``CLI_CAMPAIGNS`` with ``--state-out`` and
-    ``--disturb-out``."""
+    ``--disturb-out``; and ``flashvmm experiment`` of every id that tree
+    lists, at the built-in config and seed (fig9 takes about 2 s)."""
     work = Path(work)
     inputs = {"w.csv": CLI_WEIGHTS, "x.csv": CLI_INPUTS}
     inputs.update({f"{tag}.yaml": text for tag, text in CLI_CAMPAIGNS.items()})
@@ -169,12 +171,19 @@ def cli_outputs(root, work):
                    "--samples", "64", "--temperature", "330", "--state-out", f"{tag}.state",
                    *noisy, *(["--plan-out", f"{tag}.plan.csv"] if mode == "differential" else [])]
             subprocess.run(cmd, cwd=work, env=env, capture_output=True, check=True)
+    ids = subprocess.run(
+        [sys.executable, "-c", "from flashvmm.experiments import EXPERIMENT_IDS; print(*EXPERIMENT_IDS)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    for eid in ids:
+        cmd = [sys.executable, "-m", "flashvmm", "experiment", eid, "--out", "."]
+        subprocess.run(cmd, cwd=work, env=env, capture_output=True, check=True)
     return {f.name: f.read_bytes() for f in sorted(work.iterdir()) if f.name not in inputs}
 
 
 def cli_diff():
-    """Names of the CLI ``multiply`` and ``tune`` output files that differ
-    from the parent commit's, byte for byte."""
+    """Names of the CLI ``multiply``, ``tune`` and ``experiment`` output
+    files that differ from the parent commit's, byte for byte."""
     rev = parent_rev()
     with parent_tree(rev) as parent, tempfile.TemporaryDirectory() as here, \
             tempfile.TemporaryDirectory() as there:

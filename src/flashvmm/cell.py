@@ -442,7 +442,8 @@ def pulse_shift(
     bias: BiasCondition,
     cfg: ModelConfig,
 ):
-    """Core pulse response shared by cell- and array-level operations.
+    """The scalar pulse law of one cell, which ``apply_pulse`` runs; the
+    array pulse kernel is pinned to it bit for bit (``tests/test_kernels.py``).
 
     Returns (new v_th, new draw counter, applied signed shift). The shift
     is the pulse's ``pulse_law`` step times the bias select factor, times

@@ -28,7 +28,7 @@ def _load_cfg(args):
 
 
 def _cmd_calibrate(args):
-    cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
+    cfg = _load_cfg(args)
     save_config(cfg, args.out)
     print(f"calibrated config written to {args.out} (hash {config_hash(cfg)})")
 
@@ -88,7 +88,7 @@ def _cmd_multiply(args):
         out = differential_multiply(array, plan, inputs, **read)
     out_rows = [(k, *vec) for k, vec in enumerate(out)]
     columns = ("input_index",) + tuple(f"out_{i}" for i in range(logical))
-    write_csv(args.out, cfg, cfg.seed, columns, out_rows)
+    write_csv(args.out, cfg, columns, out_rows)
     print(
         f"{len(out_rows)} product vectors written to {args.out} "
         f"(mode {args.mode}, tuning max error {summary['rel_error_max']:.4f})"
@@ -96,9 +96,7 @@ def _cmd_multiply(args):
 
 
 def _cmd_experiment(args):
-    cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
-    spec = ExperimentSpec(experiment_id=args.id, cfg=cfg, seed=args.seed, output_dir=args.out)
-    summary = run_experiment(spec)
+    summary = run_experiment(ExperimentSpec(args.id, cfg=_load_cfg(args), output_dir=args.out))
     print(summary["headline"])
     for path in summary["csv"]:
         print(f"wrote {path}")

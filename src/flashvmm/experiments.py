@@ -12,8 +12,11 @@ Each experiment id regenerates one dataset from the config and seed:
 - ``fig10``: 4-weight multiply with sine-sampled inputs, noisy reads
 - ``fig11``: differential drift sweep with optimized bias weights
 
-Identical spec and seed give byte-identical CSV output. A tuning campaign
-file runs through ``tuning.run_campaign`` (CLI ``flashvmm tune``).
+A runner takes the config with the experiment's seed applied and returns
+its columns, rows and summary; ``run_experiment`` writes the one CSV, whose
+header names that config's hash and seed. Identical spec and seed give
+byte-identical CSV output. A tuning campaign file runs through
+``tuning.run_campaign`` (CLI ``flashvmm tune``).
 """
 
 import math
@@ -60,9 +63,10 @@ class ExperimentSpec:
             )
 
 
-def write_csv(path, cfg: ModelConfig, seed: int, columns, rows) -> None:
-    """CSV with the provenance header every artifact carries."""
-    header = f"# flashvmm-csv v{CSV_FORMAT_VERSION} config_hash={config_hash(cfg)} seed={seed}"
+def write_csv(path, cfg: ModelConfig, columns, rows) -> None:
+    """CSV with the provenance header every artifact carries: the hash and
+    seed of the config the rows were made under."""
+    header = f"# flashvmm-csv v{CSV_FORMAT_VERSION} config_hash={config_hash(cfg)} seed={cfg.seed}"
     write_rows(path, columns, rows, header)
 
 
@@ -74,11 +78,11 @@ def extract_slope_factor(v_cg, current, temperature: float) -> float:
 
 # ------------------------------------------------------------ inhibition
 
-def _disturb_sweep(cfg, seed, kind: str):
+def _run_fig3(cfg, kind: str):
     """Per-pulse half-select disturbance vs the inhibiting voltage."""
     cal = cfg.calibration
     inh = cfg.inhibition
-    rng = np.random.default_rng((seed, 0x316A if kind == "program" else 0x316B))
+    rng = np.random.default_rng((cfg.seed, 0x316A if kind == "program" else 0x316B))
     margin = 0.1 * cal.window_width
     vth_lo, vth_hi = cal.v_th_min + margin, cal.v_th_max - margin
 
@@ -104,34 +108,20 @@ def _disturb_sweep(cfg, seed, kind: str):
             after_i = drain_current(after, READOUT_BIAS, cfg.temperature_ref, cfg)
             rels.append(abs(after_i / before_i - 1.0))
         rows.append((float(v), float(np.mean(rels)), float(np.max(rels))))
-    return rows
 
-
-def _run_fig3(cfg, seed, out_dir, kind: str):
-    rows = _disturb_sweep(cfg, seed, kind)
-    name = "fig3a" if kind == "program" else "fig3b"
     volt_col = "bit_line_voltage" if kind == "program" else "coupling_gate_voltage"
-    path = out_dir / f"{name}.csv"
-    write_csv(
-        path, cfg, seed, (volt_col, "mean_abs_rel_di", "max_abs_rel_di"), rows
-    )
-    inhibit_v = (
-        cfg.inhibition.program_bl_inhibit
-        if kind == "program"
-        else cfg.inhibition.erase_cg_inhibit
-    )
+    inhibit_v = inh.program_bl_inhibit if kind == "program" else inh.erase_cg_inhibit
     worst = max(r[2] for r in rows if r[0] >= inhibit_v)
-    return {
-        "csv": [str(path)],
+    return (volt_col, "mean_abs_rel_di", "max_abs_rel_di"), rows, {
         "max_disturb_at_inhibit": worst,
-        "headline": f"{name}: max per-pulse |dI/I| past inhibit bias = "
+        "headline": "max per-pulse |dI/I| past inhibit bias = "
         f"{worst:.2e} (< 1%: {worst < 0.01})",
     }
 
 
 # ------------------------------------------------------------ iv curves
 
-def _run_fig4(cfg, seed, out_dir):
+def _run_fig4(cfg):
     cal = cfg.calibration
     t = cfg.temperature_ref
     n_states = 15
@@ -150,29 +140,26 @@ def _run_fig4(cfg, seed, out_dir):
         extracted.append(extract_slope_factor(sweep[band], currents[band], t))
     extracted = np.array(extracted)
     dev = float(np.max(np.abs(extracted / cfg.n - 1.0)))
-    path = out_dir / "fig4.csv"
-    write_csv(path, cfg, seed, ("state", "v_th", "v_cg", "current"), rows)
-    return {
-        "csv": [str(path)],
+    return ("state", "v_th", "v_cg", "current"), rows, {
         "n_min": float(extracted.min()),
         "n_max": float(extracted.max()),
         "max_rel_dev": dev,
-        "headline": f"fig4: extracted n in [{extracted.min():.4f}, "
+        "headline": f"extracted n in [{extracted.min():.4f}, "
         f"{extracted.max():.4f}], max deviation {dev:.2e}",
     }
 
 
-def _run_fig5(cfg, seed, out_dir):
+def _run_fig5(cfg):
     # states span the subthreshold window at the standard readout; the
     # bake runs at 85 C with periodic reference-temperature verify reads
     # (the calibrated v_th window cannot carry a 100 pA readout at 85 C)
     levels = np.geomspace(1.0e-10, 1.0e-7, 7)
-    cell_seeds = np.random.default_rng((seed, 0xF5)).integers(2**62, size=len(levels))
+    cell_seeds = np.random.default_rng((cfg.seed, 0xF5)).integers(2**62, size=len(levels))
     cells = [
         fresh_cell(cfg, seed=cell_seeds[k], v_th=vth_for_standard_current(lv, cfg))
         for k, lv in enumerate(levels)
     ]
-    rng = np.random.default_rng((seed, 0xF5AA))
+    rng = np.random.default_rng((cfg.seed, 0xF5AA))
     step, day = 2700.0, 86400.0
     times = np.arange(0.0, day + 1.0, step)
 
@@ -192,21 +179,18 @@ def _run_fig5(cfg, seed, out_dir):
                 change = abs(mean / first[k] - 1.0)
                 worst[k] = max(worst.get(k, 0.0), change)
 
-    path = out_dir / "fig5.csv"
-    write_csv(path, cfg, seed, ("time_s", "state", "current_mean128"), rows)
     envelopes = {k: cfg.noise.sigma_at(first[k]) for k in first}
     within = all(worst[k] <= envelopes[k] for k in worst)
     worst_frac = max(worst[k] / envelopes[k] for k in worst)
-    return {
-        "csv": [str(path)],
+    return ("time_s", "state", "current_mean128"), rows, {
         "within_envelope": within,
         "worst_envelope_fraction": float(worst_frac),
-        "headline": f"fig5: day-long change within the noise envelope for all "
+        "headline": "day-long change within the noise envelope for all "
         f"states: {within} (worst fraction {worst_frac:.2f})",
     }
 
 
-def _run_fig6(cfg, seed, out_dir):
+def _run_fig6(cfg):
     cal = cfg.calibration
     vths = np.linspace(cal.v_th_min, cal.v_th_max, 8)
     temps = np.arange(T_25C, T_85C + 1e-9, 2.5)
@@ -221,22 +205,18 @@ def _run_fig6(cfg, seed, out_dir):
                 rows.append((float(level), k, float(tt), float(ii)))
             ratios[level] = currents[-1] / currents[0]
 
-    path = out_dir / "fig6.csv"
-    write_csv(path, cfg, seed, ("level", "cell", "temperature_k", "current"), rows)
     r1na = float(ratios[1.0e-9])
-    return {
-        "csv": [str(path)],
+    return ("level", "cell", "temperature_k", "current"), rows, {
         "ratio_1na": r1na,
         "ratio_10na": float(ratios[1.0e-8]),
         "ratio_100na": float(ratios[1.0e-7]),
-        "headline": f"fig6: I(85C)/I(25C) at 1 nA = {r1na:.2f} (>10: {r1na > 10})",
+        "headline": f"I(85C)/I(25C) at 1 nA = {r1na:.2f} (>10: {r1na > 10})",
     }
 
 
 # --------------------------------------------------------------- tuning
 
-def _run_fig9(cfg, seed, out_dir):
-    cfg = dc_replace(cfg, seed=seed)
+def _run_fig9(cfg):
     campaigns = {
         "uniform_1na": {"kind": "uniform", "current": 1.0e-9},
         "uniform_100na": {"kind": "uniform", "current": 1.0e-7},
@@ -262,22 +242,18 @@ def _run_fig9(cfg, seed, out_dir):
             "pulses_total": summary["pulses_total"],
         }
 
-    path = out_dir / "fig9.csv"
     columns = ("campaign", "cell_number", "row", "col", "target", "final", "rel_error",
                "pulses", "converged")
-    write_csv(path, cfg, seed, columns, rows)
     ramp = metrics["ramp"]
-    return {
-        "csv": [str(path)],
+    return columns, rows, {
         "campaigns": metrics,
-        "headline": "fig9: ramp errors max "
+        "headline": "ramp errors max "
         f"{ramp['max_err_above_1na']:.3f} (>=1 nA) / {ramp['max_err_sub_na']:.3f} "
         f"(sub-nA), {ramp['converged']}/100 converged",
     }
 
 
-def _run_fig10(cfg, seed, out_dir):
-    cfg = dc_replace(cfg, seed=seed)
+def _run_fig10(cfg):
     weights = np.array([0.25, 1.0, 0.5, 0.125])
     freqs = np.array([1.0 / 8.0, 1.0 / 36.0, 1.0 / 180.0, 1.0 / 360.0])
     array = ArrayState.fresh(cfg, rows=4, cols=3)
@@ -293,32 +269,23 @@ def _run_fig10(cfg, seed, out_dir):
     max_err = float(np.abs(err).max())
     rows = [(i, *x, ideal[i], measured[i], err[i]) for i, x in enumerate(inputs)]
 
-    path = out_dir / "fig10.csv"
-    write_csv(
-        path,
-        cfg,
-        seed,
-        ("index", "i1", "i2", "i3", "i4", "ideal", "measured", "rel_error"),
-        rows,
-    )
-    return {
-        "csv": [str(path)],
+    columns = ("index", "i1", "i2", "i3", "i4", "ideal", "measured", "rel_error")
+    return columns, rows, {
         "max_rel_error": max_err,
         "tuning_converged": summary["converged"],
-        "headline": f"fig10: max relative output error = {max_err:.4f} "
+        "headline": f"max relative output error = {max_err:.4f} "
         f"(<= 2%: {max_err <= 0.02})",
     }
 
 
-def _run_fig11(base_cfg, seed, out_dir):
+def _run_fig11(cfg):
     temps = np.arange(T_25C, T_85C + 1e-9, 2.5)
     w_values = np.round(np.arange(0.1, 0.95, 0.1), 2)
     rows = []
     max_drift = 0.0
     max_predicted = 0.0
     for wi, w in enumerate(w_values):
-        cfg = dc_replace(base_cfg, seed=seed + wi)
-        array = ArrayState.fresh(cfg, rows=1, cols=4)
+        array = ArrayState.fresh(dc_replace(cfg, seed=cfg.seed + wi), rows=1, cols=4)
         plan = plan_differential(np.array([[w]]), (T_25C, T_85C), array)
         results, summary = tune_array(array, plan.tune_targets(array, 0.01), 200)
         out = differential_multiply(
@@ -330,26 +297,18 @@ def _run_fig11(base_cfg, seed, out_dir):
         rows += [(float(w), float(t), *r, drift) for t, *r in zip(temps, out, change)]
         max_predicted = max(max_predicted, drift)
 
-    path = out_dir / "fig11.csv"
-    write_csv(
-        path,
-        base_cfg,
-        seed,
-        ("w", "temperature_k", "output", "rel_change_vs_25c", "predicted_drift"),
-        rows,
-    )
-    return {
-        "csv": [str(path)],
+    columns = ("w", "temperature_k", "output", "rel_change_vs_25c", "predicted_drift")
+    return columns, rows, {
         "max_measured_drift": max_drift,
         "max_predicted_drift": max_predicted,
-        "headline": f"fig11: measured drift <= {max_drift:.4f} (2.7% bound: "
+        "headline": f"measured drift <= {max_drift:.4f} (2.7% bound: "
         f"{max_drift <= 0.027}), analytic optimum <= {max_predicted:.4f}",
     }
 
 
 _RUNNERS = {
-    "fig3a": lambda cfg, seed, d: _run_fig3(cfg, seed, d, "program"),
-    "fig3b": lambda cfg, seed, d: _run_fig3(cfg, seed, d, "erase"),
+    "fig3a": lambda cfg: _run_fig3(cfg, "program"),
+    "fig3b": lambda cfg: _run_fig3(cfg, "erase"),
     "fig4": _run_fig4,
     "fig5": _run_fig5,
     "fig6": _run_fig6,
@@ -361,11 +320,14 @@ EXPERIMENT_IDS = tuple(_RUNNERS)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
-    """Regenerate the named dataset; returns csv paths and headline metrics."""
-    seed = spec.cfg.seed if spec.seed is None else int(spec.seed)
+    """Regenerate the named dataset as ``<id>.csv`` in the output directory,
+    under the config with the spec's seed applied; returns the csv path and
+    headline metrics."""
+    cfg = spec.cfg if spec.seed is None else dc_replace(spec.cfg, seed=int(spec.seed))
+    columns, rows, summary = _RUNNERS[spec.experiment_id](cfg)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = _RUNNERS[spec.experiment_id](spec.cfg, seed, out_dir)
-    summary["experiment"] = spec.experiment_id
-    summary["seed"] = seed
-    return summary
+    path = out_dir / f"{spec.experiment_id}.csv"
+    write_csv(path, cfg, columns, rows)
+    summary["headline"] = f"{spec.experiment_id}: {summary['headline']}"
+    return {"csv": [str(path)], **summary, "experiment": spec.experiment_id, "seed": cfg.seed}

@@ -222,7 +222,7 @@ def _check_drift_scan(temp_range) -> float:
     require_positive("temp_range", t_lo)
     require_positive("temp_range", t_hi)
     if not t_lo < t_hi:
-        raise ValueError("temperature range must be ordered")
+        raise ValueError(f"temp_range must be ordered: low < high, got ({t_lo}, {t_hi})")
     return t_lo
 
 
@@ -261,9 +261,13 @@ def _drift(w_plus, w_minus, temps, reference, libm: bool = True):
 
 def differential_drift(w_plus: float, w_minus: float, temp_range) -> float:
     """Worst-case relative drift of w+ - w- over the interval, against its
-    value at the range's low end, on a 1 K grid (analytic)."""
-    if not (w_plus > w_minus and w_minus > 0.0):
-        raise ValueError("w_plus must exceed w_minus, and w_minus must be > 0")
+    value at the range's low end, on a 1 K grid (analytic). A ValueError
+    names ``w_plus`` or ``w_minus`` unless both are finite, positive and
+    w_plus > w_minus."""
+    require_positive("w_plus", w_plus)
+    require_positive("w_minus", w_minus)
+    if not w_plus > w_minus:
+        raise ValueError(f"w_plus must exceed w_minus, got {w_plus} <= {w_minus}")
     t0 = _check_drift_scan(temp_range)
     return float(_drift(float(w_plus), float(w_minus), _drift_temps(temp_range), t0))
 

@@ -218,7 +218,9 @@ def cli_out(result):
 # ------------------------------------------------------------ the table
 
 VOLTS = {name: Param(name, lo=-12.0, hi=12.0) for name in ("v_wl", "v_cg", "v_d", "v_s", "v_eg")}
-PAIR_T = dict(kind="pair", lo=0.0, open_lo=True, draw=(T_MIN, T_MAX))
+# a reversed or an empty range is refused too
+PAIR_T = dict(kind="pair", lo=0.0, open_lo=True, draw=(T_MIN, T_MAX),
+              extra=((T_85C, T_25C), (T_25C, T_25C)))
 READ_PARAMS = (
     temperature(optional=True), count("samples", 1, draw=(1, 16)), Param("noisy", "flag")
 )
@@ -382,8 +384,10 @@ TABLE = [
           (Param("temp_range", **PAIR_T),), dict(temp_range=(T_25C, T_85C)), lambda p: p.w_b,
           lambda: center_array(1, 4)),
     Entry("vmm.differential_drift", "differential_drift",
-          lambda s, **kw: vmm.differential_drift(0.6, 0.2, **kw),
-          (Param("temp_range", **PAIR_T),), dict(temp_range=(T_25C, T_85C))),
+          lambda s, **kw: vmm.differential_drift(**kw),
+          (positive("w_plus", draw=(0.3, 1.0)), positive("w_minus", draw=(1e-3, 0.5)),
+           Param("temp_range", **PAIR_T)),
+          dict(w_plus=0.6, w_minus=0.2, temp_range=(T_25C, T_85C))),
     Entry("vmm.golden_section_min", "golden_section_min",
           lambda s, **kw: vmm.golden_section_min(lambda x: (x - 0.3) ** 2, **kw),
           (Param("lo", draw=(-1.0, 1.0), extra=(1.5, 2.0)),  # above hi: a reversed bracket

@@ -234,6 +234,19 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert "fig6:" in out and (tmp_path / "fig6.csv").exists()
 
 
+def test_experiment_seeds_its_config_like_state_init(tmp_path):
+    # --seed replaces the file's seed before the n_slope range is resolved
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("seed: 12345\nn_slope: [5.0, 5.1]\n")
+    flags = ["--config", str(cfg), "--seed", "7"]
+    assert main(["experiment", "fig4", "--out", str(tmp_path), *flags]) == 0
+    assert main(["state", "init", "--rows", "1", "--cols", "3", "--out", str(tmp_path / "s.txt"), *flags]) == 0
+    state_hash = re.search(r"config_hash=(\w+)", (tmp_path / "s.txt").read_text()).group(1)
+    assert state_hash == "3aecb0bcb55d"
+    header = (tmp_path / "fig4.csv").read_text().splitlines()[0]
+    assert header == f"# flashvmm-csv v1 config_hash={state_hash} seed=7"
+
+
 def test_error_is_machine_readable(tmp_path, capsys):
     code = main(["state", "info", str(tmp_path / "missing.txt")])
     assert code == 1

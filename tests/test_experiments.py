@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,17 @@ def test_csv_provenance_header(tmp_path):
     assert first.startswith("# flashvmm-csv v1 ")
     assert f"config_hash={config_hash(CFG)}" in first
     assert f"seed={CFG.seed}" in first
+
+
+def test_every_header_hashes_the_config_with_the_seed_applied(tmp_path):
+    # fig4 once hashed the config as given, fig10 the config with the seed replaced
+    want = config_hash(replace(CFG, seed=7))
+    assert want == "47e49c977d75"
+    for eid in ("fig4", "fig10"):
+        summary = run(eid, tmp_path, seed=7)
+        with open(summary["csv"][0]) as fh:
+            assert fh.readline() == f"# flashvmm-csv v1 config_hash={want} seed=7\n", eid
+        assert summary["seed"] == 7
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -425,7 +425,7 @@ def test_ziggurat_tables_reproduce_every_index():
     [((1, 4), 64), ((3, 5), 64), ((32, 34), 64), ((64, 66), 64)],
     ids=["1x4", "3x5", "32x34", "64x66"],
 )
-def test_draw_ahead_width_follows_drawn_cells_per_pulse(shape, width):
+def test_draw_ahead_ring_has_one_width_for_every_array(shape, width):
     # one ring width for every array, however few cells a pulse draws
     array = ArrayState.fresh(DEFAULT_CONFIG, rows=shape[0], cols=shape[1], initial="center")
     assert array._ahead is None  # made by the first drawing pulse

@@ -305,8 +305,10 @@ class TestBiasWeightOptimization:
         "pair", [(0.5, 0.5), (0.4, 0.5), (0.5, 0.0), (0.5, -0.1), (math.nan, 0.2), (0.5, math.nan)]
     )
     def test_drift_needs_w_plus_above_positive_w_minus(self, pair):
-        # w+ == w- used to return NaN with only a RuntimeWarning
-        with pytest.raises(ValueError, match="w_plus"):
+        # w+ == w- used to return NaN with only a RuntimeWarning; a w- that
+        # is not finite and positive is refused under its own name
+        field = "w_plus" if pair[1] > 0 else "w_minus"
+        with pytest.raises(ValueError, match=f"^{field} "):
             differential_drift(*pair, (T_25C, T_85C))
 
     @pytest.mark.parametrize("w", [W_MIN / 10, 1e-11, 1e-15, 1e-17])
