@@ -9,7 +9,11 @@ non-zero exit or on any failed op. Each run's line shows its
 then runs each workload at seeds 1 and 7311 past its checkpoint and
 compares the checkpoint digest with the value pinned in ``PINNED``: a
 change meant only to speed up the simulator leaves these unchanged. A
-run that ends before its checkpoint fails as such. Last, it runs CLI
+run that ends before its checkpoint fails as such. It then replays the
+first ``LONG_OPS`` ops of each workload at the same seeds on the working
+tree and on the parent commit (see below), far past the checkpoints, and
+fails unless each workload digest and each op's measurement-stream state
+are the same. Last, it runs CLI
 ``multiply`` on the working tree and on the parent commit (see below),
 single and differential, each with and without ``--noisy``, CLI
 ``tune`` on a 4x6 and a 32x34 ramp campaign, and CLI ``experiment`` of
@@ -56,6 +60,9 @@ PINNED = {
 RUN_SECONDS = 30.0
 # op seconds that pass every workload's checkpoint (256 mvm-noisy ops take about 2 s)
 CHECKPOINT_SECONDS = 5.0
+# ops replayed on the working tree and the parent at each PINNED seed: the
+# tune-ramp checkpoint covers 16 ops, 16 of the 1,024 targets of an array
+LONG_OPS = {"tune-ramp": 2500, "mvm-noisy": 60, "diff-program": 300}
 # every diff-program op seen failing its drift bound had w <= 0.1101
 TAIL_W = 0.125
 # the CLI multiply run compared with the parent's: 3 rows, 2 logical columns
@@ -108,16 +115,35 @@ def replay_ops(seed, attempted, only=None):
     return out
 
 
-def replay(root, seed, attempted, only=None):
-    """``replay_ops`` in a fresh process, on the ``src`` and ``bench`` of
-    the tree at ``root``."""
+def replay_long(workload, seed, n_ops):
+    """[workload digest, sha256 of the measurement-stream state after each
+    op] of the first ``n_ops`` ops of ``workload`` at ``seed``, checked as
+    the benchmark checks them. Runs in this process on the ``flashvmm``
+    and ``workloads`` modules that ``sys.path`` finds."""
+    import flashvmm
+    from workloads import WORKLOADS
+
+    wl = WORKLOADS[workload](flashvmm, seed)
+    states = hashlib.sha256()
+    for i in range(n_ops):
+        inp = wl.next_input(i)
+        out = wl.op(inp)
+        wl.check(inp, out)
+        array = getattr(out, "array", None) or wl.array  # diff-program tunes a fresh array per op
+        states.update(json.dumps(array.measure_rng.bit_generator.state, sort_keys=True).encode())
+    return [wl.digest(), states.hexdigest()]
+
+
+def in_tree(root, func, *args):
+    """``func(*args)`` of this script in a fresh process, on the ``src``
+    and ``bench`` of the tree at ``root``; its JSON result."""
     code = (
         "import json, sys; sys.path[:0] = sys.argv[1:4]; import gate; "
-        "print(json.dumps(gate.replay_ops(*json.loads(sys.argv[4]))))"
+        f"print(json.dumps(gate.{func}(*json.loads(sys.argv[4]))))"
     )
     paths = [str(Path(root) / "src"), str(Path(root) / "bench"), str(ROOT / "scripts")]
     proc = subprocess.run(
-        [sys.executable, "-c", code, *paths, json.dumps([seed, attempted, only])],
+        [sys.executable, "-c", code, *paths, json.dumps(args)],
         capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
@@ -195,14 +221,14 @@ def label_tail(seed, attempted):
     """Prints each failing diff-program op with w < ``TAIL_W`` at ``seed``,
     labelled ``inherited`` when the parent commit fails it with the same
     digest and ``new`` otherwise."""
-    failing = [r for r in replay(ROOT, seed, attempted) if not r[2]]
+    failing = [r for r in in_tree(ROOT, "replay_ops", seed, attempted) if not r[2]]
     if not failing:
         print(f"{'':13s} replay: no op with w < {TAIL_W} fails, "
               "so the failure is not the known noise tail")
         return
     rev = parent_rev()
     with parent_tree(rev) as parent:
-        there = replay(parent, seed, attempted, [op for op, *_ in failing])
+        there = in_tree(parent, "replay_ops", seed, attempted, [op for op, *_ in failing])
     at_parent = {op: (passed, digest) for op, _, passed, digest in there}
     for op, w, _, digest in failing:
         label = "inherited" if at_parent.get(op) == (False, digest) else "new"
@@ -242,6 +268,16 @@ def main(argv=None):
         print(f"{workload:13s} seed {seed:6d}: checkpoint {digest} {'FAIL' if fault else 'ok'}")
         if fault:
             faults.append(f"{workload} seed {seed}: {fault}")
+    rev = parent_rev()
+    with parent_tree(rev) as parent:
+        for workload, n_ops in LONG_OPS.items():
+            for seed in sorted({seed for _, seed in PINNED}):
+                ours = in_tree(ROOT, "replay_long", workload, seed, n_ops)
+                same = ours == in_tree(parent, "replay_long", workload, seed, n_ops)
+                print(f"{workload:13s} seed {seed:6d}: {n_ops} ops, digest {ours[0][:16]} "
+                      f"and stream states {'equal' if same else 'FAIL differ from'} {rev}")
+                if not same:
+                    faults.append(f"{workload} seed {seed}: {n_ops}-op replay differs from {rev}")
     rev, files, differ = cli_diff()
     print(f"{'cli':13s} {files} output files against {rev}: "
           + (f"FAIL {', '.join(differ)} differ" if differ else "byte-identical"))

@@ -146,26 +146,42 @@ def bias_table(kind: PulseKind, inh: InhibitionParams) -> tuple:
     return tuple(table)
 
 
-@functools.lru_cache(maxsize=16)
-def _pulse_cells(rows, cols, row, col, kind, inh, draws) -> tuple:
-    """Row-major flat indices of the target's row and column (of every cell
-    if the unselected class draws, as when ``inh.floor`` lifts its select
-    factor to ``SF_DRAW_MIN``; ``draws`` is sigma > 0), class by class in
-    ``ROLES`` order with the drawing classes first; their select factors;
-    how many draw; the unselected factor."""
+# the pieces of each role class in a target's line, in ``_line_cells`` numbering
+_CLASS_PIECES = ((0,), (1, 2), (3, 4), (5, 6, 7, 8))
+
+
+@functools.lru_cache(maxsize=64)
+def _line_layout(rows, cols, kind, inh, draws, sign) -> tuple:
+    """What the line of every target in a rows x cols array shares for
+    one pulse kind: the row-major flat index grid; the order of the
+    line's pieces (see ``_line_cells``), class by class in ``ROLES``
+    order with the drawing classes first (every piece of the unselected
+    class joins only if it draws, as when ``inh.floor`` lifts its select
+    factor to ``SF_DRAW_MIN``; ``draws`` is sigma > 0); the pieces'
+    select factors times ``sign``, which depend only on the class sizes;
+    how many cells draw; the unselected factor times ``sign``."""
     factors = [sf for _, sf in bias_table(kind, inh)]
     drawn = [draws and sf >= SF_DRAW_MIN for sf in factors]
+    sizes = (1, cols - 1, rows - 1, (rows - 1) * (cols - 1))
+    classes = sorted(range(4 if drawn[3] else 3), key=lambda k: not drawn[k])  # stable
+    order = tuple(piece for k in classes for piece in _CLASS_PIECES[k])
+    # +-1 scales exactly, so a signed factor times a step is the signed product
+    sf = np.repeat([sign * factors[k] for k in classes], [sizes[k] for k in classes])
     grid = np.arange(rows * cols).reshape(rows, cols)
+    grid.flags.writeable = sf.flags.writeable = False
+    return grid, order, sf, sum(sizes[k] for k in classes if drawn[k]), sign * factors[3]
+
+
+def _line_cells(grid, row, col, order) -> np.ndarray:
+    """Flat indices of the target's line, piece by piece in ``order``: the
+    target (0), its row left and right of it (1, 2), its column above and
+    below it (3, 4), and the unselected cells above-left, above-right,
+    below-left and below-right of it (5 to 8)."""
     top, left, right, bottom = slice(row), slice(col), slice(col + 1, None), slice(row + 1, None)
-    pieces = [(grid[row, col:col + 1], 0), (grid[row, left], 1), (grid[row, right], 1),
-              (grid[top, col], 2), (grid[bottom, col], 2)]
-    if drawn[3]:
-        pieces += [(grid[r, c].ravel(), 3) for r in (top, bottom) for c in (left, right)]
-    pieces.sort(key=lambda piece: not drawn[piece[1]])  # stable: drawing classes first
-    cells = np.concatenate([piece for piece, _ in pieces])
-    sf = np.repeat([factors[k] for _, k in pieces], [piece.size for piece, _ in pieces])
-    cells.flags.writeable = sf.flags.writeable = False
-    return cells, sf, sum(piece.size for piece, k in pieces if drawn[k]), factors[3]
+    pieces = [grid[row, col:col + 1], grid[row, left], grid[row, right], grid[top, col], grid[bottom, col]]
+    if len(order) > 5:
+        pieces += [grid[r, c].ravel() for r in (top, bottom) for c in (left, right)]
+    return np.concatenate([pieces[p] for p in order])
 
 
 class ArrayState:
@@ -323,13 +339,15 @@ class ArrayState:
 
         ``pulse(kind, duration, amplitude)`` returns the signed v_th change
         of every cell. The unselected class takes one whole-array shift;
-        the kind's ``_pulse_cells`` line, resolved at its first pulse,
-        takes its classes' shifts, and its drawing cells their factors
-        from their rings. ``_cover`` checks those rings at the kind's first
-        pulse and whenever the pulses of both kinds since may have used
-        all the draws it found covered. ``read(samples)`` is ``readout``
-        at the standard bias and ``temperature``, from the measurement
-        stream if ``noisy``.
+        the kind's line, resolved at its first pulse from its shape's
+        ``_line_layout``, takes its classes' shifts, and its drawing cells
+        their factors from their rings. The second kind's line takes the
+        first's cells and ring check when it draws the same cells (the
+        same piece order and drawing count). ``_cover`` checks a line's
+        rings at the first pulse that draws from them and whenever the
+        pulses of both kinds since may have used all the draws it found
+        covered. ``read(samples)`` is ``readout`` at the standard bias and
+        ``temperature``, from the measurement stream if ``noisy``.
         """
         self._check_target(row, col)
         require_flag("noisy", noisy)
@@ -339,36 +357,47 @@ class ArrayState:
         rng = self.measure_rng if noisy else None
         word_line_on = READOUT_BIAS.v_wl >= cfg.wl_on_threshold
         sigma = cfg.pulse.variability_sigma
-        # per pulse kind, program then erase: its resolved line, the pulses its
-        # rings are known to cover, and the rings' first slots
+        # per pulse kind, program then erase: its resolved line; per ring
+        # check, one per kind unless the two lines share theirs: the pulses
+        # its rings are known to cover, and the rings' first slots
         lines, left, slots = [None, None], [0, 0], [None, None]
+
+        def resolve(kind, k):
+            step, sign, limit = pulse_law(kind, cfg)
+            grid, order, sf, drawn, sf_unselected = _line_layout(
+                rows, cols, kind, cfg.inhibition, sigma > 0.0, sign
+            )
+            other = lines[1 - k]
+            if other is not None and other[:2] == (order, drawn):  # the same cells draw
+                ring, cells, ring_cells = other[2:5]
+            else:
+                ring, cells = k, _line_cells(grid, row, col, order)
+                ring_cells = cells[:drawn]
+            clamp = np.minimum if sign > 0 else np.maximum
+            return order, drawn, ring, cells, ring_cells, sf, sf_unselected, step, limit, clamp
 
         def pulse(kind, duration, amplitude):
             if duration == 0.0:  # neither state nor disturb accounting moves
                 return np.zeros((rows, cols))
             k = kind is PulseKind.ERASE
             if lines[k] is None:
-                cells, sf, drawn, sf_unselected = _pulse_cells(
-                    rows, cols, row, col, kind, cfg.inhibition, sigma > 0.0
-                )
-                lines[k] = (cells, sf, drawn, sf_unselected, cells[:drawn], *pulse_law(kind, cfg))
-            cells, sf, drawn, sf_unselected, ring_cells, step, sign, limit = lines[k]
+                lines[k] = resolve(kind, k)
+            _, drawn, ring, cells, ring_cells, sf, sf_unselected, step, limit, clamp = lines[k]
             step = step(duration, amplitude)
             magnitude = step * sf
             if drawn:
-                if left[k] <= 0:
-                    left[k] = self._cover(ring_cells, sigma)
-                    slots[k] = ring_cells * self._ahead.shape[1]
+                if left[ring] <= 0:
+                    left[ring] = self._cover(ring_cells, sigma)
+                    slots[ring] = ring_cells * self._ahead.shape[1]
                 counts = self.rng_counts.take(ring_cells)
-                magnitude[:drawn] *= self._ahead.take(slots[k] + counts % self._ahead.shape[1])
+                magnitude[:drawn] *= self._ahead.take(slots[ring] + counts % self._ahead.shape[1])
                 self.rng_counts.put(ring_cells, counts + 1)
                 left[0] -= 1
                 left[1] -= 1
-            clamp = np.minimum if sign > 0 else np.maximum
             old = self.v_th.copy()
-            line = old.take(cells) + sign * magnitude
+            line = old.take(cells) + magnitude
             clamp(line, limit, out=line)
-            self.v_th += sign * (step * sf_unselected)
+            self.v_th += step * sf_unselected
             clamp(self.v_th, limit, out=self.v_th)
             self.v_th.put(cells, line)
             dvth = self.v_th - old

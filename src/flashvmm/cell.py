@@ -141,6 +141,7 @@ def readout(v_th, bias, temperature, cfg, samples=1, rng=None):
     each the deterministic current times (1 + eps), eps zero-mean Gaussian
     at the relative sigma of the config's noise envelope.
     """
+    require_finite("v_th", v_th)
     if rng is not None:
         require_count("samples", samples)
     check_temperature(temperature)
@@ -157,7 +158,10 @@ def readout_law(v_th, v_cg, temperature, cfg, samples, rng):
     sigma = cfg.noise.sigma_at(ideal)
     if sigma == 0.0:
         return ideal
-    mean = ideal * float((1.0 + sigma * rng.standard_normal(samples)).sum() / samples)  # as .mean()
+    z = rng.standard_normal(samples)
+    z *= sigma
+    z += 1.0
+    mean = ideal * float(np.add.reduce(z) / samples)  # as .mean(), summed pairwise
     return max(mean, 1.0e-6 * ideal)
 
 
@@ -526,5 +530,4 @@ def vth_for_standard_current(current: float, cfg: ModelConfig = DEFAULT_CONFIG) 
 
 def standard_current(v_th: float, cfg: ModelConfig = DEFAULT_CONFIG) -> float:
     """Readout current at the standard bias and ``cfg.temperature_ref`` [A]."""
-    require_finite("v_th", v_th)
     return readout(v_th, READOUT_BIAS, cfg.temperature_ref, cfg)

@@ -260,9 +260,9 @@ TABLE = [
           lambda s, **kw: flashvmm.drain_current(cell(), READOUT_BIAS, cfg=CFG, **kw),
           (temperature(),), dict(temperature=T_25C)),
     Entry("readout", "readout",
-          lambda s, **kw: flashvmm.readout(
-              cell().v_th, READOUT_BIAS, cfg=CFG, rng=np.random.default_rng(0), **kw),
-          (temperature(), count("samples", 1, draw=(1, 16))), dict(temperature=T_25C, samples=8)),
+          lambda s, **kw: flashvmm.readout(bias=READOUT_BIAS, cfg=CFG, rng=np.random.default_rng(0), **kw),
+          (Param("v_th", draw=(0.0, 10.0)), temperature(), count("samples", 1, draw=(1, 16))),
+          dict(v_th=CFG.calibration.v_th_center, temperature=T_25C, samples=8)),
     Entry("retention_hold", "retention_hold",
           lambda s, **kw: flashvmm.retention_hold(cell(), cfg=WALK_CFG, **kw),
           (Param("duration", lo=0.0, draw=(0.0, 1e7)), temperature()),

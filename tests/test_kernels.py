@@ -183,6 +183,54 @@ def test_draw_threshold_classes():
     assert np.all(array.rng_counts == 1)
 
 
+def reference_pulse_cells(rows, cols, row, col, kind, inh, draws):
+    """A target's line built piece by piece: row-major flat indices of its
+    row and column (of every cell if the unselected class draws), class by
+    class in ``ROLES`` order with the drawing classes first; their select
+    factors; how many draw; the unselected factor."""
+    factors = [sf for _, sf in bias_table(kind, inh)]
+    drawn = [draws and sf >= SF_DRAW_MIN for sf in factors]
+    grid = np.arange(rows * cols).reshape(rows, cols)
+    top, left, right, bottom = slice(row), slice(col), slice(col + 1, None), slice(row + 1, None)
+    pieces = [(grid[row, col:col + 1], 0), (grid[row, left], 1), (grid[row, right], 1),
+              (grid[top, col], 2), (grid[bottom, col], 2)]
+    if drawn[3]:
+        pieces += [(grid[r, c].ravel(), 3) for r in (top, bottom) for c in (left, right)]
+    pieces.sort(key=lambda piece: not drawn[piece[1]])  # stable: drawing classes first
+    cells = np.concatenate([piece for piece, _ in pieces])
+    sf = np.repeat([factors[k] for _, k in pieces], [piece.size for piece, _ in pieces])
+    return cells, sf, sum(piece.size for piece, k in pieces if drawn[k]), factors[3]
+
+
+# at floors 1e-2 and 5e-2 the unselected class draws for both kinds
+@pytest.mark.parametrize("floor", (1e-4, 1e-2, 5e-2))
+def test_line_layout_matches_piecewise_construction(floor):
+    # every target's line from its shape's layout equals the line built
+    # piece by piece, the factors signed by the kind's pulse law
+    inh = InhibitionParams(floor=floor)
+    for rows, cols in [(1, 1), (1, 4), (4, 1), (3, 5), (10, 12), (32, 34)]:
+        for kind, draws in itertools.product(PulseKind, (True, False)):
+            sign = cell_mod.pulse_law(kind, DEFAULT_CONFIG)[1]
+            grid, order, sf, drawn, sf_unselected = array_mod._line_layout(
+                rows, cols, kind, inh, draws, sign
+            )
+            for row, col in itertools.product(range(rows), range(cols)):
+                cells, ref_sf, ref_drawn, ref_unselected = reference_pulse_cells(
+                    rows, cols, row, col, kind, inh, draws
+                )
+                assert_bits_equal(array_mod._line_cells(grid, row, col, order), cells)
+                assert_bits_equal(sf, sign * ref_sf)
+                assert drawn == ref_drawn
+                assert sf_unselected == sign * ref_unselected
+
+
+def line_key(cfg, kind):
+    """(piece order, drawing count) of a kind's line on a 4x5 array."""
+    sign = cell_mod.pulse_law(kind, cfg)[1]
+    layout = array_mod._line_layout(4, 5, kind, cfg.inhibition, cfg.pulse.variability_sigma > 0.0, sign)
+    return layout[1], layout[3]
+
+
 def count_calls(monkeypatch, owner, name):
     """Replace ``owner.name`` with a wrapper that counts its calls."""
     calls = []
@@ -782,7 +830,31 @@ def tune_both(fast, slow, targets, budget, events, edits=()):
     return results
 
 
-TUNE_CONFIGS = {"default": DEFAULT_CONFIG, "sigma 0": CONFIGS[(1e-4, 0.0)], "floor 1e-2": CONFIGS[(1e-2, 0.3)]}
+TUNE_CONFIGS = {
+    "default": DEFAULT_CONFIG,
+    "sigma 0": CONFIGS[(1e-4, 0.0)],
+    "floor 1e-2": CONFIGS[(1e-2, 0.3)],
+    # erase draws the unselected class, program does not
+    "floor 2e-3": ModelConfig(inhibition=InhibitionParams(floor=2e-3)),
+    # program draws the target and its row, erase the target alone: the
+    # same piece order with drawing prefixes of different length
+    "program row only": ModelConfig(inhibition=InhibitionParams(floor=1e-7, program_bl_inhibit=3.0)),
+}
+
+
+def test_tune_configs_cover_the_sharing_rule():
+    # a kernel gives both kinds one line and one ring check only when they
+    # draw the same cells; "floor 2e-3" and "program row only" pulse both
+    # kinds without sharing, the latter on lines of the same piece order
+    shared = {name: line_key(cfg, PulseKind.PROGRAM) == line_key(cfg, PulseKind.ERASE)
+              for name, cfg in TUNE_CONFIGS.items()}
+    assert shared == {"default": True, "sigma 0": True, "floor 1e-2": True,
+                      "floor 2e-3": False, "program row only": False}
+    cfg = TUNE_CONFIGS["floor 2e-3"]
+    assert [line_key(cfg, kind)[1] for kind in PulseKind] == [4 + 5 - 1, 4 * 5]
+    cfg = TUNE_CONFIGS["program row only"]
+    (program_order, program_drawn), (erase_order, erase_drawn) = (line_key(cfg, k) for k in PulseKind)
+    assert program_order == erase_order and (program_drawn, erase_drawn) == (5, 1)
 
 
 @pytest.mark.parametrize("name", TUNE_CONFIGS)
