@@ -50,6 +50,9 @@ _MEASURE_STREAM_TAG = 0xA77A
 # and 96 in 30 s tune-ramp runs, 64 and 96 were the fastest, within
 # run-to-run spread; 64 has the lower tail and peak RSS.
 DRAW_AHEAD = 64
+# rows of draws a kernel gathers from the rings at once (see _Kernel); of 4,
+# 8, 12, 16, 24 and 64, 16 and 24 gave the fastest tune-ramp median op
+_BLOCK_ROWS = 16
 
 STATE_FORMAT_VERSION = 2
 STATE_COLUMNS = "row,col,v_th,seed,draws"
@@ -77,16 +80,6 @@ class DisturbLog:
             np.zeros(rows, dtype=np.int64),
             np.zeros(cols, dtype=np.int64),
         )
-
-    def record(self, row: int, col: int, dvth: np.ndarray) -> None:
-        """Count one pulse on (row, col) and add its off-target |dvth|."""
-        exposure = np.abs(dvth)
-        exposure[row, col] = 0.0  # the intended shift is not disturb
-        self.cumulative_dvth += exposure
-        self.targeted[row, col] += 1
-        self.row_pulses[row] += 1
-        self.col_pulses[col] += 1
-        self.pulses += 1
 
     @property
     def counts(self) -> MappingProxyType:
@@ -182,6 +175,138 @@ def _line_cells(grid, row, col, order) -> np.ndarray:
     if len(order) > 5:
         pieces += [grid[r, c].ravel() for r in (top, bottom) for c in (left, right)]
     return np.concatenate([pieces[p] for p in order])
+
+
+class _Kernel:
+    """One target's pulses and reads, checked once; valid while only it
+    changes the array. ``tune_cell`` opens one per target as a context
+    manager, ``pulse_cell`` and ``read_cell`` one per call.
+
+    ``pulse(kind, duration, amplitude)`` returns the signed v_th change of
+    every cell; the kind's line comes from its shape's ``_line_layout``
+    and is shared with the other kind when both draw the same cells.
+    ``_cover`` checks the line's rings at its first drawing pulse and once
+    the pulses since may have used the draws it found covered. Later
+    pulses take their factors from a block of up to ``_BLOCK_ROWS`` draws;
+    the draws reach ``rng_counts`` before a check, before a pulse on the
+    other kind's line and at ``close``, which also counts the pulses in
+    the disturb log. ``read(samples)`` is ``readout`` at the standard
+    bias and ``temperature``, from the measurement stream if ``noisy``.
+    """
+
+    __slots__ = ("array", "row", "col", "t", "rng", "lines", "until", "slots", "drawn", "pulses",
+                 "active", "counts", "synced", "block")
+
+    def __init__(self, array, row: int, col: int, temperature: float = None, noisy: bool = True):
+        array._check_target(row, col)
+        require_flag("noisy", noisy)
+        t = array.cfg.temperature_ref if temperature is None else temperature
+        check_temperature(t)
+        self.array, self.row, self.col, self.t = array, row, col, t
+        self.rng = array.measure_rng if noisy else None
+        # per kind, program then erase, its line; per ring check (one per kind
+        # unless the lines share it) the drawing pulse it covers up to and the
+        # rings' first slots; the drawing pulses and the pulses not yet counted
+        self.lines, self.until, self.slots = [None, None], [0, 0], [None, None]
+        self.drawn = self.pulses = 0
+        # the ring cells whose draws are not written back, their counts at
+        # drawing pulse ``synced``, and the rows left of their block
+        self.active, self.counts, self.synced, self.block = None, None, 0, iter(())
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        """Write the draws and disturb counts of the pulses so far to the array."""
+        self._write_back()
+        log, n = self.array.disturb, self.pulses
+        log.targeted[self.row, self.col] += n
+        log.row_pulses[self.row] += n
+        log.col_pulses[self.col] += n
+        log.pulses += n
+        self.pulses = 0
+
+    def _write_back(self) -> None:
+        if self.drawn > self.synced:
+            self.array.rng_counts.put(self.active, self.counts + (self.drawn - self.synced))
+        self.active, self.synced, self.block = None, self.drawn, iter(())
+
+    def _resolve(self, kind, k) -> tuple:
+        array, cfg = self.array, self.array.cfg
+        step, sign, limit = pulse_law(kind, cfg)
+        grid, order, sf, drawn, sf_unselected = _line_layout(
+            array.rows, array.cols, kind, cfg.inhibition, cfg.pulse.variability_sigma > 0.0, sign
+        )
+        other = self.lines[1 - k]
+        if other is not None and other[:2] == (order, drawn):  # the same cells draw
+            ring, cells, ring_cells = other[2:5]
+        else:
+            ring, cells = k, _line_cells(grid, self.row, self.col, order)
+            ring_cells = cells[:drawn]
+        magnitude = np.empty(cells.size)
+        clamp = np.minimum if sign > 0 else np.maximum
+        self.lines[k] = (order, drawn, ring, cells, ring_cells, sf, magnitude, magnitude[:drawn],
+                         sf_unselected, step, limit, clamp)
+        return self.lines[k]
+
+    def _factors(self, ring, ring_cells) -> np.ndarray:
+        """This pulse's factors when no block row is left: one row after the
+        line reads its counts, else the first of a new block."""
+        array, n = self.array, self.drawn
+        if self.active is not ring_cells or n >= self.until[ring]:
+            if self.active is not None:  # rng_counts current for the check and the other line
+                self._write_back()
+            if n >= self.until[ring]:
+                self.until[ring] = n + array._cover(ring_cells, array.cfg.pulse.variability_sigma)
+                self.slots[ring] = ring_cells * array._ahead.shape[1]
+            self.active, self.counts = ring_cells, array.rng_counts.take(ring_cells)
+        width, draws = array._ahead.shape[1], n - self.synced
+        if draws == 0:
+            return array._ahead.take(self.slots[ring] + self.counts % width)
+        index = self.counts + np.arange(draws, draws + min(self.until[ring] - n, _BLOCK_ROWS))[:, None]
+        index %= width
+        index += self.slots[ring]
+        self.block = iter(array._ahead.take(index))
+        return next(self.block)
+
+    def pulse(self, kind, duration, amplitude) -> np.ndarray:
+        array = self.array
+        if duration == 0.0:  # neither state nor disturb accounting moves
+            return np.zeros((array.rows, array.cols))
+        k = kind is PulseKind.ERASE
+        _, drawn, ring, cells, ring_cells, sf, magnitude, head, sf_unselected, step, limit, clamp = (
+            self.lines[k] or self._resolve(kind, k)
+        )
+        step = step(duration, amplitude)
+        np.multiply(sf, step, magnitude)
+        if drawn:
+            factors = next(self.block, None) if self.active is ring_cells else None
+            head *= self._factors(ring, ring_cells) if factors is None else factors
+            self.drawn += 1
+        v_th = array.v_th
+        old = v_th.copy()
+        line = old.take(cells)
+        line += magnitude
+        clamp(line, limit, out=line)
+        v_th += step * sf_unselected
+        clamp(v_th, limit, out=v_th)
+        v_th.put(cells, line)
+        dvth = v_th - old
+        exposure = np.abs(dvth)
+        exposure[self.row, self.col] = 0.0  # the intended shift is not disturb
+        array.disturb.cumulative_dvth += exposure
+        self.pulses += 1
+        return dvth
+
+    def read(self, samples: int) -> float:
+        cfg, v_th = self.array.cfg, self.array.v_th.item(self.row, self.col)
+        require_finite("v_th", v_th)
+        if READOUT_BIAS.v_wl < cfg.wl_on_threshold:
+            return 0.0
+        return readout_law(v_th, READOUT_BIAS.v_cg, self.t, cfg, samples, self.rng)
 
 
 class ArrayState:
@@ -333,98 +458,21 @@ class ArrayState:
         self._ahead_seed[cells] = seeds
         return width
 
-    def _kernel(self, row: int, col: int, temperature: float = None, noisy: bool = True) -> tuple:
-        """(pulse, read) of one target, checked once; valid while only they
-        change the array (``tune_cell`` opens one per target).
-
-        ``pulse(kind, duration, amplitude)`` returns the signed v_th change
-        of every cell. The unselected class takes one whole-array shift;
-        the kind's line, resolved at its first pulse from its shape's
-        ``_line_layout``, takes its classes' shifts, and its drawing cells
-        their factors from their rings. The second kind's line takes the
-        first's cells and ring check when it draws the same cells (the
-        same piece order and drawing count). ``_cover`` checks a line's
-        rings at the first pulse that draws from them and whenever the
-        pulses of both kinds since may have used all the draws it found
-        covered. ``read(samples)`` is ``readout`` at the standard bias and
-        ``temperature``, from the measurement stream if ``noisy``.
-        """
-        self._check_target(row, col)
-        require_flag("noisy", noisy)
-        cfg, rows, cols = self.cfg, self.rows, self.cols
-        t = cfg.temperature_ref if temperature is None else temperature
-        check_temperature(t)
-        rng = self.measure_rng if noisy else None
-        word_line_on = READOUT_BIAS.v_wl >= cfg.wl_on_threshold
-        sigma = cfg.pulse.variability_sigma
-        # per pulse kind, program then erase: its resolved line; per ring
-        # check, one per kind unless the two lines share theirs: the pulses
-        # its rings are known to cover, and the rings' first slots
-        lines, left, slots = [None, None], [0, 0], [None, None]
-
-        def resolve(kind, k):
-            step, sign, limit = pulse_law(kind, cfg)
-            grid, order, sf, drawn, sf_unselected = _line_layout(
-                rows, cols, kind, cfg.inhibition, sigma > 0.0, sign
-            )
-            other = lines[1 - k]
-            if other is not None and other[:2] == (order, drawn):  # the same cells draw
-                ring, cells, ring_cells = other[2:5]
-            else:
-                ring, cells = k, _line_cells(grid, row, col, order)
-                ring_cells = cells[:drawn]
-            clamp = np.minimum if sign > 0 else np.maximum
-            return order, drawn, ring, cells, ring_cells, sf, sf_unselected, step, limit, clamp
-
-        def pulse(kind, duration, amplitude):
-            if duration == 0.0:  # neither state nor disturb accounting moves
-                return np.zeros((rows, cols))
-            k = kind is PulseKind.ERASE
-            if lines[k] is None:
-                lines[k] = resolve(kind, k)
-            _, drawn, ring, cells, ring_cells, sf, sf_unselected, step, limit, clamp = lines[k]
-            step = step(duration, amplitude)
-            magnitude = step * sf
-            if drawn:
-                if left[ring] <= 0:
-                    left[ring] = self._cover(ring_cells, sigma)
-                    slots[ring] = ring_cells * self._ahead.shape[1]
-                counts = self.rng_counts.take(ring_cells)
-                magnitude[:drawn] *= self._ahead.take(slots[ring] + counts % self._ahead.shape[1])
-                self.rng_counts.put(ring_cells, counts + 1)
-                left[0] -= 1
-                left[1] -= 1
-            old = self.v_th.copy()
-            line = old.take(cells) + magnitude
-            clamp(line, limit, out=line)
-            self.v_th += step * sf_unselected
-            clamp(self.v_th, limit, out=self.v_th)
-            self.v_th.put(cells, line)
-            dvth = self.v_th - old
-            self.disturb.record(row, col, dvth)
-            return dvth
-
-        def read(samples):
-            v_th = self.v_th.item(row, col)
-            require_finite("v_th", v_th)
-            return readout_law(v_th, READOUT_BIAS.v_cg, t, cfg, samples, rng) if word_line_on else 0.0
-
-        return pulse, read
-
     def pulse_cell(self, row: int, col: int, pulse: PulseSpec) -> np.ndarray:
         """Apply one pulse to the target; every cell sees its class's bias.
         Returns the signed v_th change of every cell."""
-        return self._kernel(row, col)[0](pulse.kind, pulse.duration, pulse.amplitude)
+        with _Kernel(self, row, col) as kernel:
+            return kernel.pulse(pulse.kind, pulse.duration, pulse.amplitude)
 
     # ----------------------------------------------------------- readout
 
     def read_cell(self, row: int, col: int, temperature: float = None, noisy: bool = False,
                   samples: int = 1) -> float:
         """Standard-bias readout [A]; never mutates any cell state."""
-        read = self._kernel(row, col, temperature, noisy)[1]
+        kernel = _Kernel(self, row, col, temperature, noisy)
         if noisy:
             require_count("samples", samples)
-        return read(samples)
+        return kernel.read(samples)
 
     # ------------------------------------------------------- persistence
 

@@ -115,6 +115,8 @@ class NoiseParams:
             require_positive(name, getattr(self, name))
         if not (self.sigma_high <= self.sigma_low and self.i_low_anchor < self.i_high_anchor):
             raise ValueError("noise needs sigma_high <= sigma_low and i_low_anchor < i_high_anchor")
+        logs = (math.log(self.i_low_anchor), math.log(self.i_high_anchor))
+        object.__setattr__(self, "_log_anchors", logs)  # not a field: hash, == and YAML skip it
 
     def sigma_at(self, current):
         """Relative r.m.s. at the given current, constant outside the anchors.
@@ -122,7 +124,7 @@ class NoiseParams:
         Log-linear in current between the anchors; broadcasts over arrays.
         A float takes np.interp's two-point arithmetic, in its order.
         """
-        x0, x1 = math.log(self.i_low_anchor), math.log(self.i_high_anchor)
+        x0, x1 = self._log_anchors
         if isinstance(current, float):
             x = float(np.log(current))
             if x0 < x < x1:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from .array import INITIAL_STATES, ArrayState
+from .array import INITIAL_STATES, ArrayState, _Kernel
 from .cell import PulseKind
 from .config import (
     ModelConfig, known_keys, read_yaml, require_count, require_in, require_positive, write_rows,
@@ -68,48 +68,42 @@ def tune_cell(array: ArrayState, target: TuneTarget, budget: int) -> TuneResult:
     goal = target.target_current
     ut = cfg.n * thermal_voltage(cfg.temperature_ref)
 
-    pulse, read = array._kernel(row, col)
-    pulses = {"program": 0, "erase": 0}
-    trajectory = []
-    used = 0
-    cap = 1.0
-    last_sign = 0
-    last_clamped = False
-
-    while True:
-        current = read(TRACK_SAMPLES)
-        trajectory.append((used, current))
-        err = current / goal - 1.0
-        if abs(err) <= target.precision:
-            final = read(VERIFY_SAMPLES)
-            final_err = final / goal - 1.0
-            if abs(final_err) <= target.precision:
+    with _Kernel(array, row, col) as kernel:
+        pulse, read = kernel.pulse, kernel.read
+        pulses, trajectory = {"program": 0, "erase": 0}, []
+        used, cap, last_sign, last_clamped = 0, 1.0, 0, False
+        while True:
+            current = read(TRACK_SAMPLES)
+            trajectory.append((used, current))
+            err = current / goal - 1.0
+            if abs(err) <= target.precision:
+                final = read(VERIFY_SAMPLES)
+                final_err = final / goal - 1.0
+                if abs(final_err) <= target.precision:
+                    return TuneResult(row, col, goal, True, pulses, final, abs(final_err), trajectory)
+                current, err = final, final_err  # verification disagreed; keep going
+            if used >= budget:
+                final = read(VERIFY_SAMPLES)
                 return TuneResult(
-                    row, col, goal, True, pulses, final, abs(final_err), trajectory
+                    row, col, goal, False, pulses, final, abs(final / goal - 1.0), trajectory
                 )
-            current, err = final, final_err  # verification disagreed; keep going
-        if used >= budget:
-            final = read(VERIFY_SAMPLES)
-            return TuneResult(
-                row, col, goal, False, pulses, final, abs(final / goal - 1.0), trajectory
-            )
 
-        # too much current -> program (raise v_th); too little -> erase
-        sign = 1 if err > 0 else -1
-        if last_sign != 0 and sign != last_sign:
-            cap = MIN_SCALE if last_clamped else max(cap / 2.0, MIN_SCALE)
-        nominal_dv = cal.dv_program_nominal if sign > 0 else cal.dv_erase_nominal
-        needed = abs(math.log1p(err)) * ut / nominal_dv
-        scale = min(cap, max(needed, MIN_SCALE))
-        if sign > 0:
-            dvth = pulse(PulseKind.PROGRAM, p.program_duration * scale, p.program_amplitude)
-            pulses["program"] += 1
-        else:
-            dvth = pulse(PulseKind.ERASE, p.erase_duration * scale, p.erase_amplitude)
-            pulses["erase"] += 1
-        last_clamped = dvth[row, col] == 0.0
-        last_sign = sign
-        used += 1
+            # too much current -> program (raise v_th); too little -> erase
+            sign = 1 if err > 0 else -1
+            if last_sign != 0 and sign != last_sign:
+                cap = MIN_SCALE if last_clamped else max(cap / 2.0, MIN_SCALE)
+            nominal_dv = cal.dv_program_nominal if sign > 0 else cal.dv_erase_nominal
+            needed = abs(math.log1p(err)) * ut / nominal_dv
+            scale = min(cap, max(needed, MIN_SCALE))
+            if sign > 0:
+                dvth = pulse(PulseKind.PROGRAM, p.program_duration * scale, p.program_amplitude)
+                pulses["program"] += 1
+            else:
+                dvth = pulse(PulseKind.ERASE, p.erase_duration * scale, p.erase_amplitude)
+                pulses["erase"] += 1
+            last_clamped = dvth[row, col] == 0.0
+            last_sign = sign
+            used += 1
 
 
 def tune_array(array: ArrayState, targets, budget: int):

@@ -14,15 +14,19 @@ also when it draws a vector's samples in blocks, and a batched
 ``multiply`` or ``differential_multiply`` to the single calls it
 replaces, made in order. ``tune_cell``, which pulses and reads through a
 per-target kernel, is pinned to its loop over the public ``pulse_cell``
-and ``read_cell``.
+and ``read_cell``, and makes every pulse and read through the kernel's
+two methods; a kernel left by an exception writes back its draws and
+disturb counts.
 The float branches of ``sigma_at`` and ``subthreshold_current`` are
-pinned to ``np.interp`` and to the one-element array path.
+pinned to ``np.interp`` and to the one-element array path, and
+``sigma_at``'s anchor logs, taken once per instance, to taking them on
+every call.
 """
 
 import itertools
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -43,7 +47,7 @@ from flashvmm.cell import (
     stream_normals,
     subthreshold_current,
 )
-from flashvmm.config import DEFAULT_CONFIG, InhibitionParams, ModelConfig
+from flashvmm.config import DEFAULT_CONFIG, InhibitionParams, ModelConfig, NoiseParams, config_hash
 from flashvmm.tuning import TuneResult
 from flashvmm.constants import K_B, Q_E, T_25C, T_85C, T_MAX, T_MIN, V_CG_READ, thermal_voltage
 from flashvmm.vmm import (
@@ -900,6 +904,83 @@ def test_tune_cell_matches_public_loop_property(name, data):
     tune_both(fast, slow, targets, data.draw(st.integers(1, 100)), set(), edits)
 
 
+class Interrupted(Exception):
+    pass
+
+
+def run_kinds(k):
+    """k pulse kinds in runs of 1, 12, 2 and 3, program and erase in turn."""
+    kinds = []
+    for run in itertools.cycle((1, 12, 2, 3)):
+        kind = PulseKind.ERASE if kinds and kinds[-1] is PulseKind.PROGRAM else PulseKind.PROGRAM
+        kinds += [kind] * run
+        if len(kinds) >= k:
+            return kinds[:k]
+
+
+@pytest.mark.parametrize("name", TUNE_CONFIGS)
+@pytest.mark.parametrize("k", [0, 1, 2, 14, 2 * DRAW_AHEAD + 3])
+def test_kernel_writes_back_when_interrupted(name, k):
+    # k pulses through one kernel, then an exception inside its context:
+    # the draws and disturb counts the kernel held are written back, as
+    # after k public pulse_cell calls; the runs cross block rows and ring
+    # checks and, where the kinds draw different cells, the other line
+    cfg = TUNE_CONFIGS[name]
+    fast = ArrayState.fresh(cfg, rows=4, cols=5, initial="center")
+    slow = ArrayState.fresh(cfg, rows=4, cols=5, initial="center")
+    make = {PulseKind.PROGRAM: PulseSpec.program, PulseKind.ERASE: PulseSpec.erase}
+    pulses = [make[kind](cfg, duration=make[kind](cfg).duration / 16) for kind in run_kinds(k)]
+    with pytest.raises(Interrupted):
+        with array_mod._Kernel(fast, 1, 2) as kernel:
+            for pulse in pulses:
+                kernel.pulse(pulse.kind, pulse.duration, pulse.amplitude)
+            raise Interrupted
+    for pulse in pulses:
+        slow.pulse_cell(1, 2, pulse)
+    assert_same_tuning(fast, slow)
+    assert fast.disturb.pulses == k
+
+
+def test_tune_cell_pulses_and_reads_only_through_the_kernel(monkeypatch):
+    # wrapping the kernel's pulse and read sees every pulse and read of
+    # tune_cell, the same calls the public loop makes, in order
+    fast = ArrayState.fresh(DEFAULT_CONFIG, rows=4, cols=5)
+    slow = ArrayState.fresh(DEFAULT_CONFIG, rows=4, cols=5)
+    targets = tuning_mod.ramp_targets(fast, 1e-9, 1e-7, 0.01)[:6]
+    seen, public = [], []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("tune_cell called a public pulse_cell or read_cell")
+
+    with monkeypatch.context() as m:
+        for name in ("pulse", "read"):
+            def traced(kernel, *args, method=getattr(array_mod._Kernel, name), name=name):
+                seen.append((name, args))
+                return method(kernel, *args)
+
+            m.setattr(array_mod._Kernel, name, traced)
+        m.setattr(ArrayState, "pulse_cell", refuse)
+        m.setattr(ArrayState, "read_cell", refuse)
+        results = [tuning_mod.tune_cell(fast, target, 60) for target in targets]
+
+    pulse_cell, read_cell = ArrayState.pulse_cell, ArrayState.read_cell
+
+    def public_pulse(array, row, col, pulse):
+        public.append(("pulse", (pulse.kind, pulse.duration, pulse.amplitude)))
+        return pulse_cell(array, row, col, pulse)
+
+    def public_read(array, row, col, noisy, samples):
+        public.append(("read", (samples,)))
+        return read_cell(array, row, col, noisy=noisy, samples=samples)
+
+    monkeypatch.setattr(ArrayState, "pulse_cell", public_pulse)
+    monkeypatch.setattr(ArrayState, "read_cell", public_read)
+    assert results == [oracle_tune_cell(slow, target, 60, set()) for target in targets]
+    assert seen == public
+    assert sum(name == "pulse" for name, _ in seen) == sum(r.pulses_total for r in results)
+    assert_same_tuning(fast, slow)
+
+
 # ------------------------------------------------------------ drift scan
 
 def scalar_drift(w_plus, w_minus, temp_range):
@@ -1016,6 +1097,22 @@ def test_scalar_sigma_matches_interp():
     want = interp_sigma(noise, currents)
     assert_bits_equal(scalar_sigmas(noise, currents.tolist(), float), want)
     assert_bits_equal(scalar_sigmas(noise, currents[:5000], np.float64), want[:5000])
+
+
+def test_sigma_at_keeps_the_per_call_anchor_logs():
+    # the anchors' logs are taken once per instance, also by replace(),
+    # and give what taking them on every call gives, on both paths
+    sweep = 10.0 ** np.linspace(-13.0, -4.0, 2001)
+    for noise in (DEFAULT_CONFIG.noise, replace(DEFAULT_CONFIG.noise, i_low_anchor=3e-11),
+                  NoiseParams(sigma_low=0.05, sigma_high=0.002, i_low_anchor=2e-9, i_high_anchor=7e-7)):
+        x0, x1 = math.log(noise.i_low_anchor), math.log(noise.i_high_anchor)
+        x = np.log(sweep)
+        want = np.interp(x, (x0, x1), (noise.sigma_low, noise.sigma_high))
+        assert_bits_equal(noise.sigma_at(sweep), want)
+        assert_bits_equal(np.array([noise.sigma_at(c) for c in sweep.tolist()]), want)
+        assert noise.sigma_at(np.float64(sweep[700])) == want[700]
+        assert noise == NoiseParams(**asdict(noise))
+    assert config_hash(DEFAULT_CONFIG) == "5ab6d51e7a77"
 
 
 def test_scalar_sigma_at_anchors_and_outside():

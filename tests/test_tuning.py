@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
-from flashvmm.array import ArrayState
+from flashvmm.array import ArrayState, _Kernel
 from flashvmm.cell import PulseKind
 from flashvmm.config import DEFAULT_CONFIG, ModelConfig, NoiseParams
 from flashvmm.constants import thermal_voltage
@@ -66,29 +66,25 @@ class TestTuneCell:
         assert res.pulses_total == 1
         assert res.relative_error > 0.05
 
-    def test_direction_correctness(self):
+    def test_direction_correctness(self, monkeypatch):
         array = ArrayState.fresh(CFG, rows=2, cols=3, initial="center")
         goal = 3.0e-9
         reads = []
-        open_kernel = array._kernel
         decisions = []
+        # tune_cell pulses and reads through the kernel it opens per target
+        pulse, read = _Kernel.pulse, _Kernel.read
 
-        def spy_kernel(row, col, *args):
-            # tune_cell pulses and reads through the kernel it opens per target
-            pulse, read = open_kernel(row, col, *args)
+        def spy_read(kernel, samples):
+            value = read(kernel, samples)
+            reads.append(value)
+            return value
 
-            def spy_read(samples):
-                value = read(samples)
-                reads.append(value)
-                return value
+        def spy_pulse(kernel, kind, duration, amplitude):
+            decisions.append((kind, reads[-1]))
+            return pulse(kernel, kind, duration, amplitude)
 
-            def spy_pulse(kind, duration, amplitude):
-                decisions.append((kind, reads[-1]))
-                return pulse(kind, duration, amplitude)
-
-            return spy_pulse, spy_read
-
-        array._kernel = spy_kernel
+        monkeypatch.setattr(_Kernel, "read", spy_read)
+        monkeypatch.setattr(_Kernel, "pulse", spy_pulse)
         res = tune_cell(array, TuneTarget(0, 1, goal, 0.02), budget=100)
         assert res.converged and decisions
         for kind, last_read in decisions:
