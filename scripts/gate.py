@@ -16,7 +16,8 @@ fails unless each workload digest and each op's measurement-stream state
 are the same. Last, it runs CLI
 ``multiply`` on the working tree and on the parent commit (see below),
 single and differential, each with and without ``--noisy``, CLI
-``tune`` on a 4x6 and a 32x34 ramp campaign, and CLI ``experiment`` of
+``tune`` on a 4x6 ramp campaign (at the built-in config and under a
+raised inhibition floor) and a 32x34 one, and CLI ``experiment`` of
 every id at the built-in config and seed, and fails unless every output
 CSV, plan, state and disturb file is byte-identical. Exit
 code 0 when every check passes, 1 otherwise. Run it from any directory;
@@ -68,11 +69,17 @@ TAIL_W = 0.125
 # the CLI multiply run compared with the parent's: 3 rows, 2 logical columns
 CLI_WEIGHTS = "0.62,0.31\n0.15,0.88\n0.47,0.205\n"
 CLI_INPUTS = "1e-8,5e-8,2e-9\n3e-8,1e-9,7e-8\n5e-9,5e-9,5e-9\n9e-8,2.5e-8,4e-9\n"
-# the CLI tune runs compared with the parent's: a 4x6 ramp over 16 cells, and
-# a 32x34 ramp over 1,024 cells, whose rings wrap and top up (about 3 s)
-CLI_CAMPAIGNS = {
-    "tune": "rows: 4\ncols: 6\nbudget: 60\ntargets: {kind: ramp, lo: 1.0e-10, hi: 1.0e-6}\n",
-    "tune32x34": "rows: 32\ncols: 34\nbudget: 100\ntargets: {kind: ramp, lo: 1.0e-10, hi: 1.0e-6}\n",
+# the CLI tune runs compared with the parent's, as (campaign, config YAML or
+# None for the built-in one): a 4x6 ramp over 16 cells; the same ramp under
+# a floor at which erase draws every cell and program only the target's row
+# and column, so the two kinds check their rings apart; and a 32x34 ramp over
+# 1,024 cells, whose rings wrap and top up (about 3 s)
+RAMP_4X6 = "rows: 4\ncols: 6\nbudget: 60\ntargets: {kind: ramp, lo: 1.0e-10, hi: 1.0e-6}\n"
+CLI_TUNES = {
+    "tune": (RAMP_4X6, None),
+    "tune_floor2e-3": (RAMP_4X6, "inhibition: {floor: 2.0e-3}\n"),
+    "tune32x34": ("rows: 32\ncols: 34\nbudget: 100\ntargets: {kind: ramp, lo: 1.0e-10, hi: 1.0e-6}\n",
+                  None),
 }
 
 
@@ -175,19 +182,21 @@ def cli_outputs(root, work):
     ``root``: ``flashvmm multiply`` in single and differential mode, each
     with and without ``--noisy``, on ``CLI_WEIGHTS`` and the 4
     ``CLI_INPUTS`` vectors, with ``--plan-out`` and ``--state-out``;
-    ``flashvmm tune`` of each of ``CLI_CAMPAIGNS`` with ``--state-out`` and
+    ``flashvmm tune`` of each of ``CLI_TUNES`` with ``--state-out`` and
     ``--disturb-out``; and ``flashvmm experiment`` of every id that tree
     lists, at the built-in config and seed (fig9 takes about 2 s)."""
     work = Path(work)
     inputs = {"w.csv": CLI_WEIGHTS, "x.csv": CLI_INPUTS}
-    inputs.update({f"{tag}.yaml": text for tag, text in CLI_CAMPAIGNS.items()})
+    inputs.update({f"{tag}.yaml": campaign for tag, (campaign, _) in CLI_TUNES.items()})
+    inputs.update({f"{tag}.config.yaml": config for tag, (_, config) in CLI_TUNES.items() if config})
     for name, text in inputs.items():
         (work / name).write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
-    for tag in CLI_CAMPAIGNS:
+    for tag, (_, config) in CLI_TUNES.items():
         tune = [sys.executable, "-m", "flashvmm", "tune", "--campaign", f"{tag}.yaml", "--seed", "5",
                 "--results", f"{tag}.csv", "--state-out", f"{tag}.state",
-                "--disturb-out", f"{tag}.disturb.csv"]
+                "--disturb-out", f"{tag}.disturb.csv",
+                *(["--config", f"{tag}.config.yaml"] if config else [])]
         subprocess.run(tune, cwd=work, env=env, capture_output=True, check=True)
     for mode in ("single", "differential"):
         for noisy in ([], ["--noisy"]):

@@ -139,42 +139,15 @@ def bias_table(kind: PulseKind, inh: InhibitionParams) -> tuple:
     return tuple(table)
 
 
-# the pieces of each role class in a target's line, in ``_line_cells`` numbering
-_CLASS_PIECES = ((0,), (1, 2), (3, 4), (5, 6, 7, 8))
-
-
-@functools.lru_cache(maxsize=64)
-def _line_layout(rows, cols, kind, inh, draws, sign) -> tuple:
-    """What the line of every target in a rows x cols array shares for
-    one pulse kind: the row-major flat index grid; the order of the
-    line's pieces (see ``_line_cells``), class by class in ``ROLES``
-    order with the drawing classes first (every piece of the unselected
-    class joins only if it draws, as when ``inh.floor`` lifts its select
-    factor to ``SF_DRAW_MIN``; ``draws`` is sigma > 0); the pieces'
-    select factors times ``sign``, which depend only on the class sizes;
-    how many cells draw; the unselected factor times ``sign``."""
-    factors = [sf for _, sf in bias_table(kind, inh)]
-    drawn = [draws and sf >= SF_DRAW_MIN for sf in factors]
-    sizes = (1, cols - 1, rows - 1, (rows - 1) * (cols - 1))
-    classes = sorted(range(4 if drawn[3] else 3), key=lambda k: not drawn[k])  # stable
-    order = tuple(piece for k in classes for piece in _CLASS_PIECES[k])
-    # +-1 scales exactly, so a signed factor times a step is the signed product
-    sf = np.repeat([sign * factors[k] for k in classes], [sizes[k] for k in classes])
-    grid = np.arange(rows * cols).reshape(rows, cols)
-    grid.flags.writeable = sf.flags.writeable = False
-    return grid, order, sf, sum(sizes[k] for k in classes if drawn[k]), sign * factors[3]
-
-
-def _line_cells(grid, row, col, order) -> np.ndarray:
-    """Flat indices of the target's line, piece by piece in ``order``: the
-    target (0), its row left and right of it (1, 2), its column above and
-    below it (3, 4), and the unselected cells above-left, above-right,
-    below-left and below-right of it (5 to 8)."""
-    top, left, right, bottom = slice(row), slice(col), slice(col + 1, None), slice(row + 1, None)
-    pieces = [grid[row, col:col + 1], grid[row, left], grid[row, right], grid[top, col], grid[bottom, col]]
-    if len(order) > 5:
-        pieces += [grid[r, c].ravel() for r in (top, bottom) for c in (left, right)]
-    return np.concatenate([pieces[p] for p in order])
+@functools.lru_cache(maxsize=None)
+def _pulse_table(kind, inh, draws, sign) -> tuple:
+    """Each role class's select factor times ``sign``, in ``ROLES`` order
+    (+-1 scales exactly, so times a step it is the signed product); the
+    classes that draw (``draws`` is sigma > 0); whether each class draws."""
+    factors = np.array([sign * sf for _, sf in bias_table(kind, inh)])
+    drawing = draws & (np.abs(factors) >= SF_DRAW_MIN)
+    factors.flags.writeable = drawing.flags.writeable = False
+    return factors, tuple(np.flatnonzero(drawing).tolist()), drawing
 
 
 class _Kernel:
@@ -183,19 +156,21 @@ class _Kernel:
     manager, ``pulse_cell`` and ``read_cell`` one per call.
 
     ``pulse(kind, duration, amplitude)`` returns the signed v_th change of
-    every cell; the kind's line comes from its shape's ``_line_layout``
-    and is shared with the other kind when both draw the same cells.
-    ``_cover`` checks the line's rings at its first drawing pulse and once
-    the pulses since may have used the draws it found covered. Later
-    pulses take their factors from a block of up to ``_BLOCK_ROWS`` draws;
-    the draws reach ``rng_counts`` before a check, before a pulse on the
-    other kind's line and at ``close``, which also counts the pulses in
-    the disturb log. ``read(samples)`` is ``readout`` at the standard
-    bias and ``temperature``, from the measurement stream if ``noisy``.
+    every cell. The first pulse fills the target's grid of ``ROLES``
+    indices; each kind's ``_pulse_table``, taken through it, gives every
+    cell's signed select factor and the drawing cells. Kinds that draw
+    the same classes share one ring check: ``_cover`` checks the drawing
+    cells' rings at their first pulse and once the pulses since may have
+    used the draws it found covered. Later pulses take their factors from
+    a block of up to ``_BLOCK_ROWS`` draws; the draws reach ``rng_counts``
+    before a check, before a pulse on another check's cells and at
+    ``close``, which also counts the pulses in the disturb log.
+    ``read(samples)`` is ``readout`` at the standard bias and
+    ``temperature``, from the measurement stream if ``noisy``.
     """
 
-    __slots__ = ("array", "row", "col", "t", "rng", "lines", "until", "slots", "drawn", "pulses",
-                 "active", "counts", "synced", "block")
+    __slots__ = ("array", "row", "col", "t", "rng", "roles", "magnitude", "kinds", "rings", "drawn",
+                 "pulses", "active", "counts", "synced", "block")
 
     def __init__(self, array, row: int, col: int, temperature: float = None, noisy: bool = True):
         array._check_target(row, col)
@@ -204,13 +179,15 @@ class _Kernel:
         check_temperature(t)
         self.array, self.row, self.col, self.t = array, row, col, t
         self.rng = array.measure_rng if noisy else None
-        # per kind, program then erase, its line; per ring check (one per kind
-        # unless the lines share it) the drawing pulse it covers up to and the
-        # rings' first slots; the drawing pulses and the pulses not yet counted
-        self.lines, self.until, self.slots = [None, None], [0, 0], [None, None]
+        # the role grid and a pulse's v_th change; per kind, program then
+        # erase, its factors, ring check and pulse law; per tuple of drawing
+        # classes a ring check, [drawing cells, the drawing pulse it covers
+        # up to, the rings' first slots]; the drawing and uncounted pulses
+        self.roles = self.magnitude = None
+        self.kinds, self.rings = [None, None], {}
         self.drawn = self.pulses = 0
-        # the ring cells whose draws are not written back, their counts at
-        # drawing pulse ``synced``, and the rows left of their block
+        # the ring check whose draws are not written back, its cells' counts
+        # at drawing pulse ``synced``, and the rows left of its block
         self.active, self.counts, self.synced, self.block = None, None, 0, iter(())
 
     def __enter__(self):
@@ -231,44 +208,46 @@ class _Kernel:
 
     def _write_back(self) -> None:
         if self.drawn > self.synced:
-            self.array.rng_counts.put(self.active, self.counts + (self.drawn - self.synced))
+            self.array.rng_counts.put(self.active[0], self.counts + (self.drawn - self.synced))
         self.active, self.synced, self.block = None, self.drawn, iter(())
 
     def _resolve(self, kind, k) -> tuple:
         array, cfg = self.array, self.array.cfg
         step, sign, limit = pulse_law(kind, cfg)
-        grid, order, sf, drawn, sf_unselected = _line_layout(
-            array.rows, array.cols, kind, cfg.inhibition, cfg.pulse.variability_sigma > 0.0, sign
-        )
-        other = self.lines[1 - k]
-        if other is not None and other[:2] == (order, drawn):  # the same cells draw
-            ring, cells, ring_cells = other[2:5]
-        else:
-            ring, cells = k, _line_cells(grid, self.row, self.col, order)
-            ring_cells = cells[:drawn]
-        magnitude = np.empty(cells.size)
+        sf, classes, drawing = _pulse_table(kind, cfg.inhibition, cfg.pulse.variability_sigma > 0.0, sign)
+        if self.roles is None:
+            roles = np.full((array.rows, array.cols), 3)  # 2 * (row not selected) + (column not)
+            roles[self.row] = 1
+            roles[:, self.col] = 2
+            roles[self.row, self.col] = 0
+            self.roles, self.magnitude = roles, np.empty(roles.shape)
+        ring = self.rings.get(classes)
+        if ring is None and classes:  # the target's factor, about 1, draws whenever any does
+            ring = self.rings[classes] = [drawing.take(self.roles.ravel()).nonzero()[0], 0, None]
+        sf = sf.take(self.roles)
         clamp = np.minimum if sign > 0 else np.maximum
-        self.lines[k] = (order, drawn, ring, cells, ring_cells, sf, magnitude, magnitude[:drawn],
-                         sf_unselected, step, limit, clamp)
-        return self.lines[k]
+        self.kinds[k] = (sf, None if ring is None else sf.take(ring[0]), ring, step, limit, clamp)
+        return self.kinds[k]
 
-    def _factors(self, ring, ring_cells) -> np.ndarray:
+    def _factors(self, ring) -> np.ndarray:
         """This pulse's factors when no block row is left: one row after the
-        line reads its counts, else the first of a new block."""
+        ring check reads its counts, else the first of a new block."""
         array, n = self.array, self.drawn
-        if self.active is not ring_cells or n >= self.until[ring]:
-            if self.active is not None:  # rng_counts current for the check and the other line
+        cells, until, slots = ring
+        if self.active is not ring or n >= until:
+            if self.active is not None:  # rng_counts current for the check and the other cells
                 self._write_back()
-            if n >= self.until[ring]:
-                self.until[ring] = n + array._cover(ring_cells, array.cfg.pulse.variability_sigma)
-                self.slots[ring] = ring_cells * array._ahead.shape[1]
-            self.active, self.counts = ring_cells, array.rng_counts.take(ring_cells)
+            if n >= until:
+                until = n + array._cover(cells, array.cfg.pulse.variability_sigma)
+                slots = cells * array._ahead.shape[1]
+                ring[1:] = until, slots
+            self.active, self.counts = ring, array.rng_counts.take(cells)
         width, draws = array._ahead.shape[1], n - self.synced
         if draws == 0:
-            return array._ahead.take(self.slots[ring] + self.counts % width)
-        index = self.counts + np.arange(draws, draws + min(self.until[ring] - n, _BLOCK_ROWS))[:, None]
+            return array._ahead.take(slots + self.counts % width)
+        index = self.counts + np.arange(draws, draws + min(until - n, _BLOCK_ROWS))[:, None]
         index %= width
-        index += self.slots[ring]
+        index += slots
         self.block = iter(array._ahead.take(index))
         return next(self.block)
 
@@ -277,23 +256,18 @@ class _Kernel:
         if duration == 0.0:  # neither state nor disturb accounting moves
             return np.zeros((array.rows, array.cols))
         k = kind is PulseKind.ERASE
-        _, drawn, ring, cells, ring_cells, sf, magnitude, head, sf_unselected, step, limit, clamp = (
-            self.lines[k] or self._resolve(kind, k)
-        )
+        sf, sf_drawn, ring, step, limit, clamp = self.kinds[k] or self._resolve(kind, k)
         step = step(duration, amplitude)
+        magnitude = self.magnitude
         np.multiply(sf, step, magnitude)
-        if drawn:
-            factors = next(self.block, None) if self.active is ring_cells else None
-            head *= self._factors(ring, ring_cells) if factors is None else factors
+        if ring is not None:
+            factors = next(self.block, None) if self.active is ring else None
+            magnitude.put(ring[0], sf_drawn * step * (self._factors(ring) if factors is None else factors))
             self.drawn += 1
         v_th = array.v_th
         old = v_th.copy()
-        line = old.take(cells)
-        line += magnitude
-        clamp(line, limit, out=line)
-        v_th += step * sf_unselected
+        v_th += magnitude
         clamp(v_th, limit, out=v_th)
-        v_th.put(cells, line)
         dvth = v_th - old
         exposure = np.abs(dvth)
         exposure[self.row, self.col] = 0.0  # the intended shift is not disturb

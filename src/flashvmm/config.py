@@ -126,10 +126,15 @@ class NoiseParams:
         """
         x0, x1 = self._log_anchors
         if isinstance(current, float):
+            if not 0.0 <= current < math.inf:  # also rejects NaN
+                raise ValueError(f"current must be a finite number >= 0, got {current!r}")
             x = float(np.log(current))
             if x0 < x < x1:
                 return (self.sigma_high - self.sigma_low) / (x1 - x0) * (x - x0) + self.sigma_low
-            return float(self.sigma_low if x <= x0 else self.sigma_high if x >= x1 else x)
+            return float(self.sigma_low if x <= x0 else self.sigma_high)
+        current = np.asarray(current)
+        if current.size and not (current.min() >= 0.0 and current.max() < math.inf):  # NaN fails both
+            raise ValueError(f"current must be finite numbers >= 0, got [{current.min()}, {current.max()}]")
         sigma = np.interp(np.log(current), (x0, x1), (self.sigma_low, self.sigma_high))
         return float(sigma) if np.ndim(current) == 0 else sigma
 

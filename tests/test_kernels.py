@@ -16,7 +16,10 @@ replaces, made in order. ``tune_cell``, which pulses and reads through a
 per-target kernel, is pinned to its loop over the public ``pulse_cell``
 and ``read_cell``, and makes every pulse and read through the kernel's
 two methods; a kernel left by an exception writes back its draws and
-disturb counts.
+disturb counts. The kernel's signed factor grid and drawing cells, which
+it takes through the target's role grid, are pinned to the target's row
+and column built piece by piece, and two pulse kinds share a ring check
+only when they draw the same classes.
 The float branches of ``sigma_at`` and ``subthreshold_current`` are
 pinned to ``np.interp`` and to the one-element array path, and
 ``sigma_at``'s anchor logs, taken once per instance, to taking them on
@@ -68,6 +71,8 @@ CONFIGS = {
     for floor in FLOORS
     for sigma in SIGMAS
 }
+# program draws the target and its row, erase the target alone
+PROGRAM_ROW_ONLY = ModelConfig(inhibition=InhibitionParams(floor=1e-7, program_bl_inhibit=3.0))
 SHAPES = [(1, 1), (1, 5), (4, 1), (3, 4)]
 
 
@@ -130,7 +135,7 @@ def assert_same_state(fast, slow, tally):
 @st.composite
 def pulse_runs(draw, rows, cols):
     """(config, initial v_th grid, list of pulses as (row, col, PulseSpec))."""
-    cfg = CONFIGS[(draw(st.sampled_from(FLOORS)), draw(st.sampled_from(SIGMAS)))]
+    cfg = draw(st.sampled_from([*CONFIGS.values(), PROGRAM_ROW_ONLY]))
     cal = cfg.calibration
     v_th = draw(
         st.lists(
@@ -208,31 +213,31 @@ def reference_pulse_cells(rows, cols, row, col, kind, inh, draws):
 
 # at floors 1e-2 and 5e-2 the unselected class draws for both kinds
 @pytest.mark.parametrize("floor", (1e-4, 1e-2, 5e-2))
-def test_line_layout_matches_piecewise_construction(floor):
-    # every target's line from its shape's layout equals the line built
-    # piece by piece, the factors signed by the kind's pulse law
-    inh = InhibitionParams(floor=floor)
-    for rows, cols in [(1, 1), (1, 4), (4, 1), (3, 5), (10, 12), (32, 34)]:
-        for kind, draws in itertools.product(PulseKind, (True, False)):
-            sign = cell_mod.pulse_law(kind, DEFAULT_CONFIG)[1]
-            grid, order, sf, drawn, sf_unselected = array_mod._line_layout(
-                rows, cols, kind, inh, draws, sign
-            )
+def test_kernel_factors_and_drawing_cells_match_piecewise_construction(floor):
+    # every target's signed factor grid and drawing cells, as its kernel
+    # resolves them from the role grid, equal the line built piece by
+    # piece, the factors signed by the kind's pulse law
+    for sigma in (0.3, 0.0):
+        cfg = ModelConfig(inhibition=InhibitionParams(floor=floor),
+                          pulse=replace(ModelConfig().pulse, variability_sigma=sigma))
+        for rows, cols in [(1, 1), (1, 4), (4, 1), (3, 5), (10, 12), (32, 34)]:
+            array = ArrayState.fresh(cfg, rows=rows, cols=cols)
             for row, col in itertools.product(range(rows), range(cols)):
-                cells, ref_sf, ref_drawn, ref_unselected = reference_pulse_cells(
-                    rows, cols, row, col, kind, inh, draws
-                )
-                assert_bits_equal(array_mod._line_cells(grid, row, col, order), cells)
-                assert_bits_equal(sf, sign * ref_sf)
-                assert drawn == ref_drawn
-                assert sf_unselected == sign * ref_unselected
-
-
-def line_key(cfg, kind):
-    """(piece order, drawing count) of a kind's line on a 4x5 array."""
-    sign = cell_mod.pulse_law(kind, cfg)[1]
-    layout = array_mod._line_layout(4, 5, kind, cfg.inhibition, cfg.pulse.variability_sigma > 0.0, sign)
-    return layout[1], layout[3]
+                kernel = array_mod._Kernel(array, row, col)
+                for k, kind in enumerate(PulseKind):
+                    sf, sf_drawn, ring, *_ = kernel._resolve(kind, k)
+                    sign = cell_mod.pulse_law(kind, cfg)[1]
+                    cells, ref_sf, drawn, unselected = reference_pulse_cells(
+                        rows, cols, row, col, kind, cfg.inhibition, sigma > 0.0
+                    )
+                    want = np.full(rows * cols, sign * unselected)
+                    want[cells] = sign * ref_sf
+                    assert_bits_equal(sf, want.reshape(rows, cols))
+                    if drawn:
+                        assert_bits_equal(ring[0], np.sort(cells[:drawn]))
+                        assert_bits_equal(sf_drawn, sign * ref_sf[np.argsort(cells[:drawn])])
+                    else:
+                        assert ring is None
 
 
 def count_calls(monkeypatch, owner, name):
@@ -705,7 +710,7 @@ def ring_steps():
 def test_top_up_interleaving_matches_oracle(monkeypatch, width):
     # (2, 3) uses part of its ring; pulses on (2, 5) and (4, 3) use part of
     # it on row 2 and column 3 and top the rest up; the return to (2, 3)
-    # finds its line partly used; then drawn runs of targets and kinds.
+    # finds its rings partly used; then drawn runs of targets and kinds.
     # Counts start a few ring turns in, so top-ups wrap past slot 0.
     monkeypatch.setattr(array_mod, "DRAW_AHEAD", width)
     cfg = DEFAULT_CONFIG
@@ -840,25 +845,47 @@ TUNE_CONFIGS = {
     "floor 1e-2": CONFIGS[(1e-2, 0.3)],
     # erase draws the unselected class, program does not
     "floor 2e-3": ModelConfig(inhibition=InhibitionParams(floor=2e-3)),
-    # program draws the target and its row, erase the target alone: the
-    # same piece order with drawing prefixes of different length
-    "program row only": ModelConfig(inhibition=InhibitionParams(floor=1e-7, program_bl_inhibit=3.0)),
+    "program row only": PROGRAM_ROW_ONLY,
 }
 
 
-def test_tune_configs_cover_the_sharing_rule():
-    # a kernel gives both kinds one line and one ring check only when they
-    # draw the same cells; "floor 2e-3" and "program row only" pulse both
-    # kinds without sharing, the latter on lines of the same piece order
-    shared = {name: line_key(cfg, PulseKind.PROGRAM) == line_key(cfg, PulseKind.ERASE)
-              for name, cfg in TUNE_CONFIGS.items()}
-    assert shared == {"default": True, "sigma 0": True, "floor 1e-2": True,
-                      "floor 2e-3": False, "program row only": False}
+def test_ring_checks_are_shared_only_by_equal_drawing_classes(monkeypatch):
+    # program then erase pulses within one span of the rings: a target's
+    # kernel checks the rings once when both kinds draw the same classes
+    # (none at sigma 0), once per kind otherwise; "floor 2e-3" draws the
+    # row and column under program and every cell under erase, "program
+    # row only" the target and its row, and the target alone
+    covered, cover = [], ArrayState._cover
+    monkeypatch.setattr(ArrayState, "_cover",
+                        lambda self, cells, sigma: covered.append(cells.size) or cover(self, cells, sigma))
+    make = {PulseKind.PROGRAM: PulseSpec.program, PulseKind.ERASE: PulseSpec.erase}
+    row_and_col, every = 4 + 5 - 1, 4 * 5
+    want = {"default": [row_and_col], "sigma 0": [], "floor 1e-2": [every],
+            "floor 2e-3": [row_and_col, every], "program row only": [5, 1]}
+    for name, cfg in TUNE_CONFIGS.items():
+        array = ArrayState.fresh(cfg, rows=4, cols=5, initial="center")
+        for row, col in [(1, 2), (3, 0)]:
+            covered.clear()
+            with array_mod._Kernel(array, row, col) as kernel:
+                for kind in run_kinds(8):
+                    kernel.pulse(kind, make[kind](cfg).duration / 16, make[kind](cfg).amplitude)
+            assert covered == want[name], (name, row, col)
+    # a check of program's cells leaves erase's span alone: under "floor
+    # 2e-3" program checks again while erase's unselected cells, which only
+    # erase draws, are about to run past their rings
     cfg = TUNE_CONFIGS["floor 2e-3"]
-    assert [line_key(cfg, kind)[1] for kind in PulseKind] == [4 + 5 - 1, 4 * 5]
-    cfg = TUNE_CONFIGS["program row only"]
-    (program_order, program_drawn), (erase_order, erase_drawn) = (line_key(cfg, k) for k in PulseKind)
-    assert program_order == erase_order and (program_drawn, erase_drawn) == (5, 1)
+    fast, slow = (ArrayState.fresh(cfg, rows=4, cols=5, initial="center") for _ in range(2))
+    kinds = [PulseKind.PROGRAM, *[PulseKind.ERASE] * (DRAW_AHEAD - 1), PulseKind.PROGRAM,
+             *[PulseKind.ERASE] * 8]
+    pulses = [make[kind](cfg, duration=make[kind](cfg).duration / 16) for kind in kinds]
+    covered.clear()
+    with array_mod._Kernel(fast, 1, 2) as kernel:
+        for pulse in pulses:
+            kernel.pulse(pulse.kind, pulse.duration, pulse.amplitude)
+    assert covered == [row_and_col, every, row_and_col, every]
+    for pulse in pulses:
+        slow.pulse_cell(1, 2, pulse)
+    assert_same_tuning(fast, slow)
 
 
 @pytest.mark.parametrize("name", TUNE_CONFIGS)
@@ -866,7 +893,7 @@ def test_tune_cell_matches_public_loop(name):
     # from the programmed window top, a target at the window bottom pulses
     # program against the top, one at the window top erases down to the
     # bottom; precision 1e-3 is out of reach of the 8-sample reads' noise,
-    # so a long run wraps and tops the target's line rings up, the
+    # so a long run wraps and tops the target's drawing rings up, the
     # deciding reads disagree and the budget runs out; the streams are
     # edited in place between calls
     cfg = TUNE_CONFIGS[name]
@@ -924,7 +951,8 @@ def test_kernel_writes_back_when_interrupted(name, k):
     # k pulses through one kernel, then an exception inside its context:
     # the draws and disturb counts the kernel held are written back, as
     # after k public pulse_cell calls; the runs cross block rows and ring
-    # checks and, where the kinds draw different cells, the other line
+    # checks and, where the kinds draw different classes, the other ring
+    # check
     cfg = TUNE_CONFIGS[name]
     fast = ArrayState.fresh(cfg, rows=4, cols=5, initial="center")
     slow = ArrayState.fresh(cfg, rows=4, cols=5, initial="center")
@@ -1117,7 +1145,7 @@ def test_sigma_at_keeps_the_per_call_anchor_logs():
 
 def test_scalar_sigma_at_anchors_and_outside():
     noise = DEFAULT_CONFIG.noise
-    currents = [0.0, 1e-300, 1e300, math.inf, math.nan, -1e-9]
+    currents = [0.0, 1e-300, 1e300]  # a negative, NaN or infinite current raises
     for anchor in (noise.i_low_anchor, noise.i_high_anchor):
         # 257 currents around the anchor, one float step apart
         near = (np.float64(anchor).view(np.int64) + np.arange(-128, 129)).view(np.float64)
