@@ -62,8 +62,9 @@ RUN_SECONDS = 30.0
 # op seconds that pass every workload's checkpoint (256 mvm-noisy ops take about 2 s)
 CHECKPOINT_SECONDS = 5.0
 # ops replayed on the working tree and the parent at each PINNED seed: the
-# tune-ramp checkpoint covers 16 ops, 16 of the 1,024 targets of an array
-LONG_OPS = {"tune-ramp": 2500, "mvm-noisy": 60, "diff-program": 300}
+# tune-ramp checkpoint covers 16 ops, 16 of the 1,024 targets of an array;
+# diff-program's 1,200 ops make 30,000 one-vector multiply calls
+LONG_OPS = {"tune-ramp": 2500, "mvm-noisy": 60, "diff-program": 1200}
 # every diff-program op seen failing its drift bound had w <= 0.1101
 TAIL_W = 0.125
 # the CLI multiply run compared with the parent's: 3 rows, 2 logical columns

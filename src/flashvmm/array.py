@@ -352,9 +352,9 @@ class ArrayState:
 
     @functools.cached_property
     def io_layout(self) -> tuple:
-        """(row indices, peripheral column of each row, array-column slice)."""
+        """(flat index of each row's peripheral cell, its column, array-column slice)."""
         per = [self.peripheral_col_for_row(r) for r in range(self.rows)]
-        return np.arange(self.rows), np.array(per), slice(1, self.cols - 1)
+        return np.arange(self.rows) * self.cols + per, np.array(per), slice(1, self.cols - 1)
 
     def peripheral_col_for_row(self, row: int) -> int:
         """Which outer column holds the usable peripheral half for a row."""

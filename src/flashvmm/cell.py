@@ -155,7 +155,7 @@ def readout_law(v_th, v_cg, temperature, cfg, samples, rng):
     ideal = float(subthreshold_current(v_cg, v_th, cfg.n, cfg.i0, temperature, cfg.i_sat))
     if rng is None or ideal == 0.0:
         return ideal
-    sigma = cfg.noise.sigma_at(ideal)
+    sigma = cfg.noise._sigma_law(ideal)  # finite and > 0
     if sigma == 0.0:
         return ideal
     z = rng.standard_normal(samples)

@@ -116,27 +116,39 @@ class NoiseParams:
         if not (self.sigma_high <= self.sigma_low and self.i_low_anchor < self.i_high_anchor):
             raise ValueError("noise needs sigma_high <= sigma_low and i_low_anchor < i_high_anchor")
         logs = (math.log(self.i_low_anchor), math.log(self.i_high_anchor))
-        object.__setattr__(self, "_log_anchors", logs)  # not a field: hash, == and YAML skip it
+        # not fields: hash, == and YAML skip them; np.interp's xp and fp, as arrays it takes fastest
+        object.__setattr__(self, "_log_anchors", logs)
+        object.__setattr__(self, "_interp", tuple(np.array([logs, (self.sigma_low, self.sigma_high)])))
 
     def sigma_at(self, current):
         """Relative r.m.s. at the given current, constant outside the anchors.
 
         Log-linear in current between the anchors; broadcasts over arrays.
-        A float takes np.interp's two-point arithmetic, in its order.
+        A float takes np.interp's two-point arithmetic, in its order; 0 reads ``sigma_low``.
         """
-        x0, x1 = self._log_anchors
         if isinstance(current, float):
             if not 0.0 <= current < math.inf:  # also rejects NaN
                 raise ValueError(f"current must be a finite number >= 0, got {current!r}")
+            return self._sigma_law(current) if current else float(self.sigma_low)
+        current = np.asarray(current)
+        if current.size and not (current.min() >= 0.0 and current.max() < math.inf):  # NaN fails both
+            raise ValueError(f"current must be finite numbers >= 0, got [{current.min()}, {current.max()}]")
+        with np.errstate(divide="ignore"):  # log(0) is -inf, which np.interp reads as sigma_low
+            sigma = self._sigma_law(current)
+        return float(sigma) if np.ndim(current) == 0 else sigma
+
+    def _sigma_law(self, current):
+        """``sigma_at`` unchecked, for a float > 0 or an array of finite currents >= 0.
+
+        An array's zero reads ``sigma_low``, with numpy's divide warning for log(0).
+        """
+        x0, x1 = self._log_anchors
+        if isinstance(current, float):
             x = float(np.log(current))
             if x0 < x < x1:
                 return (self.sigma_high - self.sigma_low) / (x1 - x0) * (x - x0) + self.sigma_low
             return float(self.sigma_low if x <= x0 else self.sigma_high)
-        current = np.asarray(current)
-        if current.size and not (current.min() >= 0.0 and current.max() < math.inf):  # NaN fails both
-            raise ValueError(f"current must be finite numbers >= 0, got [{current.min()}, {current.max()}]")
-        sigma = np.interp(np.log(current), (x0, x1), (self.sigma_low, self.sigma_high))
-        return float(sigma) if np.ndim(current) == 0 else sigma
+        return np.interp(np.log(current), *self._interp)
 
 
 @dataclass(frozen=True)

@@ -111,17 +111,19 @@ def weight_of(
     return math.exp((peripheral.v_th - array_cell.v_th) / ut)
 
 
-def _check_peripherals(array: ArrayState) -> np.ndarray:
-    """v_th of each row's peripheral cell; raises if one sits at a window bound."""
-    rows, per_cols, _ = array.io_layout
-    cal = array.cfg.calibration
-    v = array.v_th[rows, per_cols]
-    lo, hi = cal.v_th_min + 1e-9, cal.v_th_max - 1e-9
-    if not (lo < v.min() and v.max() < hi):  # NaN fails too
-        r = int(((lo < v) & (v < hi)).argmin())
-        raise ValueError(
-            f"peripheral cell ({r}, {per_cols[r]}) is untuned (v_th at a window bound)"
-        )
+def _check_cells(array: ArrayState) -> np.ndarray:
+    """v_th of each row's peripheral cell. A ValueError names the first cell
+    outside the v_th window (NaN too), else the first untuned peripheral cell."""
+    cal, grid = array.cfg.calibration, array.v_th
+    lo, hi = cal.v_th_min, cal.v_th_max
+    if not (lo <= grid.min() and grid.max() <= hi):  # NaN fails too
+        r, c = np.argwhere(~((grid >= lo) & (grid <= hi)))[0].tolist()
+        raise ValueError(f"cell ({r}, {c}): v_th {grid.item(r, c)!r} outside [{lo!r}, {hi!r}] V")
+    cells, per_cols, _ = array.io_layout
+    v = grid.take(cells)
+    for r, x in enumerate(v.tolist()):
+        if not lo + 1e-9 < x < hi - 1e-9:
+            raise ValueError(f"peripheral cell ({r}, {per_cols[r]}) is untuned (v_th at a window bound)")
     return v
 
 
@@ -167,13 +169,14 @@ def multiply(
     if not (0 < x.ndim <= 2 and x.shape[-1] == array.rows and x.size):
         raise ValueError(f"inputs: expected {array.rows} input currents per vector, got shape {x.shape}")
     lo, hi = cfg.current_window
-    if not (lo <= x.min() and x.max() <= hi):  # NaN fails too
-        raise ValueError(f"inputs must lie in the window [{lo!r}, {hi!r}]")
+    for xi in x.ravel().tolist():
+        if not lo <= xi <= hi:  # NaN fails too
+            raise ValueError(f"inputs must lie in the window [{lo!r}, {hi!r}]")
     batched = isinstance(t, np.ndarray)
     if batched and x.ndim == 2 and len(x) != len(t):
         raise ValueError(f"temperature holds {len(t)} values for {len(x)} input vectors")
     t = t[:, None] if batched else t
-    v_gate = gate_voltage(x, _check_peripherals(array), cfg.n, cfg.i0, t).reshape(-1, array.rows, 1)
+    v_gate = gate_voltage(x, _check_cells(array), cfg.n, cfg.i0, t).reshape(-1, array.rows, 1)
     t = t[..., None] if batched else t  # (B, 1, 1)
     v_th, draw = array.v_th[:, array.io_layout[2]], array.measure_rng.standard_normal
     # vectors in chunks of about _DRAW_CHUNK normals, one vector at least:
@@ -191,7 +194,7 @@ def multiply(
         )
         if noisy:
             if samples <= block:
-                eps = draw((len(currents), samples) + v_th.shape).sum(axis=1)
+                eps = np.add.reduce(draw((len(currents), samples) + v_th.shape), axis=1)
             else:
                 eps, buf = np.empty(currents.shape), np.empty((block + 1,) + v_th.shape)
                 for j in range(len(currents)):
@@ -200,8 +203,13 @@ def multiply(
                         draw(out=buf[1:m + 1])
                         np.sum(buf[0 if k else 1:m + 1], axis=0, out=eps[j])  # row 0: the sum so far
                         buf[0] = eps[j]
-            currents = np.maximum(currents * (1.0 + cfg.noise.sigma_at(currents) * (eps / samples)), 0.0)
-        out[i:i + step] = currents.sum(axis=1)
+            # currents * (1 + sigma * (eps / samples)), clipped at 0, in place
+            eps /= samples
+            eps *= cfg.noise._sigma_law(currents)  # finite and >= 0: one may underflow to 0
+            eps += 1.0
+            eps *= currents
+            currents = np.maximum(eps, 0.0, out=eps)
+        np.add.reduce(currents, axis=1, out=out[i:i + step])
     return out if batched or x.ndim == 2 else out[0]
 
 

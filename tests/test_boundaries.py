@@ -515,14 +515,17 @@ def test_every_entry_point_has_a_row():
 
 def test_sigma_at_rejects_negative_nan_and_infinite_current():
     # the read-noise envelope names a current it cannot place on its log
-    # scale, scalar or array; 0.0, which a noisy multiply can underflow
-    # to, still reads the low-current anchor's sigma
+    # scale, scalar or array; 0.0 still reads the low-current anchor's
+    # sigma, without a divide-by-zero warning
     noise = CFG.noise
     for bad in (-1e-9, -5e-324, math.nan, math.inf, -math.inf):
         for current in (bad, np.float64(bad), np.array(bad), np.array([1e-9, bad])):
             with pytest.raises(ValueError, match="current"):
                 noise.sigma_at(current)
-    with np.errstate(divide="ignore"):
-        assert noise.sigma_at(0.0) == noise.sigma_at(-0.0) == noise.sigma_low
-        sigmas = noise.sigma_at(np.array([0.0, -0.0, 1e-9]))
+    assert noise.sigma_at(0.0) == noise.sigma_at(-0.0) == noise.sigma_low
+    sigmas = noise.sigma_at(np.array([0.0, -0.0, 1e-9]))
     assert sigmas.tolist() == [noise.sigma_low, noise.sigma_low, noise.sigma_at(1e-9)]
+    # a float32 zero, which no positive floor of float64 can lift, reads sigma_low too
+    sigmas = noise.sigma_at(np.array([0.0, 1e-9], dtype=np.float32))
+    assert sigmas.tolist() == [noise.sigma_low, noise.sigma_at(np.array([1e-9], dtype=np.float32))[0]]
+    assert noise.sigma_at(np.float32(0.0)) == noise.sigma_low

@@ -10,7 +10,8 @@ low end; the oracle is the scalar drift formula one weight at a time.
 Its numpy pass, the bias-weight scan's pruning bound, stays within the
 scan's rounding margin of the libm drift.
 Noisy ``multiply`` is pinned to a per-row restatement of its formula,
-also when it draws a vector's samples in blocks, and a batched
+also when it draws a vector's samples in blocks, one call per vector at
+fig11's temperatures and for one 64x66 vector, and a batched
 ``multiply`` or ``differential_multiply`` to the single calls it
 replaces, made in order. ``tune_cell``, which pulses and reads through a
 per-target kernel, is pinned to its loop over the public ``pulse_cell``
@@ -22,8 +23,8 @@ and column built piece by piece, and two pulse kinds share a ring check
 only when they draw the same classes.
 The float branches of ``sigma_at`` and ``subthreshold_current`` are
 pinned to ``np.interp`` and to the one-element array path, and
-``sigma_at``'s anchor logs, taken once per instance, to taking them on
-every call.
+``sigma_at``'s anchor logs and interpolation points, taken once per
+instance, to taking them on every call; its unchecked law is pinned to it.
 """
 
 import itertools
@@ -1128,8 +1129,9 @@ def test_scalar_sigma_matches_interp():
 
 
 def test_sigma_at_keeps_the_per_call_anchor_logs():
-    # the anchors' logs are taken once per instance, also by replace(),
-    # and give what taking them on every call gives, on both paths
+    # the anchors' logs and np.interp's points are taken once per
+    # instance, also by replace(), and give what taking them on every call
+    # gives, on both paths
     sweep = 10.0 ** np.linspace(-13.0, -4.0, 2001)
     for noise in (DEFAULT_CONFIG.noise, replace(DEFAULT_CONFIG.noise, i_low_anchor=3e-11),
                   NoiseParams(sigma_low=0.05, sigma_high=0.002, i_low_anchor=2e-9, i_high_anchor=7e-7)):
@@ -1138,6 +1140,11 @@ def test_sigma_at_keeps_the_per_call_anchor_logs():
         want = np.interp(x, (x0, x1), (noise.sigma_low, noise.sigma_high))
         assert_bits_equal(noise.sigma_at(sweep), want)
         assert_bits_equal(np.array([noise.sigma_at(c) for c in sweep.tolist()]), want)
+        # the unchecked law that multiply and readout_law call gives the same
+        laws = [noise._sigma_law(c) for c in sweep.tolist()]
+        assert all(type(g) is float for g in laws)
+        assert_bits_equal(np.array(laws), want)
+        assert_bits_equal(noise._sigma_law(sweep), want)
         assert noise.sigma_at(np.float64(sweep[700])) == want[700]
         assert noise == NoiseParams(**asdict(noise))
     assert config_hash(DEFAULT_CONFIG) == "5ab6d51e7a77"
@@ -1235,11 +1242,11 @@ def test_noisy_multiply_matches_formula_oracle(shape, data):
     assert array.measure_rng.bit_generator.state == oracle.measure_rng.bit_generator.state
 
 
-def swept_array(rows, cols, seed=3):
+def swept_array(rows, cols, seed=3, cfg=DEFAULT_CONFIG):
     """A tuned-peripheral array with seeded in-window weights."""
-    array = ArrayState.fresh(replace(DEFAULT_CONFIG, seed=seed), rows=rows, cols=cols, initial="center")
+    array = ArrayState.fresh(replace(cfg, seed=seed), rows=rows, cols=cols, initial="center")
     rng = np.random.default_rng(seed)
-    lo, hi = DEFAULT_CONFIG.current_window
+    lo, hi = cfg.current_window
     for r in range(rows):
         for c in array.array_cols:
             array.set_cell_current(r, c, float(10 ** rng.uniform(np.log10(lo), np.log10(hi))))
@@ -1340,6 +1347,33 @@ def test_noisy_multiply_draws_samples_in_blocks(monkeypatch, rows, cols, chunk, 
     cells = rows * len(blocked.array_cols)
     assert sum(blocked.measure_rng.sizes) == 3 * samples * cells
     assert max(blocked.measure_rng.sizes) == (samples if cells == 1 else max(block, cells))
+
+
+def test_one_vector_calls_match_formula_oracle():
+    # diff-program's read: one 1x4 vector at each of fig11's 25
+    # temperatures, one call each, 128 samples
+    array, oracle = swept_array(1, 4), swept_array(1, 4)
+    for t in np.arange(T_25C, T_85C + 1e-9, 2.5).tolist():
+        got = multiply(array, [1e-7], temperature=t, noisy=True, samples=128)
+        assert got.shape == (2,)
+        assert_bits_equal(got, oracle_multiply(oracle, [1e-7], t, 128, oracle.measure_rng))
+        assert array.measure_rng.bit_generator.state == oracle.measure_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("sigma, samples", [(None, 128), (0.1, 9)], ids=["default-s128", "loud-s9"])
+def test_one_large_vector_through_the_blocked_draw_matches_formula_oracle(sigma, samples):
+    # a 64x66 vector draws its 4096 cells 8 samples a block. At a loud
+    # envelope and 9 samples a last-bit change in sigma * (eps / samples)
+    # survives the 1 + ... in tens of cells, so the IEEE order is pinned.
+    cfg = DEFAULT_CONFIG if sigma is None else replace(DEFAULT_CONFIG, noise=NoiseParams(sigma, sigma))
+    array, oracle = swept_array(64, 66, cfg=cfg), swept_array(64, 66, cfg=cfg)
+    array.measure_rng = RecordingStream(array.measure_rng)
+    x = 10 ** np.random.default_rng(5).uniform(-9.0, -7.5, 64)
+    got = multiply(array, x, temperature=320.0, noisy=True, samples=samples)
+    assert_bits_equal(got, oracle_multiply(oracle, x, 320.0, samples, oracle.measure_rng))
+    assert array.measure_rng.rng.bit_generator.state == oracle.measure_rng.bit_generator.state
+    block = vmm_mod._DRAW_BLOCK // 4096
+    assert array.measure_rng.sizes == [min(block, samples - k) * 4096 for k in range(0, samples, block)]
 
 
 def test_untuned_peripheral_names_the_first_one():

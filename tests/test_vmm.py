@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -195,6 +196,31 @@ class TestMultiply:
         array = ArrayState.fresh(CFG, rows=2, cols=4)  # at the programmed bound
         with pytest.raises(ValueError, match="untuned"):
             multiply(array, [1e-9, 1e-9])
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    def test_v_th_outside_window_names_the_cell(self, noisy):
+        # NaN, +-inf or a finite v_th past the window used to read NaN, an
+        # off cell or a saturated one; the first such cell is named
+        cal = CFG.calibration
+        read = dict(noisy=noisy, samples=4)
+        for bad in (math.nan, math.inf, -math.inf, cal.v_th_max + 0.1, cal.v_th_min - 0.1):
+            array = centered_array(rows=2, cols=5)
+            set_weights(array, np.full((2, 3), 0.5))
+            array.v_th[0, 2] = array.v_th[1, 3] = bad
+            state = array.measure_rng.bit_generator.state
+            message = rf"^cell \(0, 2\): v_th {re.escape(repr(bad))} outside \[.*\] V$"
+            with pytest.raises(ValueError, match=message):
+                multiply(array, [1e-8, 2e-8], **read)
+            with pytest.raises(ValueError, match=message):
+                multiply(array, [[1e-8, 2e-8]] * 3, temperature=[T_25C, 320.0, T_85C], **read)
+            assert array.measure_rng.bit_generator.state == state
+        array = centered_array(rows=2, cols=5)
+        set_weights(array, np.full((2, 3), 0.5))
+        array.v_th[1, 3], array.v_th[0, 2] = cal.v_th_max, cal.v_th_min  # both bounds read
+        assert np.isfinite(multiply(array, [1e-8, 2e-8], **read)).all()
+        array.v_th[1, 4] = math.nan  # a peripheral cell is a cell too
+        with pytest.raises(ValueError, match=r"^cell \(1, 4\): v_th nan outside"):
+            multiply(array, [1e-8, 2e-8], **read)
 
     def test_input_validation(self):
         array = centered_array(rows=2, cols=4)
